@@ -49,7 +49,7 @@ from .reps import (
     random_direct_sum,
     scramble,
 )
-from .scalars import FloatScalar, GaussianRational
+from .scalars import GaussianRational, lift
 from .supergroup import (
     GL11Point,
     c11x_ring,
@@ -99,12 +99,6 @@ class RunConfig:
         # no matter where they were written
         return {"scalar": self.scalar, "tol": self.tol,
                 "weights": self.weights, "seed": self.seed}
-
-
-def _one(config: RunConfig):
-    if config.scalar == "float":
-        return FloatScalar(1.0, 0.0, tol=config.tol)
-    return GR(1)
 
 
 # --- file plumbing ---------------------------------------------------------
@@ -200,9 +194,9 @@ def _check_representation_identities(config: RunConfig, corrupt: bool):
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
             reps = [
-                make_V_m(mm, mode=config.scalar, tol=config.tol),
-                make_pi_m(mm, "+", mode=config.scalar, tol=config.tol),
-                make_pi_m(mm, "-", mode=config.scalar, tol=config.tol),
+                make_V_m(mm, tol=config.tol),
+                make_pi_m(mm, "+", tol=config.tol),
+                make_pi_m(mm, "-", tol=config.tol),
             ]
             for rep in reps:
                 problems = validate_representation(rep)
@@ -217,8 +211,8 @@ def _check_intertwiners(config: RunConfig, corrupt: bool):
     pairs = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
-            plus = make_pi_m(mm, "+", mode=config.scalar, tol=config.tol)
-            minus = make_pi_m(mm, "-", mode=config.scalar, tol=config.tol)
+            plus = make_pi_m(mm, "+", tol=config.tol)
+            minus = make_pi_m(mm, "-", tol=config.tol)
             cross = find_even_intertwiners(plus, minus)
             if cross:
                 return "fail", {"error": "unexpected intertwiner between "
@@ -372,7 +366,7 @@ def _span_monomials(group: str, bound: int):
 
 def _check_pw_span(group: str):
     def run(config: RunConfig, corrupt: bool):
-        one = _one(config)
+        one = lift(1, config.tol)
         count = 0
         for m, mask in _span_monomials(group, config.weights):
             f = Section(group, {(m, mask): one})
@@ -390,7 +384,7 @@ def _check_pw_span(group: str):
 
 
 def _check_pw_residual(config: RunConfig, corrupt: bool):
-    f = Section("su11", {(0, 0b11): _one(config)})
+    f = Section("su11", {(0, 0b11): lift(1, config.tol)})
     res = expand(f)
     if res.coefficients or res.residual != f:
         return "fail", {"error": "the weight-zero theta*eta monomial no "
@@ -554,7 +548,7 @@ def cmd_pw(args, config: RunConfig) -> Tuple[dict, int]:
         if args.m == 0:
             raise ValueError("weight 0 with a sign is degenerate; the "
                              "weight-0 coefficients come from --adjoint")
-        rep = make_pi_m(args.m, args.sign, mode=config.scalar, tol=config.tol)
+        rep = make_pi_m(args.m, args.sign, tol=config.tol)
         desc = {"type": "pi", "m": args.m, "sign": args.sign}
     sections = matrix_coefficients(rep)
     entries = []

@@ -416,8 +416,19 @@ class GrassmannElement:
         return obj
 
 
+def _int_list(value, what: str) -> list:
+    if not isinstance(value, list) or any(
+        not isinstance(x, int) or isinstance(x, bool) for x in value
+    ):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
+
+
 def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElement:
-    """Decode an element; reuse gens if supplied (they must agree)."""
+    """Decode an element; reuse gens if supplied (they must agree).
+
+    Terms with the same monomial are summed.
+    """
     if not isinstance(obj, dict) or "gens" not in obj or "terms" not in obj:
         raise ValueError("malformed Grassmann element")
     decoded = GeneratorSet(
@@ -430,39 +441,26 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
     elif gens.signature() != decoded.signature():
         raise ValueError("generator sets disagree across entries")
     n_even = len(gens.even)
+    if not isinstance(obj["terms"], list):
+        raise ValueError("Grassmann terms must be a list")
     terms: Dict[Monomial, Scalar] = {}
     for entry in obj["terms"]:
-        mono = entry["mono"]
+        if not isinstance(entry, dict):
+            raise ValueError("Grassmann terms must be objects")
         mask = 0
-        for i in mono:
-            if not isinstance(i, int) or not 0 <= i < len(gens.odd):
+        for i in _int_list(entry.get("mono"), "monomial"):
+            if not 0 <= i < len(gens.odd):
                 raise ValueError(f"monomial index {i!r} out of range")
             if mask >> i & 1:
                 raise ValueError("repeated generator in monomial")
             mask |= 1 << i
-        exps = tuple(entry.get("powers", (0,) * n_even))
+        exps = tuple(_int_list(entry.get("powers", [0] * n_even), "powers"))
         if len(exps) != n_even:
             raise ValueError("even exponent vector has wrong length")
-        coef = scalar_from_json(entry["coef"])
-        if not coef.is_zero():
-            terms[(exps, mask)] = coef
-    return GrassmannElement(gens, terms)
-
-
-def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    return x * y
-
-
-def star(x: GrassmannElement) -> GrassmannElement:
-    return x.star()
-
-
-def invert(x: GrassmannElement) -> GrassmannElement:
-    return x.invert()
-
-
-def parity(x: GrassmannElement) -> str:
-    return x.parity()
+        key = (exps, mask)
+        coef = scalar_from_json(entry.get("coef"))
+        terms[key] = coef if key not in terms else terms[key] + coef
+    return gens.element(terms)
 
 
 def all_monomials(gens: GeneratorSet) -> Iterable[GrassmannElement]:

@@ -24,12 +24,12 @@ from .reps import (
     make_weight_zero_s11,
 )
 from .scalars import (
-    FloatScalar,
     GaussianRational,
     Scalar,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
+    tolerance,
 )
 
 ZERO = GaussianRational(0, 0)
@@ -95,12 +95,6 @@ class Section:
 
     def weights(self) -> List[int]:
         return sorted({m for m, _ in self.terms})
-
-    def weight_component(self, m: int) -> "Section":
-        return Section(
-            self.group,
-            {k: c for k, c in self.terms.items() if k[0] == m},
-        )
 
     def __add__(self, other):
         if not isinstance(other, Section):
@@ -303,13 +297,12 @@ def _label_to_json(label: Label) -> dict:
     return {"type": kind}
 
 
-def _label_rep(label: Label, group: str, mode: str, tol: Optional[float],
-               ) -> Representation:
+def _label_rep(label: Label, group: str, tol: Optional[float]) -> Representation:
     kind = label[0]
     if kind == "V":
-        return make_V_m(label[1], mode=mode, tol=tol)
+        return make_V_m(label[1], tol=tol)
     if kind == "pi":
-        return make_pi_m(label[1], "+", mode=mode, tol=tol)
+        return make_pi_m(label[1], "+", tol=tol)
     if kind == "trivial":
         return make_trivial(group, 1, 0)
     if kind == "adjoint" and group == "su11":
@@ -317,13 +310,6 @@ def _label_rep(label: Label, group: str, mode: str, tol: Optional[float],
     if kind == "W" and group == "s11":
         return make_weight_zero_s11("W")
     raise ValueError("unknown representation label %r" % (label,))
-
-
-def _section_mode(f: Section) -> Tuple[str, Optional[float]]:
-    tols = [c.tol for c in f.terms.values() if isinstance(c, FloatScalar)]
-    if tols:
-        return "float", max(tols)
-    return "exact", None
 
 
 def _entry_list(group: str) -> List[Tuple[int, int]]:
@@ -344,7 +330,7 @@ def expand(f: Section) -> ExpansionResult:
     returned in the residual.
     """
     group = f.group
-    mode, tol = _section_mode(f)
+    tol = tolerance(f.terms.values())
     coords = ODD_COORDS[group]
     masks = list(range(1 << len(coords)))
     coefficients: Dict[Tuple[Label, Tuple[int, int]], Scalar] = {}
@@ -355,7 +341,7 @@ def expand(f: Section) -> ExpansionResult:
             _expand_weight_zero(f, coefficients, residual_terms)
             continue
         label: Label = ("pi", m) if group == "su11" else ("V", m)
-        rep = _label_rep(label, group, mode, tol)
+        rep = _label_rep(label, group, tol)
         sections = matrix_coefficients(rep)
         entries = _entry_list(group)
         system = Matrix([
@@ -397,12 +383,11 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                 group: str) -> Section:
     """The linear combination of matrix-coefficient sections; exact."""
     total = Section.zero(group)
+    tol = tolerance(coefficients.values())
     cache: Dict[Label, Dict[Tuple[int, int], Section]] = {}
     for (label, entry), c in coefficients.items():
         if label not in cache:
-            mode = "float" if isinstance(c, FloatScalar) else "exact"
-            tol = c.tol if isinstance(c, FloatScalar) else None
-            cache[label] = matrix_coefficients(_label_rep(label, group, mode, tol))
+            cache[label] = matrix_coefficients(_label_rep(label, group, tol))
         if entry not in cache[label]:
             raise ValueError("entry %r outside representation %r" % (entry, label))
         total = total + cache[label][entry] * c

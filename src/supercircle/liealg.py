@@ -9,11 +9,11 @@ against the bracket table.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
-from .scalars import FloatScalar, GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar, tolerance
 from .supermatrix import SuperMatrix
 
 ZERO = GaussianRational(0, 0)
@@ -195,10 +195,6 @@ class Representation:
     def generator(self, name: str) -> Matrix:
         return self.odd[name]
 
-    def weight_action(self) -> Matrix:
-        """The diagonal matrix by which the even generator acts."""
-        return Matrix.diagonal([GaussianRational(0, m) for m in self.weights])
-
     def restrict(self, indices: Sequence[int]) -> "Representation":
         """The subrepresentation spanned by the listed basis indices.
 
@@ -217,13 +213,9 @@ class Representation:
             odd,
         )
 
-    def is_float(self) -> bool:
-        return any(
-            isinstance(x, FloatScalar)
-            for m in self.odd.values()
-            for row in m.rows
-            for x in row
-        )
+    def entries(self) -> Iterator[Scalar]:
+        """Every entry of the odd generator matrices."""
+        return (x for m in self.odd.values() for row in m.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
@@ -388,7 +380,7 @@ def find_even_intertwiners(
     """
     if rep1.algebra != rep2.algebra:
         raise ValueError("representations live over different algebras")
-    if rep1.is_float() != rep2.is_float():
+    if (tolerance(rep1.entries()) is None) != (tolerance(rep2.entries()) is None):
         raise ValueError("scalar field mismatch between representations")
     n1, n2 = rep1.dim, rep2.dim
     unknowns = [

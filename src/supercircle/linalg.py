@@ -3,7 +3,7 @@
 Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
-In float mode the scalar's own tolerance decides what counts as zero.
+With float scalars, their own tolerance decides what counts as zero.
 """
 
 from __future__ import annotations

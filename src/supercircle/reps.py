@@ -14,28 +14,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import Representation, validate_representation
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
-from .scalars import FloatScalar, GaussianRational, Scalar, sqrt_neg_im
+from .scalars import GaussianRational, Scalar, lift, sqrt_neg_im, tolerance
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 
 
-def _root(m: int, mode: str, root_sign: int, tol: Optional[float]) -> Scalar:
-    s = sqrt_neg_im(m, mode)
+def _root(m: int, root_sign: int, tol: Optional[float]) -> Scalar:
+    s = sqrt_neg_im(m, tol)
     if root_sign == -1:
-        s = -s
-    elif root_sign != 1:
+        return -s
+    if root_sign != 1:
         raise ValueError("root_sign must be +1 or -1")
-    if mode == "float" and tol is not None:
-        s = FloatScalar(s.re, s.im, tol)
     return s
-
-
-def _scalar(x, mode: str, tol: Optional[float]) -> Scalar:
-    if mode == "float":
-        g = GaussianRational(x, 0) if not isinstance(x, GaussianRational) else x
-        return g.to_float(tol)
-    return x
 
 
 def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
@@ -51,14 +42,15 @@ def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
     )
 
 
-def make_V_m(m: int, mode: str = "exact", root_sign: int = 1,
+def make_V_m(m: int, root_sign: int = 1,
              tol: Optional[float] = None) -> Representation:
     """The 1|1-dimensional weight-m block: Z swaps the two basis vectors,
-    scaled by a square root of -i*m."""
+    scaled by a square root of -i*m.  Exact unless tol is given."""
     if m == 0:
         raise ValueError("weight must be nonzero")
-    s = _root(m, mode, root_sign, tol)
-    z = Matrix([[_scalar(0, mode, tol), s], [s, _scalar(0, mode, tol)]])
+    s = _root(m, root_sign, tol)
+    zero = lift(0, tol)
+    z = Matrix([[zero, s], [s, zero]])
     return Representation("s11", (0, 1), (m, m), {"Z": z})
 
 
@@ -88,19 +80,20 @@ def _normalize_sign(sign) -> str:
     raise ValueError("sign must be + or -")
 
 
-def make_pi_m(m: int, sign, mode: str = "exact", root_sign: int = 1,
+def make_pi_m(m: int, sign, root_sign: int = 1,
               tol: Optional[float] = None) -> Representation:
     """The 1|1-dimensional weight-m representation of the su11 table.
 
     Both signs share U; they differ in S by an overall sign, which flips the
-    eigenvalue of U*S on the even vector between +m and -m.
+    eigenvalue of U*S on the even vector between +m and -m.  Exact unless
+    tol is given.
     """
     if m == 0:
         raise ValueError("weight must be nonzero")
     sign = _normalize_sign(sign)
-    s = _root(m, mode, root_sign, tol)
-    zero = _scalar(0, mode, tol)
-    i_s = _scalar(GaussianRational(0, 1), mode, tol) * s
+    s = _root(m, root_sign, tol)
+    zero = lift(0, tol)
+    i_s = lift(GaussianRational(0, 1), tol) * s
     u = Matrix([[zero, s], [s, zero]])
     if sign == "+":
         smat = Matrix([[zero, -i_s], [i_s, zero]])
@@ -243,7 +236,7 @@ class DecompositionReport:
     __slots__ = (
         "algebra", "v_counts", "pi_counts", "ad_count", "pi_ad_count",
         "trivial_even", "trivial_odd", "weight_zero", "basis_change",
-        "root_sign", "mode", "tol",
+        "root_sign", "tol",
     )
 
     def __init__(self, algebra: str, basis_change: Matrix, *,
@@ -252,8 +245,7 @@ class DecompositionReport:
                  ad_count: int = 0, pi_ad_count: int = 0,
                  trivial_even: int = 0, trivial_odd: int = 0,
                  weight_zero: Optional[Representation] = None,
-                 root_sign: int = 1, mode: str = "exact",
-                 tol: Optional[float] = None):
+                 root_sign: int = 1, tol: Optional[float] = None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis_change", basis_change)
         object.__setattr__(self, "v_counts", dict(v_counts or {}))
@@ -264,7 +256,6 @@ class DecompositionReport:
         object.__setattr__(self, "trivial_odd", trivial_odd)
         object.__setattr__(self, "weight_zero", weight_zero)
         object.__setattr__(self, "root_sign", root_sign)
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
@@ -292,7 +283,7 @@ class DecompositionReport:
         if self.algebra == "s11":
             for m in sorted(self.v_counts):
                 blocks.extend(
-                    make_V_m(m, self.mode, self.root_sign, self.tol)
+                    make_V_m(m, self.root_sign, self.tol)
                     for _ in range(self.v_counts[m])
                 )
             blocks.extend(make_weight_zero_s11("W") for _ in range(self.ad_count))
@@ -303,7 +294,7 @@ class DecompositionReport:
             for m in sorted({mm for mm, _ in self.pi_counts}):
                 for sign in ("+", "-"):
                     blocks.extend(
-                        make_pi_m(m, sign, self.mode, self.root_sign, self.tol)
+                        make_pi_m(m, sign, self.root_sign, self.tol)
                         for _ in range(self.pi_counts.get((m, sign), 0))
                     )
             if self.weight_zero is not None:
@@ -360,20 +351,13 @@ def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar
 
 def _extend_independent(existing: List[Tuple[Scalar, ...]],
                         candidates: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, ...]]:
-    """Greedily pick candidates that are independent of the existing span.
-
-    Candidates are scanned in order, so the choice is deterministic.
+    """The candidates that are independent of the existing span and of the
+    candidates before them: the pivot columns past the existing ones, so the
+    choice is deterministic.
     """
-    picked: List[Tuple[Scalar, ...]] = []
-    current = list(existing)
-    rank = Matrix(current).rank() if current else 0
-    for cand in candidates:
-        trial = current + [cand]
-        if Matrix(trial).rank() > rank:
-            current = trial
-            rank += 1
-            picked.append(cand)
-    return picked
+    k = len(existing)
+    _, pivots = from_columns(list(existing) + list(candidates)).rref()
+    return [candidates[p - k] for p in pivots if p >= k]
 
 
 def _weight_zero_pairs(rep: Representation):
@@ -427,31 +411,9 @@ def _weight_zero_pairs(rep: Representation):
 
 def decompose_weight_zero_s11(rep: Representation) -> DecompositionReport:
     """Split a weight-zero action into paired and trivial pieces."""
-    _require_valid(rep)
     if any(m != 0 for m in rep.weights):
         raise ValueError("nonzero weight present")
-    z = rep.odd["Z"]
-    if not (z * z).is_zero():
-        raise ValueError("Z^2 != 0 on a weight-zero representation")
-    ad_pairs, pi_ad_pairs, triv_even, triv_odd = _weight_zero_pairs(rep)
-    columns: List[Sequence[Scalar]] = []
-    for img, src in ad_pairs:
-        columns.extend([img, src])
-    for img, src in pi_ad_pairs:
-        columns.extend([img, src])
-    columns.extend(triv_even)
-    columns.extend(triv_odd)
-    if 2 * (len(ad_pairs) + len(pi_ad_pairs)) + len(triv_even) + len(triv_odd) != rep.dim:
-        raise ValueError("weight-zero pairing does not exhaust the space")
-    return DecompositionReport(
-        "s11",
-        from_columns(columns),
-        ad_count=len(ad_pairs),
-        pi_ad_count=len(pi_ad_pairs),
-        trivial_even=len(triv_even),
-        trivial_odd=len(triv_odd),
-        mode="float" if rep.is_float() else "exact",
-    )
+    return decompose_s11(rep)
 
 
 def _nonzero_weight_blocks(rep: Representation):
@@ -468,14 +430,13 @@ def decompose_s11(rep: Representation, root_sign: int = 1) -> DecompositionRepor
     to the nilpotent pairing.
     """
     _require_valid(rep)
-    mode = "float" if rep.is_float() else "exact"
-    tol = _rep_tol(rep)
+    tol = tolerance(rep.entries())
     z = rep.odd["Z"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
     v_counts: Dict[int, int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = _root(m, mode, root_sign, tol).inverse()
+        s_inv = _root(m, root_sign, tol).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         odds = [i for i in indices if rep.parities[i] == 1]
         if len(evens) != len(odds):
@@ -515,20 +476,8 @@ def decompose_s11(rep: Representation, root_sign: int = 1) -> DecompositionRepor
         trivial_even=te,
         trivial_odd=to_,
         root_sign=root_sign,
-        mode=mode,
         tol=tol,
     )
-
-
-def _rep_tol(rep: Representation) -> Optional[float]:
-    tols = [
-        x.tol
-        for mat in rep.odd.values()
-        for row in mat.rows
-        for x in row
-        if isinstance(x, FloatScalar)
-    ]
-    return max(tols) if tols else None
 
 
 def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionReport:
@@ -536,8 +485,7 @@ def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionRepo
     eigenvalue of U*S on the even part; weight zero is returned unclassified.
     """
     _require_valid(rep)
-    mode = "float" if rep.is_float() else "exact"
-    tol = _rep_tol(rep)
+    tol = tolerance(rep.entries())
     u = rep.odd["U"]
     s = rep.odd["S"]
     us = u * s
@@ -545,28 +493,25 @@ def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionRepo
     columns: List[Sequence[Scalar]] = []
     pi_counts: Dict[Tuple[int, str], int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = _root(m, mode, root_sign, tol).inverse()
+        s_inv = _root(m, root_sign, tol).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         t_blk = Matrix([[us[i, j] for j in evens] for i in evens])
         found = 0
         for lam, sign in ((m, "+"), (-m, "-")):
-            lam_s = _scalar(GaussianRational(lam, 0), mode, tol)
-            shifted = t_blk - Matrix.diagonal([lam_s] * len(evens))
+            shifted = t_blk - Matrix.diagonal([lift(lam, tol)] * len(evens))
             eig = shifted.kernel_basis()
             # i*lam/m is +i or -i; the S-image of an eigenvector must be
             # that multiple of its U-image
-            ratio = _scalar(GaussianRational(0, 1 if sign == "+" else -1),
-                            mode, tol)
+            ratio = lift(GaussianRational(0, 1 if sign == "+" else -1), tol)
             for vec in eig:
                 f = _embed(vec, evens, n)
-                uf = _apply(u, f)
-                sf = _apply(s, f)
-                want = [ratio * x for x in uf]
-                if not _vec_eq(sf, want):
+                col = Matrix.column(f)
+                uf = u * col
+                if s * col != ratio * uf:
                     raise ValueError(
                         "S-image certificate failed at weight m=%d" % m
                     )
-                columns.extend([f, [x * s_inv for x in uf]])
+                columns.extend([f, [x * s_inv for x in uf.col(0)]])
             if eig:
                 pi_counts[(m, sign)] = len(eig)
             found += len(eig)
@@ -590,23 +535,5 @@ def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionRepo
         pi_counts=pi_counts,
         weight_zero=weight_zero,
         root_sign=root_sign,
-        mode=mode,
         tol=tol,
     )
-
-
-def _apply(mat: Matrix, vec: Sequence[Scalar]) -> List[Scalar]:
-    out = []
-    for i in range(mat.nrows):
-        acc = None
-        for j, x in enumerate(vec):
-            if x.is_zero() or mat[i, j].is_zero():
-                continue
-            term = mat[i, j] * x
-            acc = term if acc is None else acc + term
-        out.append(ZERO if acc is None else acc)
-    return out
-
-
-def _vec_eq(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> bool:
-    return all(x == y for x, y in zip(xs, ys))

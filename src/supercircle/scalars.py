@@ -5,13 +5,17 @@ rationals, an exact quadratic extension of them by a formal square root of
 -i*m, and tolerance-compared complex floats.  The extension parameter m is an
 integer weight; values carrying different parameters never take part in the
 same arithmetic (that is an error, not a coercion).
+
+A tolerance alone selects the field: ``tol=None`` means exact, a float tol
+means FloatScalar arithmetic compared to within tol.  :func:`tolerance` reads
+the field off existing values and :func:`lift` moves an exact value into it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -47,10 +51,6 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
-
-    @classmethod
-    def from_int(cls, n: int) -> "GaussianRational":
-        return cls(n, 0)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -458,45 +458,38 @@ def _float_root_neg_im(m: int) -> complex:
     return complex(q, -q * _sign(m))
 
 
-def sqrt_neg_im(m: int, mode: str = "exact") -> Scalar:
-    """A scalar s with s*s = -i*m.
+def sqrt_neg_im(m: int, tol: Optional[float] = None) -> Scalar:
+    """A scalar s with s*s = -i*m, in the field that tol selects.
 
-    Exact mode returns the Gaussian-rational root k*(1 - i*sign(m)) when
+    Exact (tol None): the Gaussian-rational root k*(1 - i*sign(m)) when
     |m| = 2k^2 (then the extension would degenerate and is avoided so that all
     exact arithmetic stays inside a field), and the formal ExtendedScalar
-    generator otherwise.  Float mode returns the principal branch
-    sqrt(|m|/2)*(1 - i*sign(m)).
+    generator otherwise.  Float: the principal branch
+    sqrt(|m|/2)*(1 - i*sign(m)) with tolerance tol.
     """
     if m == 0:
         raise ValueError("degenerate weight")
-    if mode == "float":
+    if tol is not None:
         z = _float_root_neg_im(m)
-        return FloatScalar(z.real, z.imag)
-    if mode != "exact":
-        raise ValueError(f"unknown scalar mode {mode!r}")
+        return FloatScalar(z.real, z.imag, tol)
     root = _exact_root_neg_im(m)
     if root is not None:
         return root
     return ExtendedScalar(ZERO, ONE, m)
 
 
-def invert_extended(x):
-    """Multiplicative inverse of an exact scalar.
+def tolerance(values: Iterable) -> Optional[float]:
+    """The field a computation over these values runs in: the largest
+    FloatScalar tolerance among them, or None when all are exact."""
+    return max((x.tol for x in values if isinstance(x, FloatScalar)),
+               default=None)
 
-    For a proper extension element the inverse is the rationalization
-    (c0 - c1*s)/(c0^2 + i*m*c1^2).  If that denominator vanishes (possible only
-    when |m| = 2k^2) the explicit root is substituted for s and the resulting
-    Gaussian rational is inverted; elements annihilated by the substitution are
-    genuine zero divisors and raise ZeroDivisionError.
-    """
-    if isinstance(x, ExtendedScalar):
-        return x.inverse()
-    g = _coerce_gaussian(x)
-    if g is not None:
-        return g.inverse()
-    if isinstance(x, FloatScalar):
-        return x.inverse()
-    raise TypeError(f"cannot invert {type(x).__name__}")
+
+def lift(x, tol: Optional[float]) -> Scalar:
+    """The exact value x in the field that tol selects: x itself when tol is
+    None, else a FloatScalar with tolerance tol."""
+    x = as_scalar(x)
+    return x if tol is None else FloatScalar.from_exact(x, tol)
 
 
 def scalar_to_json(x) -> dict:
@@ -531,7 +524,10 @@ def scalar_from_json(obj) -> Scalar:
     if set(obj) == {"re", "im"}:
         re, im = obj["re"], obj["im"]
         if isinstance(re, str) and isinstance(im, str):
-            return GaussianRational(Fraction(re), Fraction(im))
+            try:
+                return GaussianRational(Fraction(re), Fraction(im))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar: {obj!r}") from None
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
             return FloatScalar(float(re), float(im))
         raise ValueError(f"malformed scalar components: {obj!r}")

@@ -195,10 +195,6 @@ def supermatrix_from_json(obj, gens: Optional[GeneratorSet] = None) -> SuperMatr
     return SuperMatrix(obj["pdim"], obj["qdim"], entries)
 
 
-def multiply(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    return a * b
-
-
 def supercommutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     """[x, y] = xy - (-1)^{|x||y|} yx for homogeneous x and y."""
     px, py = x.parity(), y.parity()

@@ -292,3 +292,57 @@ def test_pw_expand_parse_error(capsys, tmp_path):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "meditate")[0] == 2
+
+
+def _su11_point_json():
+    gens, pts = su11_chart_ring("su11")
+    return pts[0].to_json()
+
+
+def test_point_term_without_mono_is_a_parse_error(capsys, tmp_path):
+    blob = _su11_point_json()
+    del blob["a"]["terms"][0]["mono"]
+    path = write(tmp_path, "no-mono.json", blob)
+    code, out = run(capsys, "point", "check", path, "--group", "su11")
+    assert code == 2
+    assert "mono" in json.loads(out)["error"]
+
+
+def test_point_non_integer_powers_are_a_parse_error(capsys, tmp_path):
+    blob = _su11_point_json()
+    blob["a"]["terms"][0]["powers"] = ["z"]
+    path = write(tmp_path, "bad-powers.json", blob)
+    code, out = run(capsys, "point", "check", path, "--group", "su11")
+    assert code == 2
+    assert "powers" in json.loads(out)["error"]
+
+
+def test_point_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    blob = _su11_point_json()
+    blob["a"]["terms"][0]["coef"] = {"re": "1/0", "im": "0"}
+    path = write(tmp_path, "div-zero.json", blob)
+    code, out = run(capsys, "point", "check", path, "--group", "su11")
+    assert code == 2
+    assert "zero denominator" in json.loads(out)["error"]
+
+
+def test_pw_expand_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    blob = Section.monomial("su11", 2, ["theta"]).to_json()
+    blob["terms"][0]["coef"] = {"re": "3", "im": "1/0"}
+    path = write(tmp_path, "div-zero.json", blob)
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 2
+    assert "zero denominator" in json.loads(out)["error"]
+
+
+def test_point_terms_with_equal_monomials_are_summed(capsys, tmp_path):
+    # a = a0 written as (1/3)*a0 + (2/3)*a0 is still the chart point
+    blob = _su11_point_json()
+    term = blob["a"]["terms"][0]
+    assert term["coef"] == {"re": "1", "im": "0"}
+    blob["a"]["terms"] = [dict(term, coef={"re": "1/3", "im": "0"}),
+                          dict(term, coef={"re": "2/3", "im": "0"})]
+    path = write(tmp_path, "split.json", blob)
+    code, out = run(capsys, "point", "check", path, "--group", "su11")
+    assert code == 0
+    assert json.loads(out)["member"] is True

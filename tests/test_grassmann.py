@@ -11,10 +11,6 @@ from supercircle.grassmann import (
     GeneratorSet,
     all_monomials,
     element_from_json,
-    invert,
-    multiply,
-    parity,
-    star,
 )
 from supercircle.scalars import FloatScalar, GaussianRational
 
@@ -52,13 +48,13 @@ def test_basic_products(paired):
 
 def test_mismatched_generator_sets_error(paired, four):
     with pytest.raises(ValueError, match="mismatched"):
-        multiply(paired.odd_gen("theta"), four.odd_gen("a"))
+        paired.odd_gen("theta") * four.odd_gen("a")
 
 
 def test_supercommutativity_exhaustive_four_generators(four):
     monos = list(all_monomials(four))
     for x, y in combinations(monos, 2):
-        px, py = parity(x), parity(y)
+        px, py = x.parity(), y.parity()
         sign = -1 if (px == ODD and py == ODD) else 1
         assert x * y == sign * (y * x)
 
@@ -81,22 +77,22 @@ def test_associativity_on_random_triples(four):
 def test_parity(paired, four):
     th = paired.odd_gen("theta")
     tb = paired.odd_gen("thetabar")
-    assert parity(th * tb) == EVEN
-    assert parity(th) == ODD
+    assert (th * tb).parity() == EVEN
+    assert th.parity() == ODD
     a, b, c = (four.odd_gen(n) for n in "abc")
-    assert parity(a * b * c) == ODD
-    assert parity(paired.one() + th) == INHOMOGENEOUS
-    assert parity(paired.zero()) == EVEN
+    assert (a * b * c).parity() == ODD
+    assert (paired.one() + th).parity() == INHOMOGENEOUS
+    assert paired.zero().parity() == EVEN
 
 
 def test_star_basics(paired):
     th = paired.odd_gen("theta")
     tb = paired.odd_gen("thetabar")
-    assert star(th) == tb
-    assert star(paired.one()) == paired.one()
+    assert th.star() == tb
+    assert paired.one().star() == paired.one()
     i = GR(0, 1)
     # star(i*theta*thetabar) = -i*thetabar*theta = i*theta*thetabar
-    assert star(i * th * tb) == i * th * tb
+    assert (i * th * tb).star() == i * th * tb
 
 
 def test_star_is_involutive_and_multiplicative(paired):
@@ -113,30 +109,30 @@ def test_star_is_involutive_and_multiplicative(paired):
             (GR(rng.randint(-3, 3), rng.randint(-3, 3)) * p for p in pool),
             paired.zero(),
         )
-        assert star(star(x)) == x
-        assert star(x * y) == star(x) * star(y)
+        assert x.star().star() == x
+        assert (x * y).star() == x.star() * y.star()
 
 
 def test_star_requires_pairing(four):
     with pytest.raises(ValueError, match="no pairing"):
-        star(four.odd_gen("a"))
+        four.odd_gen("a").star()
 
 
 def test_star_with_fixed_points():
     g = GeneratorSet(["xi", "theta", "thetabar"], pairing=[[1, 2]])
     xi = g.odd_gen("xi")
-    assert star(xi) == xi
-    assert star(GR(0, 1) * xi) == GR(0, -1) * xi
+    assert xi.star() == xi
+    assert (GR(0, 1) * xi).star() == GR(0, -1) * xi
 
 
 def test_invert_examples(paired):
     th = paired.odd_gen("theta")
     tb = paired.odd_gen("thetabar")
     x = paired.one() + th * tb
-    assert invert(x) == paired.one() - th * tb
-    assert invert(paired.scalar(GR(2, 0))) == paired.scalar(GR(Fraction(1, 2), 0))
+    assert x.invert() == paired.one() - th * tb
+    assert paired.scalar(GR(2, 0)).invert() == paired.scalar(GR(Fraction(1, 2), 0))
     y = paired.scalar(2) + th * tb
-    yi = invert(y)
+    yi = y.invert()
     assert yi == paired.scalar(GR(Fraction(1, 2), 0)) - GR(Fraction(1, 4), 0) * th * tb
     assert y * yi == paired.one()
 
@@ -144,13 +140,13 @@ def test_invert_examples(paired):
 def test_invert_errors(paired):
     th = paired.odd_gen("theta")
     with pytest.raises(ValueError, match="not invertible"):
-        invert(th * paired.odd_gen("thetabar") * 0 + th * th)  # zero element
+        (th * paired.odd_gen("thetabar") * 0 + th * th).invert()  # zero element
     with pytest.raises(ValueError, match="parity"):
-        invert(th)
+        th.invert()
     with pytest.raises(ValueError, match="parity"):
-        invert(paired.one() + th)
+        (paired.one() + th).invert()
     with pytest.raises(ValueError, match="not invertible"):
-        invert(th * paired.odd_gen("thetabar"))  # zero body
+        (th * paired.odd_gen("thetabar")).invert()  # zero body
 
 
 def test_invert_random_even_invertibles(four):
@@ -163,7 +159,7 @@ def test_invert_random_even_invertibles(four):
             if not c.is_zero():
                 terms[((), mask)] = c
         x = four.element(terms)
-        assert invert(x) * x == four.one()
+        assert x.invert() * x == four.one()
 
 
 def test_laurent_generators():
@@ -174,9 +170,9 @@ def test_laurent_generators():
     x = w * w * eta
     assert x * w == g.even_gen("w", 3) * eta
     y = w + w * eta * etabar  # w*(1 + eta*etabar) is a unit
-    assert invert(y) * y == g.one()
+    assert y.invert() * y == g.one()
     with pytest.raises(ValueError, match="not invertible"):
-        invert(w + g.one())
+        (w + g.one()).invert()
 
 
 def test_laurent_star_images():
@@ -189,10 +185,10 @@ def test_laurent_star_images():
     )
     w = g.even_gen("w")
     eta = g.odd_gen("eta")
-    assert star(w) == w_inv
-    assert star(star(w)) == w
-    assert star(star(eta)) == eta
-    assert star(w * eta) == star(w) * star(eta)
+    assert w.star() == w_inv
+    assert w.star().star() == w
+    assert eta.star().star() == eta
+    assert (w * eta).star() == w.star() * eta.star()
 
 
 def test_element_json_round_trip(paired):
@@ -225,6 +221,20 @@ def test_element_json_rejects_malformed(paired):
     with pytest.raises(ValueError, match="disagree"):
         element_from_json(other, gens=paired)
     assert element_from_json(j, gens=paired) == paired.odd_gen("theta")
+
+
+def test_element_json_validates_terms_and_sums_repeats(paired):
+    one = {"re": "1", "im": "0"}
+    for terms in ({"mono": []}, ["x"], [{"coef": one}], [{"mono": [True], "coef": one}],
+                  [{"mono": [0], "coef": one, "powers": [1]}]):
+        with pytest.raises(ValueError):
+            element_from_json({"gens": ["theta", "thetabar"], "terms": terms})
+    th = paired.odd_gen("theta")
+    half = {"re": "1/2", "im": "0"}
+    j = {"gens": ["theta", "thetabar"], "pairing": [[0, 1]],
+         "terms": [{"mono": [0], "coef": half}, {"mono": [0], "coef": half},
+                   {"mono": [1], "coef": one}, {"mono": [1], "coef": {"re": "-1", "im": "0"}}]}
+    assert element_from_json(j) == th
 
 
 def test_float_coefficients(paired):

@@ -21,7 +21,7 @@ from supercircle.reps import (
     make_weight_zero_s11,
     random_class_preserving,
 )
-from supercircle.scalars import GaussianRational
+from supercircle.scalars import FloatScalar, GaussianRational
 from supercircle.supermatrix import supercommutator
 
 GR = GaussianRational
@@ -153,7 +153,7 @@ def test_intertwiners_mismatched_algebras():
 
 def test_field_mismatch():
     with pytest.raises(ValueError, match="field"):
-        find_even_intertwiners(make_pi_m(1, "+"), make_pi_m(1, "+", mode="float"))
+        find_even_intertwiners(make_pi_m(1, "+"), make_pi_m(1, "+", tol=FloatScalar.DEFAULT_TOL))
 
 
 def test_representation_json_round_trip():

@@ -11,10 +11,11 @@ from supercircle.scalars import (
     ExtensionMismatchError,
     FloatScalar,
     GaussianRational,
-    invert_extended,
     scalar_from_json,
     scalar_to_json,
+    lift,
     sqrt_neg_im,
+    tolerance,
 )
 
 GR = GaussianRational
@@ -84,19 +85,39 @@ def test_sqrt_neg_im_exact_degenerate_cases():
 
 
 def test_sqrt_neg_im_float_principal_branch():
-    s = sqrt_neg_im(2, mode="float")
+    s = sqrt_neg_im(2, tol=FloatScalar.DEFAULT_TOL)
     assert s == FloatScalar(1.0, -1.0)
     assert s * s == FloatScalar(0.0, -2.0)
-    t = sqrt_neg_im(-2, mode="float")
+    t = sqrt_neg_im(-2, tol=FloatScalar.DEFAULT_TOL)
     assert t == FloatScalar(1.0, 1.0)
     assert t * t == FloatScalar(0.0, 2.0)
+
+
+def test_tolerance_selects_the_field():
+    assert tolerance([]) is None
+    assert tolerance([GR(1, 2), sqrt_neg_im(3), GR(0)]) is None
+    mixed = [GR(1), FloatScalar(1.0, 0.0, tol=1e-6), sqrt_neg_im(5),
+             FloatScalar(0.0, 2.0, tol=1e-8)]
+    assert tolerance(mixed) == 1e-6
+    assert tolerance(iter(mixed)) == 1e-6
+
+
+def test_lift_keeps_exact_values_and_converts_to_float():
+    assert lift(3, None) == GR(3)
+    assert isinstance(lift(3, None), GaussianRational)
+    s = sqrt_neg_im(3)
+    assert lift(s, None) is s
+    x = lift(GR(Fraction(1, 2), -1), 1e-7)
+    assert isinstance(x, FloatScalar)
+    assert (x.re, x.im, x.tol) == (0.5, -1.0, 1e-7)
+    assert lift(s, 1e-7) == sqrt_neg_im(3, tol=1e-7)
 
 
 def test_sqrt_neg_im_degenerate_weight():
     with pytest.raises(ValueError, match="degenerate weight"):
         sqrt_neg_im(0)
     with pytest.raises(ValueError, match="degenerate weight"):
-        sqrt_neg_im(0, mode="float")
+        sqrt_neg_im(0, tol=FloatScalar.DEFAULT_TOL)
 
 
 def test_extended_reduction_never_stores_s_squared():
@@ -117,10 +138,10 @@ def test_extended_demotes_when_s_component_cancels():
 
 def test_invert_extended_examples():
     s3 = sqrt_neg_im(3)
-    inv = invert_extended(s3)
+    inv = s3.inverse()
     assert inv == ExtendedScalar(0, Fraction(1, 3), 3) * GR(0, 1)
     assert s3 * inv == GR(1, 0)
-    assert invert_extended(GR(1, 0)) == GR(1, 0)
+    assert GR(1, 0).inverse() == GR(1, 0)
     # m = 2: the generator can be built by hand, and its rationalization
     # denominator 2i is nonzero, so inversion stays formal.
     s2 = ExtendedScalar(0, 1, 2)
@@ -136,14 +157,14 @@ def test_invert_extended_zero_denominator_fallback():
     # (1 - i) + s at m = 2 annihilates the rationalization denominator; the
     # fallback substitutes s -> 1 - i and inverts 2*(1 - i) inside Q(i).
     x = ExtendedScalar(GR(1, -1), 1, 2)
-    inv = invert_extended(x)
+    inv = x.inverse()
     assert isinstance(inv, GaussianRational)
     assert inv == GR(Fraction(1, 4), Fraction(1, 4))
     # (1 - i) - s is a zero divisor whose substituted value vanishes.
     with pytest.raises(ZeroDivisionError):
-        invert_extended(ExtendedScalar(GR(1, -1), -1, 2))
+        ExtendedScalar(GR(1, -1), -1, 2).inverse()
     with pytest.raises(ZeroDivisionError):
-        invert_extended(GR(0, 0))
+        GR(0, 0).inverse()
 
 
 @settings(max_examples=150)
@@ -167,12 +188,9 @@ def test_extended_inverse_round_trip_random():
             GR(rng.randint(-6, 6), rng.randint(-6, 6)),
             m,
         )
-        if isinstance(x, GaussianRational):
-            if x.is_zero():
-                continue
-            assert x * x.inverse() == GR(1, 0)
+        if x.is_zero():
             continue
-        assert x * invert_extended(x) == GR(1, 0)
+        assert x * x.inverse() == GR(1, 0)
 
 
 def test_extension_mixing_is_an_error():
@@ -246,6 +264,13 @@ def test_scalar_json_round_trip():
     j = scalar_to_json(f)
     assert j == {"re": 0.5, "im": -1.25}
     assert scalar_from_json(j) == f
+
+
+def test_scalar_json_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar_from_json({"re": "1/0", "im": "0"})
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar_from_json({"re": "0", "im": "3/0"})
 
 
 def test_scalar_json_rejects_malformed():

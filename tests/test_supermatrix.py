@@ -9,7 +9,6 @@ from supercircle.supermatrix import (
     SuperMatrix,
     berezinian,
     inverse_1_1,
-    multiply,
     supercommutator,
     supermatrix_from_json,
 )
@@ -196,10 +195,10 @@ def test_multiply_shape_mismatch(trivial, four):
     a = SuperMatrix.identity(trivial, 1, 1)
     b = SuperMatrix.identity(four, 1, 1)
     with pytest.raises(ValueError, match="mismatched"):
-        multiply(a, b)
+        a * b
     c = SuperMatrix.identity(trivial, 1, 2)
     with pytest.raises(ValueError, match="dimension"):
-        multiply(a, c)
+        a * c
 
 
 def test_json_round_trip(four):
