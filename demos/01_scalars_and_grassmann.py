@@ -35,6 +35,7 @@ def main():
     xi = gens.odd_gen("xi")
     xibar = gens.odd_gen("xibar")
     q = gens.even_gen("q")
+    gens.install_star_images([xibar, xi], [q])  # q is real
     u = q + xi * xibar
     print("u           =", u)
     print("xi * xi     =", xi * xi)

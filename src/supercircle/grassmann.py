@@ -416,11 +416,12 @@ class GrassmannElement:
         return obj
 
 
-def _int_list(value, what: str) -> list:
+def _list_of(value, kind: type, what: str) -> list:
     if not isinstance(value, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in value
+        not isinstance(x, kind) or isinstance(x, bool) for x in value
     ):
-        raise ValueError(f"{what} must be a list of integers")
+        noun = "integers" if kind is int else "strings"
+        raise ValueError(f"{what} must be a list of {noun}")
     return value
 
 
@@ -431,10 +432,15 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
     """
     if not isinstance(obj, dict) or "gens" not in obj or "terms" not in obj:
         raise ValueError("malformed Grassmann element")
+    pairing = obj.get("pairing")
+    if pairing is not None and (not isinstance(pairing, list) or any(
+        len(_list_of(cycle, int, "pairing entry")) != 2 for cycle in pairing
+    )):
+        raise ValueError("pairing must be a list of two-integer lists")
     decoded = GeneratorSet(
-        obj["gens"],
-        pairing=obj.get("pairing"),
-        even=obj.get("evens", ()),
+        _list_of(obj["gens"], str, "gens"),
+        pairing=pairing,
+        even=_list_of(obj.get("evens", []), str, "evens"),
     )
     if gens is None:
         gens = decoded
@@ -448,13 +454,13 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
         if not isinstance(entry, dict):
             raise ValueError("Grassmann terms must be objects")
         mask = 0
-        for i in _int_list(entry.get("mono"), "monomial"):
+        for i in _list_of(entry.get("mono"), int, "monomial"):
             if not 0 <= i < len(gens.odd):
                 raise ValueError(f"monomial index {i!r} out of range")
             if mask >> i & 1:
                 raise ValueError("repeated generator in monomial")
             mask |= 1 << i
-        exps = tuple(_int_list(entry.get("powers", [0] * n_even), "powers"))
+        exps = tuple(_list_of(entry.get("powers", [0] * n_even), int, "powers"))
         if len(exps) != n_even:
             raise ValueError("even exponent vector has wrong length")
         key = (exps, mask)

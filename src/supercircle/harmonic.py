@@ -11,10 +11,12 @@ forcing it to zero.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .grassmann import _merge_sign
-from .liealg import Representation, validate_representation
+from .grassmann import GeneratorSet, GrassmannElement
+from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
     make_V_m,
@@ -33,9 +35,13 @@ from .scalars import (
 )
 
 ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
 
 ODD_COORDS = {"s11": ("theta",), "su11": ("theta", "eta")}
+
+# the Grassmann algebra each group's sections live in: the odd chart
+# coordinates plus the circle coordinate t as an invertible even generator
+_RINGS = {group: GeneratorSet(coords, even=("t",))
+          for group, coords in ODD_COORDS.items()}
 
 TermKey = Tuple[int, int]  # (weight, odd-coordinate bitmask)
 Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
@@ -96,6 +102,12 @@ class Section:
     def weights(self) -> List[int]:
         return sorted({m for m, _ in self.terms})
 
+    def _as_grassmann(self) -> GrassmannElement:
+        return GrassmannElement(
+            _RINGS[self.group],
+            {((m,), mask): c for (m, mask), c in self.terms.items()},
+        )
+
     def __add__(self, other):
         if not isinstance(other, Section):
             return NotImplemented
@@ -119,18 +131,10 @@ class Section:
         if isinstance(other, Section):
             if other.group != self.group:
                 raise ValueError("sections live on different groups")
-            terms: Dict[TermKey, Scalar] = {}
-            for (m1, mask1), c1 in self.terms.items():
-                for (m2, mask2), c2 in other.terms.items():
-                    if mask1 & mask2:
-                        continue
-                    key = (m1 + m2, mask1 | mask2)
-                    term = c1 * c2
-                    if _merge_sign(mask1, mask2):
-                        term = -term
-                    acc = terms.get(key)
-                    terms[key] = term if acc is None else acc + term
-            return Section(self.group, terms)
+            product = self._as_grassmann() * other._as_grassmann()
+            return Section(self.group, {
+                (exps[0], mask): c for (exps, mask), c in product.terms.items()
+            })
         try:
             c = as_scalar(other)
         except TypeError:
@@ -201,49 +205,31 @@ def section_from_json(obj: object) -> Section:
     return Section(group, terms)
 
 
-def matrix_coefficients(rep: Representation, group: Optional[str] = None,
-                        ) -> Dict[Tuple[int, int], Section]:
+def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
     """Each entry (i, j) of the point action as a Section.
 
     The action on a factorized point is the weight action followed by one
-    nilpotent factor per odd generator, in the factorization order; for the
-    unitary group that expands to
+    nilpotent factor per odd generator, in the factorization order, so the
+    coefficient of an odd monomial is the product of the generators it
+    selects; for the unitary group that expands to
     t^m * (delta + theta*U + eta*S + theta*eta*(U*S)) entrywise.
     """
-    if group is not None and group != rep.algebra:
-        raise ValueError("group tag %r does not match the representation" % (group,))
-    problems = validate_representation(rep)
-    if problems:
-        raise ValueError("representation is not valid: " + "; ".join(problems))
-    n = rep.dim
-    out: Dict[Tuple[int, int], Section] = {}
-    if rep.algebra == "s11":
-        z = rep.odd["Z"]
-        for i in range(n):
-            for j in range(n):
-                terms: Dict[TermKey, Scalar] = {}
-                if i == j:
-                    terms[(rep.weights[i], 0)] = ONE
-                if not z[i, j].is_zero():
-                    terms[(rep.weights[i], 1)] = z[i, j]
-                out[(i, j)] = Section("s11", terms)
-        return out
-    u = rep.odd["U"]
-    s = rep.odd["S"]
-    us = u * s
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[(rep.weights[i], 0)] = ONE
-            if not u[i, j].is_zero():
-                terms[(rep.weights[i], 0b01)] = u[i, j]
-            if not s[i, j].is_zero():
-                terms[(rep.weights[i], 0b10)] = s[i, j]
-            if not us[i, j].is_zero():
-                terms[(rep.weights[i], 0b11)] = us[i, j]
-            out[(i, j)] = Section("su11", terms)
-    return out
+    require_valid(rep)
+    names = rep.generator_names
+    products = []
+    for mask in range(1 << len(names)):
+        factors = [rep.odd[name] for k, name in enumerate(names) if mask >> k & 1]
+        # start from the first factor: a product with the identity can flip
+        # the sign of a float zero, and the JSON would show it
+        products.append(reduce(mul, factors) if factors
+                        else Matrix.identity(rep.dim))
+    return {
+        (i, j): Section(rep.algebra, {
+            (rep.weights[i], mask): p[i, j] for mask, p in enumerate(products)
+        })
+        for i in range(rep.dim)
+        for j in range(rep.dim)
+    }
 
 
 class ExpansionResult:

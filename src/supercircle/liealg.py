@@ -192,9 +192,6 @@ class Representation:
     def generator_names(self) -> Tuple[str, ...]:
         return ODD_GENERATORS[self.algebra]
 
-    def generator(self, name: str) -> Matrix:
-        return self.odd[name]
-
     def restrict(self, indices: Sequence[int]) -> "Representation":
         """The subrepresentation spanned by the listed basis indices.
 
@@ -365,6 +362,13 @@ def validate_representation(rep: Representation) -> List[str]:
         if msg:
             problems.append(msg)
     return problems
+
+
+def require_valid(rep: Representation) -> None:
+    """Raise ValueError naming every violated relation, if there is one."""
+    problems = validate_representation(rep)
+    if problems:
+        raise ValueError("representation is not valid: " + "; ".join(problems))
 
 
 def find_even_intertwiners(

@@ -70,9 +70,6 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> Tuple[Scalar, ...]:
-        return self.rows[i]
-
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(r[j] for r in self.rows)
 

@@ -12,21 +12,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .liealg import Representation, validate_representation
+from .liealg import Representation, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
 from .scalars import GaussianRational, Scalar, lift, sqrt_neg_im, tolerance
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
-
-
-def _root(m: int, root_sign: int, tol: Optional[float]) -> Scalar:
-    s = sqrt_neg_im(m, tol)
-    if root_sign == -1:
-        return -s
-    if root_sign != 1:
-        raise ValueError("root_sign must be +1 or -1")
-    return s
 
 
 def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
@@ -42,13 +33,12 @@ def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
     )
 
 
-def make_V_m(m: int, root_sign: int = 1,
-             tol: Optional[float] = None) -> Representation:
+def make_V_m(m: int, *, tol: Optional[float] = None) -> Representation:
     """The 1|1-dimensional weight-m block: Z swaps the two basis vectors,
-    scaled by a square root of -i*m.  Exact unless tol is given."""
+    scaled by sqrt_neg_im(m).  Exact unless tol is given."""
     if m == 0:
         raise ValueError("weight must be nonzero")
-    s = _root(m, root_sign, tol)
+    s = sqrt_neg_im(m, tol)
     zero = lift(0, tol)
     z = Matrix([[zero, s], [s, zero]])
     return Representation("s11", (0, 1), (m, m), {"Z": z})
@@ -80,18 +70,17 @@ def _normalize_sign(sign) -> str:
     raise ValueError("sign must be + or -")
 
 
-def make_pi_m(m: int, sign, root_sign: int = 1,
-              tol: Optional[float] = None) -> Representation:
+def make_pi_m(m: int, sign, *, tol: Optional[float] = None) -> Representation:
     """The 1|1-dimensional weight-m representation of the su11 table.
 
-    Both signs share U; they differ in S by an overall sign, which flips the
-    eigenvalue of U*S on the even vector between +m and -m.  Exact unless
-    tol is given.
+    Both signs share U, the swap scaled by sqrt_neg_im(m); they differ in S
+    by an overall sign, which flips the eigenvalue of U*S on the even vector
+    between +m and -m.  Exact unless tol is given.
     """
     if m == 0:
         raise ValueError("weight must be nonzero")
     sign = _normalize_sign(sign)
-    s = _root(m, root_sign, tol)
+    s = sqrt_neg_im(m, tol)
     zero = lift(0, tol)
     i_s = lift(GaussianRational(0, 1), tol) * s
     u = Matrix([[zero, s], [s, zero]])
@@ -236,7 +225,7 @@ class DecompositionReport:
     __slots__ = (
         "algebra", "v_counts", "pi_counts", "ad_count", "pi_ad_count",
         "trivial_even", "trivial_odd", "weight_zero", "basis_change",
-        "root_sign", "tol",
+        "tol",
     )
 
     def __init__(self, algebra: str, basis_change: Matrix, *,
@@ -245,7 +234,7 @@ class DecompositionReport:
                  ad_count: int = 0, pi_ad_count: int = 0,
                  trivial_even: int = 0, trivial_odd: int = 0,
                  weight_zero: Optional[Representation] = None,
-                 root_sign: int = 1, tol: Optional[float] = None):
+                 tol: Optional[float] = None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis_change", basis_change)
         object.__setattr__(self, "v_counts", dict(v_counts or {}))
@@ -255,7 +244,6 @@ class DecompositionReport:
         object.__setattr__(self, "trivial_even", trivial_even)
         object.__setattr__(self, "trivial_odd", trivial_odd)
         object.__setattr__(self, "weight_zero", weight_zero)
-        object.__setattr__(self, "root_sign", root_sign)
         object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
@@ -283,7 +271,7 @@ class DecompositionReport:
         if self.algebra == "s11":
             for m in sorted(self.v_counts):
                 blocks.extend(
-                    make_V_m(m, self.root_sign, self.tol)
+                    make_V_m(m, tol=self.tol)
                     for _ in range(self.v_counts[m])
                 )
             blocks.extend(make_weight_zero_s11("W") for _ in range(self.ad_count))
@@ -294,7 +282,7 @@ class DecompositionReport:
             for m in sorted({mm for mm, _ in self.pi_counts}):
                 for sign in ("+", "-"):
                     blocks.extend(
-                        make_pi_m(m, sign, self.root_sign, self.tol)
+                        make_pi_m(m, sign, tol=self.tol)
                         for _ in range(self.pi_counts.get((m, sign), 0))
                     )
             if self.weight_zero is not None:
@@ -334,12 +322,6 @@ class DecompositionReport:
             ),
         }
         return {"su11": body, "basis_change": matrix_to_json(self.basis_change)}
-
-
-def _require_valid(rep: Representation) -> None:
-    problems = validate_representation(rep)
-    if problems:
-        raise ValueError("representation is not valid: " + "; ".join(problems))
 
 
 def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar]:
@@ -422,21 +404,21 @@ def _nonzero_weight_blocks(rep: Representation):
             for m in weights]
 
 
-def decompose_s11(rep: Representation, root_sign: int = 1) -> DecompositionReport:
+def decompose_s11(rep: Representation) -> DecompositionReport:
     """Recover the multiset of weight blocks and weight-zero pieces.
 
     For each nonzero weight the even basis vectors of the block pair with
     their Z-images (rescaled by the root of -i*m); weight zero is delegated
     to the nilpotent pairing.
     """
-    _require_valid(rep)
+    require_valid(rep)
     tol = tolerance(rep.entries())
     z = rep.odd["Z"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
     v_counts: Dict[int, int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = _root(m, root_sign, tol).inverse()
+        s_inv = sqrt_neg_im(m, tol).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         odds = [i for i in indices if rep.parities[i] == 1]
         if len(evens) != len(odds):
@@ -475,16 +457,15 @@ def decompose_s11(rep: Representation, root_sign: int = 1) -> DecompositionRepor
         pi_ad_count=pi_ad,
         trivial_even=te,
         trivial_odd=to_,
-        root_sign=root_sign,
         tol=tol,
     )
 
 
-def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionReport:
+def decompose_su11(rep: Representation) -> DecompositionReport:
     """Split by weight and, within each nonzero weight, by the sign of the
     eigenvalue of U*S on the even part; weight zero is returned unclassified.
     """
-    _require_valid(rep)
+    require_valid(rep)
     tol = tolerance(rep.entries())
     u = rep.odd["U"]
     s = rep.odd["S"]
@@ -493,7 +474,7 @@ def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionRepo
     columns: List[Sequence[Scalar]] = []
     pi_counts: Dict[Tuple[int, str], int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = _root(m, root_sign, tol).inverse()
+        s_inv = sqrt_neg_im(m, tol).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         t_blk = Matrix([[us[i, j] for j in evens] for i in evens])
         found = 0
@@ -534,6 +515,5 @@ def decompose_su11(rep: Representation, root_sign: int = 1) -> DecompositionRepo
         from_columns(columns),
         pi_counts=pi_counts,
         weight_zero=weight_zero,
-        root_sign=root_sign,
         tol=tol,
     )

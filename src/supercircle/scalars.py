@@ -161,11 +161,10 @@ I = GaussianRational(0, 1)
 class ExtendedScalar:
     """c0 + c1*s over Q(i), where the formal generator s satisfies s*s = -i*m.
 
-    For m = +-2k^2 the element -i*m already has a square root in Q(i), so the
-    quotient ring Q(i)[s]/(s^2 + i*m) has zero divisors; sqrt_neg_im never
-    produces an ExtendedScalar for such m.  Constructing one directly is still
-    permitted, and inversion then falls back to substituting the explicit root
-    when the rationalization denominator vanishes.
+    For |m| = 2k^2 the element -i*m already has a square root in Q(i), so the
+    quotient ring Q(i)[s]/(s^2 + i*m) would have zero divisors; construction
+    rejects such m, and sqrt_neg_im returns the Gaussian root instead.  Every
+    allowed m gives a field.
 
     Arithmetic demotes to GaussianRational whenever the s-component cancels,
     which keeps zeros parameter-free and lets block matrices over different
@@ -181,6 +180,9 @@ class ExtendedScalar:
             raise TypeError("ExtendedScalar components must be Gaussian rationals")
         if not isinstance(m, int) or isinstance(m, bool) or m == 0:
             raise ValueError("extension parameter m must be a nonzero integer")
+        if _exact_root_neg_im(m) is not None:
+            raise ValueError(f"-i*m is a square in Q(i) for m={m}; "
+                             "the extension would not be a field")
         object.__setattr__(self, "c0", g0)
         object.__setattr__(self, "c1", g1)
         object.__setattr__(self, "m", m)
@@ -226,17 +228,11 @@ class ExtendedScalar:
 
     def inverse(self):
         # (c0 + c1 s)(c0 - c1 s) = c0^2 + i*m*c1^2, which is Gaussian rational.
+        # It vanishes only at zero, since -i*m is not a square in Q(i).
         den = self.c0 * self.c0 + GaussianRational(0, self.m) * self.c1 * self.c1
-        if not den.is_zero():
-            return ExtendedScalar.make(self.c0 / den, -(self.c1 / den), self.m)
-        root = _exact_root_neg_im(self.m)
-        if root is None or self.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("division by zero in Q(i)[s]")
-        # Zero denominator forces m = +-2k^2; substitute the explicit root.
-        value = self.c0 + self.c1 * root
-        if value.is_zero():
-            raise ZeroDivisionError("division by zero in Q(i)[s]")
-        return value.inverse()
+        return ExtendedScalar.make(self.c0 / den, -(self.c1 / den), self.m)
 
     def __add__(self, other):
         lifted = self._lift(other)

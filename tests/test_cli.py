@@ -346,3 +346,40 @@ def test_point_terms_with_equal_monomials_are_summed(capsys, tmp_path):
     code, out = run(capsys, "point", "check", path, "--group", "su11")
     assert code == 0
     assert json.loads(out)["member"] is True
+
+
+def _point_check_with(capsys, tmp_path, **fields):
+    blob = _su11_point_json()
+    for entry in blob.values():
+        entry.update(fields)
+    path = write(tmp_path, "bad-gens.json", blob)
+    code, out = run(capsys, "point", "check", path, "--group", "su11")
+    assert code == 2
+    return json.loads(out)["error"]
+
+
+def test_point_flat_pairing_is_a_parse_error(capsys, tmp_path):
+    assert "pairing" in _point_check_with(capsys, tmp_path, pairing=[0, 1])
+
+
+def test_point_non_list_evens_are_a_parse_error(capsys, tmp_path):
+    assert "evens" in _point_check_with(capsys, tmp_path, evens=5)
+
+
+def test_point_string_gens_are_a_parse_error(capsys, tmp_path):
+    assert "gens" in _point_check_with(capsys, tmp_path, gens="ab")
+
+
+def test_point_integer_generator_names_are_a_parse_error(capsys, tmp_path):
+    assert "gens" in _point_check_with(capsys, tmp_path, gens=[0, 1])
+
+
+def test_pw_expand_rejects_extension_with_gaussian_root(capsys, tmp_path):
+    # -i*2 = (1 - i)^2, so m = 2 names no field extension
+    blob = Section.monomial("su11", 2, ["theta"]).to_json()
+    blob["terms"][0]["coef"] = {"c0": {"re": "1", "im": "0"},
+                                "c1": {"re": "1", "im": "0"}, "m": 2}
+    path = write(tmp_path, "m2.json", blob)
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 2
+    assert "m=2" in json.loads(out)["error"]

@@ -86,7 +86,7 @@ def test_matrix_coefficients_pi_plus():
 
 def test_matrix_coefficients_V_m():
     s = sqrt_neg_im(-3)
-    mc = matrix_coefficients(make_V_m(-3), group="s11")
+    mc = matrix_coefficients(make_V_m(-3))
     assert mc[(0, 0)] == Section.monomial("s11", -3)
     assert mc[(1, 1)] == Section.monomial("s11", -3)
     assert mc[(0, 1)] == Section("s11", {(-3, 1): s})
@@ -106,8 +106,6 @@ def test_matrix_coefficients_adjoint_and_trivial():
 
 
 def test_matrix_coefficients_rejects():
-    with pytest.raises(ValueError):
-        matrix_coefficients(make_pi_m(2, "+"), group="s11")
     from supercircle.liealg import Representation
     broken = Representation("s11", (0, 1), (1, 1),
                             {"Z": make_V_m(2).odd["Z"]})

@@ -136,16 +136,6 @@ def test_decompose_su11_weight_zero_unclassified():
     assert report.verify(rep)
 
 
-def test_decompose_su11_root_sign_branch():
-    rng = random.Random(13)
-    model = direct_sum(make_pi_m(3, "+"), make_pi_m(-2, "-"))
-    rep = scramble(model, rng)
-    plus = decompose_su11(rep, root_sign=1)
-    minus = decompose_su11(rep, root_sign=-1)
-    assert plus.labels() == minus.labels()
-    assert minus.verify(rep)
-
-
 def _random_model_s11(rng):
     blocks = []
     for _ in range(rng.randint(1, 8)):

@@ -142,29 +142,20 @@ def test_invert_extended_examples():
     assert inv == ExtendedScalar(0, Fraction(1, 3), 3) * GR(0, 1)
     assert s3 * inv == GR(1, 0)
     assert GR(1, 0).inverse() == GR(1, 0)
-    # m = 2: the generator can be built by hand, and its rationalization
-    # denominator 2i is nonzero, so inversion stays formal.
-    s2 = ExtendedScalar(0, 1, 2)
-    inv2 = s2.inverse()
-    assert s2 * inv2 == GR(1, 0)
-    # Substituting the explicit root 1 - i turns inv2 into (1+i)/2.
-    root = GR(1, -1)
-    value = inv2.c0 + inv2.c1 * root
-    assert value == GR(Fraction(1, 2), Fraction(1, 2))
-
-
-def test_invert_extended_zero_denominator_fallback():
-    # (1 - i) + s at m = 2 annihilates the rationalization denominator; the
-    # fallback substitutes s -> 1 - i and inverts 2*(1 - i) inside Q(i).
-    x = ExtendedScalar(GR(1, -1), 1, 2)
-    inv = x.inverse()
-    assert isinstance(inv, GaussianRational)
-    assert inv == GR(Fraction(1, 4), Fraction(1, 4))
-    # (1 - i) - s is a zero divisor whose substituted value vanishes.
-    with pytest.raises(ZeroDivisionError):
-        ExtendedScalar(GR(1, -1), -1, 2).inverse()
     with pytest.raises(ZeroDivisionError):
         GR(0, 0).inverse()
+
+
+def test_extended_rejects_parameters_with_a_gaussian_root():
+    # For |m| = 2k^2, -i*m is a square in Q(i) and Q(i)[s] would have zero
+    # divisors, e.g. ((1 - i) + s)((1 - i) - s) = 0 at m = 2.
+    for m in (2, -2, 8, -8, 18, -18):
+        with pytest.raises(ValueError):
+            ExtendedScalar(GR(1, -1), 1, m)
+    # A vanishing s-component still demotes to Q(i) without building one.
+    x = ExtendedScalar.make(GR(1, -1), 0, 2)
+    assert isinstance(x, GaussianRational)
+    assert x == GR(1, -1)
 
 
 @settings(max_examples=150)
