@@ -15,7 +15,7 @@ from functools import reduce
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .grassmann import GeneratorSet, GrassmannElement
+from .grassmann import GeneratorSet, GrassmannElement, _list_of
 from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
@@ -189,9 +189,8 @@ def section_from_json(obj: object) -> Section:
         m = entry.get("m")
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError("term weight must be an integer")
-        mono = entry.get("mono", [])
         mask = 0
-        for name in mono:
+        for name in _list_of(entry.get("mono", []), str, "monomial"):
             if name not in coords:
                 raise ValueError("unknown odd coordinate %r" % (name,))
             idx = coords.index(name)

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
-from .scalars import GaussianRational, Scalar, tolerance
+from .scalars import ExtendedScalar, GaussianRational, Scalar, tolerance
 from .supermatrix import SuperMatrix
 
 ZERO = GaussianRational(0, 0)
@@ -297,8 +297,10 @@ def validate_representation(rep: Representation) -> List[str]:
 
     An empty list means the data is a genuine representation.  The checks,
     in order: matrix shapes, odd parity structure, weight preservation
-    (equivalently, commutation with the central generator), and the bracket
-    relations including the su11 anticommutator and its diagonal square.
+    (equivalently, commutation with the central generator), one extension
+    Q(i)[s] per weight block (the entries of a block multiply each other),
+    and the bracket relations including the su11 anticommutator and its
+    diagonal square.  Only the last step does arithmetic.
     """
     problems: List[str] = []
     n = rep.dim
@@ -315,11 +317,13 @@ def validate_representation(rep: Representation) -> List[str]:
     if problems:
         return problems
 
+    first_ext: Dict[int, Tuple[str, int, int, int]] = {}
     for name in rep.generator_names:
         mat = rep.odd[name]
         for i in range(n):
             for j in range(n):
-                if mat[i, j].is_zero():
+                x = mat[i, j]
+                if x.is_zero():
                     continue
                 if rep.parities[i] == rep.parities[j]:
                     problems.append(
@@ -331,6 +335,15 @@ def validate_representation(rep: Representation) -> List[str]:
                         "generator %s entry (%d,%d) connects weights %d and %d"
                         % (name, i, j, rep.weights[i], rep.weights[j])
                     )
+                elif isinstance(x, ExtendedScalar):
+                    seen = first_ext.setdefault(rep.weights[i], (name, i, j, x.m))
+                    if seen[3] != x.m:
+                        problems.append(
+                            "generator %s entry (%d,%d) has Q(i)[s] parameter "
+                            "m=%d, but generator %s entry (%d,%d) of weight "
+                            "block m=%d has m=%d"
+                            % (name, i, j, x.m, *seen[:3], rep.weights[i], seen[3])
+                        )
     if problems:
         return problems
 

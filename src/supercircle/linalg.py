@@ -23,44 +23,61 @@ ONE = GaussianRational(1, 0)
 
 
 class Matrix:
-    """An immutable matrix stored as a tuple of row tuples."""
+    """An immutable matrix.
 
-    __slots__ = ("rows",)
+    Entries live in private row lists that no method hands out; ``rows``
+    returns a fresh tuple of row tuples.  Lists rather than tuples because
+    short-lived tuples of every row length collect on CPython's tuple
+    freelists and raise the resident size of long exact computations.
+    """
+
+    __slots__ = ("_rows",)
 
     def __init__(self, rows: Sequence[Sequence[object]]):
-        data = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        data = [[as_scalar(x) for x in row] for row in rows]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_rows", data)
+
+    @classmethod
+    def _of(cls, rows: List[List[Scalar]]) -> "Matrix":
+        """Wrap rows of scalars built by this module, without copying."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+        return cls._of([[ZERO] * ncols for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, entries: Sequence[object]) -> "Matrix":
         entries = [as_scalar(e) for e in entries]
         n = len(entries)
-        return cls([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def column(cls, entries: Sequence[object]) -> "Matrix":
         return cls([[e] for e in entries])
 
     @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        return tuple(tuple(r) for r in self._rows)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._rows[0]) if self._rows else 0
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -68,23 +85,23 @@ class Matrix:
 
     def __getitem__(self, key: Tuple[int, int]) -> Scalar:
         i, j = key
-        return self.rows[i][j]
+        return self._rows[i][j]
 
     def col(self, j: int) -> Tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.rows)
+        return tuple(r[j] for r in self._rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows))) if self.rows else Matrix([])
+        return Matrix._of([list(c) for c in zip(*self._rows)])
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
+        return Matrix._of(
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
+                for r1, r2 in zip(self._rows, other._rows)
             ]
         )
 
@@ -94,31 +111,26 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-x for x in r] for r in self.rows])
+        return Matrix._of([[-x for x in r] for r in self._rows])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = other.transpose().rows
-            out = []
-            for r in self.rows:
-                out.append(
-                    [_dot(r, c) for c in cols]
-                )
-            return Matrix(out)
+            cols = list(zip(*other._rows))
+            return Matrix._of([[_dot(r, c) for c in cols] for r in self._rows])
         try:
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Matrix([[x * s for x in r] for r in self.rows])
+        return Matrix._of([[x * s for x in r] for r in self._rows])
 
     def __rmul__(self, other):
         try:
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Matrix([[s * x for x in r] for r in self.rows])
+        return Matrix._of([[s * x for x in r] for r in self._rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -126,26 +138,26 @@ class Matrix:
         if self.shape != other.shape:
             return False
         return all(
-            a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
+            a == b for r1, r2 in zip(self._rows, other._rows) for a, b in zip(r1, r2)
         )
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.rows for x in r)
+        return all(x.is_zero() for r in self._rows for x in r)
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(", ".join(str(x) for x in r) for r in self._rows)
         return f"Matrix([{body}])"
 
     def map(self, fn) -> "Matrix":
-        return Matrix([[fn(x) for x in r] for r in self.rows])
+        return Matrix([[fn(x) for x in r] for r in self._rows])
 
     # --- elimination ------------------------------------------------------
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
         """Reduced row-echelon form with unit pivots; lowest-index pivoting."""
-        rows = [list(r) for r in self.rows]
+        rows = [list(r) for r in self._rows]
         nrows, ncols = self.nrows, self.ncols
         pivots: List[int] = []
         piv_r = 0
@@ -171,7 +183,7 @@ class Matrix:
             piv_r += 1
             if piv_r == nrows:
                 break
-        return Matrix(rows), tuple(pivots)
+        return Matrix._of(rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -187,7 +199,7 @@ class Matrix:
             vec = [ZERO] * self.ncols
             vec[fj] = ONE
             for r, pj in enumerate(pivots):
-                vec[pj] = -red.rows[r][fj]
+                vec[pj] = -red._rows[r][fj]
             basis.append(tuple(vec))
         return basis
 
@@ -201,29 +213,29 @@ class Matrix:
             raise ValueError("shape mismatch")
         if self.nrows == 0:
             return ()
-        aug = Matrix([list(r) + [b] for r, b in zip(self.rows, rhs)])
+        aug = Matrix._of([r + [b] for r, b in zip(self._rows, rhs)])
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
         sol = [ZERO] * self.ncols
         for r, pj in enumerate(pivots):
-            sol[pj] = red.rows[r][self.ncols]
+            sol[pj] = red._rows[r][self.ncols]
         return tuple(sol)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
         n = self.nrows
-        aug = Matrix(
+        aug = Matrix._of(
             [
-                list(self.rows[i]) + [ONE if i == j else ZERO for j in range(n)]
+                self._rows[i] + [ONE if i == j else ZERO for j in range(n)]
                 for i in range(n)
             ]
         )
         red, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows])
+        return Matrix._of([r[n:] for r in red._rows])
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -245,8 +257,8 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
     nrows = blocks[0].nrows
     if any(b.nrows != nrows for b in blocks):
         raise ValueError("row counts differ")
-    return Matrix(
-        [[x for b in blocks for x in b.rows[i]] for i in range(nrows)]
+    return Matrix._of(
+        [[x for b in blocks for x in b._rows[i]] for i in range(nrows)]
     )
 
 
@@ -258,10 +270,10 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     for b in blocks:
         for i in range(b.nrows):
             for j in range(b.ncols):
-                rows[r0 + i][c0 + j] = b.rows[i][j]
+                rows[r0 + i][c0 + j] = b._rows[i][j]
         r0 += b.nrows
         c0 += b.ncols
-    return Matrix(rows)
+    return Matrix._of(rows)
 
 
 def from_columns(columns: Sequence[Sequence[object]]) -> Matrix:
@@ -269,7 +281,7 @@ def from_columns(columns: Sequence[Sequence[object]]) -> Matrix:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(x) for x in row] for row in m.rows]
+    return [[scalar_to_json(x) for x in row] for row in m._rows]
 
 
 def matrix_from_json(rows: object) -> Matrix:

@@ -37,38 +37,60 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 
 class GaussianRational:
-    """An element re + i*im of Q(i) with exact rational components.
+    """An element (a + b*i)/d of Q(i), stored as three ints.
 
-    Fractions keep themselves in lowest terms with positive denominator, so
-    equality and hashing are structural.
+    d > 0 and gcd(a, b, d) = 1, so the form is canonical and equality and
+    hashing are structural.  Arithmetic works on the ints and builds every
+    result through :func:`_gr`, which normalises with one gcd.  ``re`` and
+    ``im`` are read-only Fraction views.  Like a Fraction, an instance is
+    immutable: its ints live in private slots that nothing assigns after
+    construction.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        # over the lcm of two lowest-terms denominators gcd(a, b, d) is 1
+        rd, id_ = re.denominator, im.denominator
+        d = rd * id_ // math.gcd(rd, id_)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gr(d * a, -d * b, n)
 
     def __add__(self, other):
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _gr(self._a + o._a, self._b + o._b, d1)
+        return _gr(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -76,22 +98,23 @@ class GaussianRational:
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _gr(self._a - o._a, self._b - o._b, d1)
+        return _gr(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -99,16 +122,23 @@ class GaussianRational:
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        # (a1 + b1*i)/d1 * d2*(a2 - b2*i)/(a2^2 + b2^2)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        d2 = o._d
+        return _gr(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                   self._d * n)
 
     def __rtruediv__(self, other):
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -117,30 +147,51 @@ class GaussianRational:
         o = _coerce_gaussian(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self.im == 0:
+        # a real value hashes like the equal int or Fraction
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int / int is correctly rounded, so this equals float(self.re) etc.
+        return complex(self._a / self._d, self._b / self._d)
 
     def to_float(self, tol: Optional[float] = None) -> "FloatScalar":
         t = FloatScalar.DEFAULT_TOL if tol is None else tol
-        return FloatScalar(float(self.re), float(self.im), t)
+        return FloatScalar(self._a / self._d, self._b / self._d, t)
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        op = "+" if self.im > 0 else "-"
-        return f"{self.re} {op} {abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        op = "+" if im > 0 else "-"
+        return f"{re} {op} {abs(im)}*i"
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in canonical form, for d > 0."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
 
 def _coerce_gaussian(x) -> Optional[GaussianRational]:

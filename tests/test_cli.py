@@ -383,3 +383,71 @@ def test_pw_expand_rejects_extension_with_gaussian_root(capsys, tmp_path):
     code, out = run(capsys, "pw", "expand", path)
     assert code == 2
     assert "m=2" in json.loads(out)["error"]
+
+
+def _pw_expand_with_mono(capsys, tmp_path, mono):
+    blob = Section.monomial("su11", 1, ["theta"]).to_json()
+    blob["terms"][0]["mono"] = mono
+    path = write(tmp_path, "mono.json", blob)
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 2
+    return json.loads(out)["error"]
+
+
+def test_pw_expand_object_mono_is_a_parse_error(capsys, tmp_path):
+    # the keys of an object used to be read as coordinate names
+    error = _pw_expand_with_mono(capsys, tmp_path, {"theta": 0})
+    assert "monomial must be a list of strings" in error
+
+
+def test_pw_expand_string_mono_is_a_parse_error(capsys, tmp_path):
+    # a string used to be read one character at a time
+    error = _pw_expand_with_mono(capsys, tmp_path, "theta")
+    assert "monomial must be a list of strings" in error
+
+
+def _s11_V3_with_foreign_extension():
+    blob = make_V_m(3).to_json()
+    blob["Z"][0][1] = {"c0": {"re": "0", "im": "0"},
+                       "c1": {"re": "1", "im": "0"}, "m": 5}
+    return blob
+
+
+FOREIGN_EXTENSION = ("generator Z entry (1,0) has Q(i)[s] parameter m=3, but "
+                     "generator Z entry (0,1) of weight block m=3 has m=5")
+
+
+def test_rep_validate_reports_mixed_extensions(capsys, tmp_path):
+    path = write(tmp_path, "mixed.json", _s11_V3_with_foreign_extension())
+    code, out = run(capsys, "rep", "validate", path)
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "rep-validate"
+    assert report["valid"] is False
+    assert report["problems"] == [FOREIGN_EXTENSION]
+
+
+def test_rep_decompose_reports_mixed_extensions(capsys, tmp_path):
+    path = write(tmp_path, "mixed.json", _s11_V3_with_foreign_extension())
+    code, out = run(capsys, "rep", "decompose", path)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "representation is not valid: " + FOREIGN_EXTENSION}
+
+
+def test_rep_validate_reports_mixed_extensions_across_generators(
+        capsys, tmp_path):
+    # U and S of one su11 weight block multiply each other, so one foreign
+    # parameter in S is reported against the first entry of U
+    blob = make_pi_m(3, "+").to_json()
+    row, col = next((i, j) for i, r in enumerate(blob["S"])
+                    for j, x in enumerate(r) if "m" in x)
+    blob["S"][row][col] = dict(blob["S"][row][col], m=7)
+    path = write(tmp_path, "mixed-su11.json", blob)
+    code, out = run(capsys, "rep", "validate", path)
+    assert code == 1
+    problems = json.loads(out)["problems"]
+    assert len(problems) == 1
+    assert problems[0].startswith(
+        "generator S entry (%d,%d) has Q(i)[s] parameter m=7" % (row, col))
+    assert problems[0].endswith("has m=3")

@@ -79,3 +79,38 @@ def test_helpers():
 def test_empty_solve():
     m = Matrix.zeros(0, 0)
     assert m.solve(()) == ()
+
+
+def test_rows_are_a_hashable_snapshot():
+    m = Matrix([[GR(1), GR(0, 2)], [GR(Fraction(1, 3)), GR(4)]])
+    rows = m.rows
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+    assert hash(rows) == hash(Matrix([[1, GR(0, 2)], [Fraction(1, 3), 4]]).rows)
+    assert m.col(1) == (GR(0, 2), GR(4))
+    # equal matrices give equal rows, however they were built
+    assert (m * Matrix.identity(2)).rows == rows
+    assert Matrix.identity(2).rows == Matrix([[1, 0], [0, 1]]).rows
+    assert m.transpose().transpose().rows == rows
+
+
+def test_matrix_cannot_be_changed_through_its_views():
+    src = [[GR(1), GR(2)], [GR(3), GR(4)]]
+    m = Matrix(src)
+    before = m.rows
+    src[0][0] = GR(9)  # the constructor copied its input
+    src.append([GR(5), GR(6)])
+    with pytest.raises(TypeError):
+        m.rows[0][0] = GR(9)
+    with pytest.raises(TypeError):
+        m.col(0)[0] = GR(9)
+    assert m.rows == before and m.shape == (2, 2)
+    # results of operations own their rows too
+    red, _ = m.rref()
+    inv = m.inverse()
+    assert m.rows == before
+    assert red.rows == Matrix.identity(2).rows
+    assert m * inv == Matrix.identity(2)
+    for name in ("rows", "_rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ((GR(0),),))
+    assert m.rows == before

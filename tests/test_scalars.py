@@ -276,3 +276,113 @@ def test_scalar_json_rejects_malformed():
 def test_extended_scalar_rejects_zero_parameter():
     with pytest.raises(ValueError):
         ExtendedScalar(1, 1, 0)
+
+
+# --- differential test against a two-Fraction reference model -------------
+
+def _ref_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    op = "+" if im > 0 else "-"
+    return f"{re} {op} {abs(im)}*i"
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _ref_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    if n == 0:
+        raise ZeroDivisionError
+    return a / n, -b / n
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def wide_fractions():
+    # large numerators and denominators exercise the gcd normalisation
+    return st.one_of(
+        small_fractions(),
+        st.builds(Fraction, st.integers(-10**30, 10**30),
+                  st.integers(1, 10**20)),
+    )
+
+
+def _check_against_reference(x, ref):
+    """x is a GaussianRational, ref its value as a (re, im) Fraction pair."""
+    re, im = ref
+    assert (x.re, x.im) == (re, im)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert x == GR(re, im)
+    assert hash(x) == (hash(re) if im == 0 else hash((re, im)))
+    assert str(x) == _ref_str(re, im)
+    assert repr(x) == f"GaussianRational({re}, {im})"
+    assert scalar_to_json(x) == {"re": str(re), "im": str(im)}
+    assert scalar_from_json(scalar_to_json(x)) == x
+    assert _bits(x.to_complex()) == _bits(complex(re, im))
+    f = x.to_float(1e-7)
+    assert (f.re.hex(), f.im.hex(), f.tol) == (
+        float(re).hex(), float(im).hex(), 1e-7)
+    assert _bits(FloatScalar.from_exact(x).to_complex()) == _bits(
+        complex(re, im))
+
+
+@settings(max_examples=300)
+@given(wide_fractions(), wide_fractions(), wide_fractions(), wide_fractions())
+def test_gaussian_matches_two_fraction_reference(a, b, c, d):
+    x, y = GR(a, b), GR(c, d)
+    rx, ry = (a, b), (c, d)
+    _check_against_reference(x, rx)
+    _check_against_reference(x + y, (a + c, b + d))
+    _check_against_reference(x - y, (a - c, b - d))
+    _check_against_reference(x * y, _ref_mul(rx, ry))
+    _check_against_reference(-x, (-a, -b))
+    _check_against_reference(x.conjugate(), (a, -b))
+    # mixed with a Fraction and an int, on either side
+    _check_against_reference(x + c, (a + c, b))
+    _check_against_reference(c - x, (c - a, -b))
+    _check_against_reference(3 * x, (3 * a, 3 * b))
+    _check_against_reference(x - 2, (a - 2, b))
+    if ry == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _check_against_reference(y.inverse(), _ref_inverse(ry))
+        _check_against_reference(x / y, _ref_mul(rx, _ref_inverse(ry)))
+        _check_against_reference(1 / y, _ref_inverse(ry))
+        _check_against_reference(c / y, _ref_mul((c, 0), _ref_inverse(ry)))
+    # equality and hashing against ints and Fractions
+    real = GR(a)
+    assert real == a and a == real and hash(real) == hash(a)
+    assert real != a + 1
+    assert (GR(a, 1) == a) is False
+    n = a.numerator
+    assert GR(n) == n and hash(GR(n)) == hash(n) == hash(Fraction(n))
+    assert (x == y) == (rx == ry)
+
+
+def test_gaussian_components_must_be_rational():
+    for bad in (True, False, 1.5, 2.0, "1", None):
+        with pytest.raises(TypeError):
+            GR(bad)
+        with pytest.raises(TypeError):
+            GR(0, bad)
+    with pytest.raises(ZeroDivisionError):
+        GR(0, 0).inverse()
+
+
+def test_gaussian_components_are_read_only():
+    x = GR(Fraction(1, 2), 3)
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x == GR(Fraction(1, 2), 3)
