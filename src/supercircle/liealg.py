@@ -298,9 +298,12 @@ def validate_representation(rep: Representation) -> List[str]:
     An empty list means the data is a genuine representation.  The checks,
     in order: matrix shapes, odd parity structure, weight preservation
     (equivalently, commutation with the central generator), one extension
-    Q(i)[s] per weight block (the entries of a block multiply each other),
-    and the bracket relations including the su11 anticommutator and its
-    diagonal square.  Only the last step does arithmetic.
+    Q(i)[s] per linked set of basis vectors, and the bracket relations
+    including the su11 anticommutator and its diagonal square.  Two basis
+    vectors are linked when some generator has a nonzero entry between them;
+    the relations multiply and add only entries of one linked set, so a
+    direct sum may write equal weights over different extensions.  Only the
+    last step does arithmetic.
     """
     problems: List[str] = []
     n = rep.dim
@@ -317,7 +320,15 @@ def validate_representation(rep: Representation) -> List[str]:
     if problems:
         return problems
 
-    first_ext: Dict[int, Tuple[str, int, int, int]] = {}
+    link = list(range(n))  # union-find over basis vectors
+
+    def root(k: int) -> int:
+        while link[k] != k:
+            link[k] = link[link[k]]
+            k = link[k]
+        return k
+
+    extended: List[Tuple[str, int, int, int]] = []
     for name in rep.generator_names:
         mat = rep.odd[name]
         for i in range(n):
@@ -325,6 +336,9 @@ def validate_representation(rep: Representation) -> List[str]:
                 x = mat[i, j]
                 if x.is_zero():
                     continue
+                link[root(i)] = root(j)
+                if isinstance(x, ExtendedScalar):
+                    extended.append((name, i, j, x.m))
                 if rep.parities[i] == rep.parities[j]:
                     problems.append(
                         "generator %s entry (%d,%d) connects equal parities"
@@ -335,15 +349,19 @@ def validate_representation(rep: Representation) -> List[str]:
                         "generator %s entry (%d,%d) connects weights %d and %d"
                         % (name, i, j, rep.weights[i], rep.weights[j])
                     )
-                elif isinstance(x, ExtendedScalar):
-                    seen = first_ext.setdefault(rep.weights[i], (name, i, j, x.m))
-                    if seen[3] != x.m:
-                        problems.append(
-                            "generator %s entry (%d,%d) has Q(i)[s] parameter "
-                            "m=%d, but generator %s entry (%d,%d) of weight "
-                            "block m=%d has m=%d"
-                            % (name, i, j, x.m, *seen[:3], rep.weights[i], seen[3])
-                        )
+    if problems:
+        return problems
+
+    first_ext: Dict[int, Tuple[str, int, int, int]] = {}
+    for name, i, j, m in extended:
+        seen = first_ext.setdefault(root(i), (name, i, j, m))
+        if seen[3] != m:
+            problems.append(
+                "generator %s entry (%d,%d) has Q(i)[s] parameter m=%d, but "
+                "generator %s entry (%d,%d), linked to it in weight block "
+                "m=%d, has m=%d"
+                % (name, i, j, m, *seen[:3], rep.weights[i], seen[3])
+            )
     if problems:
         return problems
 

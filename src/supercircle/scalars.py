@@ -42,9 +42,15 @@ class GaussianRational:
     d > 0 and gcd(a, b, d) = 1, so the form is canonical and equality and
     hashing are structural.  Arithmetic works on the ints and builds every
     result through :func:`_gr`, which normalises with one gcd.  ``re`` and
-    ``im`` are read-only Fraction views.  Like a Fraction, an instance is
-    immutable: its ints live in private slots that nothing assigns after
-    construction.
+    ``im`` are read-only Fraction views.
+
+    Values are immutable by convention only, as with Fraction's own private
+    slots: ``_a``, ``_b`` and ``_d`` must never be assigned outside
+    ``__init__`` and ``_gr``.  Assigning one would silently change a value
+    that may be shared (ZERO, ONE, I) or already used as a dict key.  Unlike
+    the package's other value classes there is no raising ``__setattr__``,
+    because it would force every result through slot descriptors and double
+    the cost of building one.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -4,7 +4,10 @@ import random
 from supercircle.cli import main
 from supercircle.grassmann import element_from_json
 from supercircle.harmonic import Section
+from supercircle.liealg import Representation
+from supercircle.linalg import Matrix
 from supercircle.reps import direct_sum, make_pi_m, make_V_m, scramble
+from supercircle.scalars import ExtendedScalar, I
 from supercircle.supergroup import (
     c11x_ring,
     defactorize,
@@ -414,7 +417,8 @@ def _s11_V3_with_foreign_extension():
 
 
 FOREIGN_EXTENSION = ("generator Z entry (1,0) has Q(i)[s] parameter m=3, but "
-                     "generator Z entry (0,1) of weight block m=3 has m=5")
+                     "generator Z entry (0,1), linked to it in weight block "
+                     "m=3, has m=5")
 
 
 def test_rep_validate_reports_mixed_extensions(capsys, tmp_path):
@@ -451,3 +455,28 @@ def test_rep_validate_reports_mixed_extensions_across_generators(
     assert problems[0].startswith(
         "generator S entry (%d,%d) has Q(i)[s] parameter m=7" % (row, col))
     assert problems[0].endswith("has m=3")
+
+
+def _over_negated_parameter(rep):
+    # s -> i*s' with s'^2 = -i*(-m): the same representation over Q(i)[s']
+    def swap(x):
+        if isinstance(x, ExtendedScalar):
+            return ExtendedScalar(x.c0, x.c1 * I, -x.m)
+        return x
+
+    odd = {name: Matrix([[swap(x) for x in row] for row in mat.rows])
+           for name, mat in rep.odd.items()}
+    return Representation(rep.algebra, rep.parities, rep.weights, odd)
+
+
+def test_rep_validate_accepts_a_sum_over_two_extensions(capsys, tmp_path):
+    # the two summands share weight 3 but no entry of one multiplies an
+    # entry of the other, so each may keep its own extension
+    for rep in (make_V_m(3), make_pi_m(3, "+")):
+        blob = direct_sum(rep, _over_negated_parameter(rep)).to_json()
+        assert {x["m"] for mat in (blob[n] for n in rep.generator_names)
+                for row in mat for x in row if "m" in x} == {3, -3}
+        path = write(tmp_path, rep.algebra + "-sum.json", blob)
+        code, out = run(capsys, "rep", "validate", path)
+        assert code == 0
+        assert json.loads(out)["problems"] == []
