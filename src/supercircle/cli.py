@@ -49,7 +49,7 @@ from .reps import (
     random_direct_sum,
     scramble,
 )
-from .scalars import GaussianRational, lift
+from .scalars import GaussianRational
 from .supergroup import (
     GL11Point,
     c11x_ring,
@@ -76,28 +76,22 @@ class InputError(Exception):
 
 
 class RunConfig:
-    __slots__ = ("scalar", "tol", "weights", "seed", "out")
+    """The settings of a verify run."""
 
-    def __init__(self, scalar: str = "exact", tol: Optional[float] = None,
-                 weights: int = 10, seed: int = 0, out: Optional[str] = None):
-        if scalar not in ("exact", "float"):
-            raise ValueError("scalar mode must be exact or float")
-        if scalar == "float" and tol is None:
-            raise ValueError("float mode requires an explicit --tol")
-        if scalar == "exact":
-            tol = None
+    __slots__ = ("weights", "seed")
+
+    def __init__(self, weights: int = 10, seed: int = 0):
         if weights < 1:
             raise ValueError("--weights must be at least 1")
-        self.scalar = scalar
-        self.tol = tol
         self.weights = weights
         self.seed = seed
-        self.out = out
 
     def to_json(self) -> dict:
-        # the output path is deliberately left out so reports compare equal
-        # no matter where they were written
-        return {"scalar": self.scalar, "tol": self.tol,
+        # Every computation is exact, so "scalar" and "tol" are fixed values;
+        # they stay in the report so that reports keep their earlier bytes.
+        # The output path is left out so reports compare equal no matter
+        # where they were written.
+        return {"scalar": "exact", "tol": None,
                 "weights": self.weights, "seed": self.seed}
 
 
@@ -193,12 +187,7 @@ def _check_representation_identities(config: RunConfig, corrupt: bool):
     count = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
-            reps = [
-                make_V_m(mm, tol=config.tol),
-                make_pi_m(mm, "+", tol=config.tol),
-                make_pi_m(mm, "-", tol=config.tol),
-            ]
-            for rep in reps:
+            for rep in (make_V_m(mm), make_pi_m(mm, "+"), make_pi_m(mm, "-")):
                 problems = validate_representation(rep)
                 if problems:
                     return "fail", {"error": problems[0],
@@ -211,8 +200,8 @@ def _check_intertwiners(config: RunConfig, corrupt: bool):
     pairs = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
-            plus = make_pi_m(mm, "+", tol=config.tol)
-            minus = make_pi_m(mm, "-", tol=config.tol)
+            plus = make_pi_m(mm, "+")
+            minus = make_pi_m(mm, "-")
             cross = find_even_intertwiners(plus, minus)
             if cross:
                 return "fail", {"error": "unexpected intertwiner between "
@@ -366,10 +355,9 @@ def _span_monomials(group: str, bound: int):
 
 def _check_pw_span(group: str):
     def run(config: RunConfig, corrupt: bool):
-        one = lift(1, config.tol)
         count = 0
         for m, mask in _span_monomials(group, config.weights):
-            f = Section(group, {(m, mask): one})
+            f = Section(group, {(m, mask): 1})
             res = expand(f)
             if not res.residual.is_zero():
                 return "fail", {"error": "nonzero residual", "m": m,
@@ -384,7 +372,7 @@ def _check_pw_span(group: str):
 
 
 def _check_pw_residual(config: RunConfig, corrupt: bool):
-    f = Section("su11", {(0, 0b11): lift(1, config.tol)})
+    f = Section("su11", {(0, 0b11): 1})
     res = expand(f)
     if res.coefficients or res.residual != f:
         return "fail", {"error": "the weight-zero theta*eta monomial no "
@@ -474,7 +462,7 @@ def cmd_verify(config: RunConfig, corrupt: bool = False) -> Tuple[dict, int]:
 # --- rep / point / pw commands ---------------------------------------------
 
 
-def cmd_rep(action: str, path: str, config: RunConfig) -> Tuple[dict, int]:
+def cmd_rep(action: str, path: str) -> Tuple[dict, int]:
     obj = _load_json(path)
     try:
         rep = representation_from_json(obj)
@@ -495,8 +483,7 @@ def cmd_rep(action: str, path: str, config: RunConfig) -> Tuple[dict, int]:
     return report_obj.to_json(), 0
 
 
-def cmd_point(action: str, path: str, group_flag: str, config: RunConfig,
-              ) -> Tuple[dict, int]:
+def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
     obj = _load_json(path)
     if action == "involute":
         if group_flag == "s11":
@@ -523,7 +510,7 @@ def cmd_point(action: str, path: str, group_flag: str, config: RunConfig,
     return triple.to_json(), 0
 
 
-def cmd_pw(args, config: RunConfig) -> Tuple[dict, int]:
+def cmd_pw(args) -> Tuple[dict, int]:
     if args.pw_action == "expand":
         obj = _load_json(args.file)
         try:
@@ -548,7 +535,7 @@ def cmd_pw(args, config: RunConfig) -> Tuple[dict, int]:
         if args.m == 0:
             raise ValueError("weight 0 with a sign is degenerate; the "
                              "weight-0 coefficients come from --adjoint")
-        rep = make_pi_m(args.m, args.sign, tol=config.tol)
+        rep = make_pi_m(args.m, args.sign)
         desc = {"type": "pi", "m": args.m, "sign": args.sign}
     sections = matrix_coefficients(rep)
     entries = []
@@ -570,15 +557,7 @@ def cmd_pw(args, config: RunConfig) -> Tuple[dict, int]:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scalar", choices=["exact", "float"],
-                        default="exact", help="scalar mode (default exact)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance; required in float mode")
-    parser.add_argument("--weights", type=int, default=10, metavar="N",
-                        help="weight bound for suite checks (default 10)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the report to FILE instead of stdout")
 
@@ -592,7 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p_verify)
+    p_verify.add_argument("--weights", type=int, default=10, metavar="N",
+                          help="weight bound for suite checks (default 10)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized checks (default 0)")
+    _add_out(p_verify)
     p_verify.add_argument("--self-test-corrupt", action="store_true",
                           help=argparse.SUPPRESS)
 
@@ -603,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "indecomposable blocks")):
         p = rep_sub.add_parser(name, help=blurb)
         p.add_argument("file", help="representation JSON file")
-        _add_common(p)
+        _add_out(p)
 
     p_point = sub.add_parser("point", help="group point tools")
     point_sub = p_point.add_subparsers(dest="point_action", required=True)
@@ -617,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "involute":
             groups.append("s11")
         p.add_argument("--group", choices=groups, required=True)
-        _add_common(p)
+        _add_out(p)
 
     p_pw = sub.add_parser("pw", help="matrix coefficients and expansion")
     pw_sub = p_pw.add_subparsers(dest="pw_action", required=True)
@@ -629,23 +612,24 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sign of the block")
     p_coeffs.add_argument("--adjoint", action="store_true",
                           help="the weight-zero 1|2 block instead")
-    _add_common(p_coeffs)
+    _add_out(p_coeffs)
     p_expand = pw_sub.add_parser("expand", help="expand a section file "
                                                 "exactly")
     p_expand.add_argument("file", help="section JSON file")
-    _add_common(p_expand)
+    _add_out(p_expand)
 
     return parser
 
 
-def _dispatch(args: argparse.Namespace, config: RunConfig) -> Tuple[dict, int]:
+def _dispatch(args: argparse.Namespace,
+              config: Optional[RunConfig]) -> Tuple[dict, int]:
     if args.command == "verify":
         return cmd_verify(config, corrupt=args.self_test_corrupt)
     if args.command == "rep":
-        return cmd_rep(args.rep_action, args.file, config)
+        return cmd_rep(args.rep_action, args.file)
     if args.command == "point":
-        return cmd_point(args.point_action, args.file, args.group, config)
-    return cmd_pw(args, config)
+        return cmd_point(args.point_action, args.file, args.group)
+    return cmd_pw(args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -654,12 +638,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = RunConfig(scalar=args.scalar, tol=args.tol,
-                           weights=args.weights, seed=args.seed, out=args.out)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    config = None
+    if args.command == "verify":
+        try:
+            config = RunConfig(weights=args.weights, seed=args.seed)
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     try:
         report, code = _dispatch(args, config)
     except InputError as exc:
@@ -667,12 +652,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         report, code = {"error": str(exc)}, 1
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print("error: cannot write %s: %s" % (config.out, exc),
+            print("error: cannot write %s: %s" % (args.out, exc),
                   file=sys.stderr)
             return 2
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .grassmann import GeneratorSet, GrassmannElement, _list_of
 from .liealg import Representation, require_valid
@@ -26,12 +26,13 @@ from .reps import (
     make_weight_zero_s11,
 )
 from .scalars import (
+    ExtendedScalar,
+    ExtensionMismatchError,
     GaussianRational,
     Scalar,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
-    tolerance,
 )
 
 ZERO = GaussianRational(0, 0)
@@ -57,7 +58,7 @@ class Section:
     __slots__ = ("group", "terms")
 
     def __init__(self, group: str, terms: Mapping[TermKey, object]):
-        if group not in ODD_COORDS:
+        if not isinstance(group, str) or group not in ODD_COORDS:
             raise ValueError("unknown group tag %r" % (group,))
         limit = 1 << len(ODD_COORDS[group])
         clean: Dict[TermKey, Scalar] = {}
@@ -156,11 +157,8 @@ class Section:
     __hash__ = None
 
     def __repr__(self):
-        coords = ODD_COORDS[self.group]
-        parts = []
-        for (m, mask), c in sorted(self.terms.items()):
-            mono = "*".join(coords[i] for i in range(len(coords)) if mask & (1 << i))
-            parts.append("(%s)*t^%d%s" % (c, m, ("*" + mono) if mono else ""))
+        parts = ["(%s)*%s" % (c, _monomial(self.group, m, mask))
+                 for (m, mask), c in sorted(self.terms.items())]
         return "Section(%s)" % (" + ".join(parts) or "0")
 
     def to_json(self) -> dict:
@@ -172,11 +170,18 @@ class Section:
         return {"group": self.group, "terms": out}
 
 
+def _monomial(group: str, m: int, mask: int) -> str:
+    """t^m times the odd coordinates that mask selects, as text."""
+    coords = ODD_COORDS[group]
+    return "t^%d" % m + "".join(
+        "*" + coords[i] for i in range(len(coords)) if mask & (1 << i))
+
+
 def section_from_json(obj: object) -> Section:
     if not isinstance(obj, dict):
         raise ValueError("section JSON must be an object")
     group = obj.get("group")
-    if group not in ODD_COORDS:
+    if not isinstance(group, str) or group not in ODD_COORDS:
         raise ValueError("unknown group tag %r" % (group,))
     raw = obj.get("terms")
     if not isinstance(raw, list):
@@ -218,8 +223,6 @@ def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
     products = []
     for mask in range(1 << len(names)):
         factors = [rep.odd[name] for k, name in enumerate(names) if mask >> k & 1]
-        # start from the first factor: a product with the identity can flip
-        # the sign of a float zero, and the JSON would show it
         products.append(reduce(mul, factors) if factors
                         else Matrix.identity(rep.dim))
     return {
@@ -282,12 +285,12 @@ def _label_to_json(label: Label) -> dict:
     return {"type": kind}
 
 
-def _label_rep(label: Label, group: str, tol: Optional[float]) -> Representation:
+def _label_rep(label: Label, group: str) -> Representation:
     kind = label[0]
     if kind == "V":
-        return make_V_m(label[1], tol=tol)
+        return make_V_m(label[1])
     if kind == "pi":
-        return make_pi_m(label[1], "+", tol=tol)
+        return make_pi_m(label[1], "+")
     if kind == "trivial":
         return make_trivial(group, 1, 0)
     if kind == "adjoint" and group == "su11":
@@ -315,7 +318,6 @@ def expand(f: Section) -> ExpansionResult:
     returned in the residual.
     """
     group = f.group
-    tol = tolerance(f.terms.values())
     coords = ODD_COORDS[group]
     masks = list(range(1 << len(coords)))
     coefficients: Dict[Tuple[Label, Tuple[int, int]], Scalar] = {}
@@ -326,7 +328,7 @@ def expand(f: Section) -> ExpansionResult:
             _expand_weight_zero(f, coefficients, residual_terms)
             continue
         label: Label = ("pi", m) if group == "su11" else ("V", m)
-        rep = _label_rep(label, group, tol)
+        rep = _label_rep(label, group)
         sections = matrix_coefficients(rep)
         entries = _entry_list(group)
         system = Matrix([
@@ -334,7 +336,10 @@ def expand(f: Section) -> ExpansionResult:
             for mask in masks
         ])
         rhs = tuple(f.coefficient(m, mask) for mask in masks)
-        sol = system.solve(rhs)
+        try:
+            sol = system.solve(rhs)
+        except ExtensionMismatchError:
+            raise _extension_mismatch(f, m, system) from None
         if sol is None:
             raise ValueError("weight-%d system is singular" % m)
         for e, x in zip(entries, sol):
@@ -342,6 +347,29 @@ def expand(f: Section) -> ExpansionResult:
                 coefficients[(label, e)] = x
 
     return ExpansionResult(group, coefficients, Section(group, residual_terms))
+
+
+def _extension_mismatch(f: Section, m: int,
+                        system: Matrix) -> ExtensionMismatchError:
+    """Name the weight-m term whose Q(i)[s] differs from the system's, or,
+    when the system lies in Q(i), from that of an earlier term."""
+    params = {x.m for row in system.rows for x in row
+              if isinstance(x, ExtendedScalar)}
+    owner = (("the weight-%d matrix coefficients lie" % m, params.pop())
+             if params else None)
+    for mask in range(1 << len(ODD_COORDS[f.group])):
+        c = f.coefficient(m, mask)
+        if not isinstance(c, ExtendedScalar):
+            continue
+        name = "the coefficient of %s" % _monomial(f.group, m, mask)
+        if owner is None:
+            owner = (name + " lies", c.m)
+        elif c.m != owner[1]:
+            return ExtensionMismatchError(
+                "%s (weight %d) lies in Q(i)[s] with m=%d, but %s in Q(i)[s] "
+                "with m=%d" % (name, m, c.m, owner[0], owner[1]))
+    return ExtensionMismatchError(
+        "cannot mix extensions at weight %d" % m)
 
 
 def _expand_weight_zero(f: Section, coefficients, residual_terms) -> None:
@@ -368,11 +396,10 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                 group: str) -> Section:
     """The linear combination of matrix-coefficient sections; exact."""
     total = Section.zero(group)
-    tol = tolerance(coefficients.values())
     cache: Dict[Label, Dict[Tuple[int, int], Section]] = {}
     for (label, entry), c in coefficients.items():
         if label not in cache:
-            cache[label] = matrix_coefficients(_label_rep(label, group, tol))
+            cache[label] = matrix_coefficients(_label_rep(label, group))
         if entry not in cache[label]:
             raise ValueError("entry %r outside representation %r" % (entry, label))
         total = total + cache[label][entry] * c

@@ -9,11 +9,11 @@ against the bracket table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
-from .scalars import ExtendedScalar, GaussianRational, Scalar, tolerance
+from .scalars import ExtendedScalar, GaussianRational, Scalar
 from .supermatrix import SuperMatrix
 
 ZERO = GaussianRational(0, 0)
@@ -168,7 +168,7 @@ class Representation:
         weights: Sequence[int],
         odd: Mapping[str, Matrix],
     ):
-        if algebra not in ODD_GENERATORS:
+        if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
             raise ValueError("unknown algebra tag %r" % (algebra,))
         parities = tuple(int(p) % 2 for p in parities)
         weights = tuple(weights)
@@ -210,10 +210,6 @@ class Representation:
             odd,
         )
 
-    def entries(self) -> Iterator[Scalar]:
-        """Every entry of the odd generator matrices."""
-        return (x for m in self.odd.values() for row in m.rows for x in row)
-
     def __eq__(self, other):
         if not isinstance(other, Representation):
             return NotImplemented
@@ -250,7 +246,7 @@ def representation_from_json(obj: object) -> Representation:
     if not isinstance(obj, dict):
         raise ValueError("representation JSON must be an object")
     algebra = obj.get("algebra")
-    if algebra not in ODD_GENERATORS:
+    if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
         raise ValueError("unknown algebra tag %r" % (algebra,))
     basis = obj.get("basis")
     if not isinstance(basis, list):
@@ -415,8 +411,6 @@ def find_even_intertwiners(
     """
     if rep1.algebra != rep2.algebra:
         raise ValueError("representations live over different algebras")
-    if (tolerance(rep1.entries()) is None) != (tolerance(rep2.entries()) is None):
-        raise ValueError("scalar field mismatch between representations")
     n1, n2 = rep1.dim, rep2.dim
     unknowns = [
         (i, j)

@@ -1,9 +1,8 @@
-"""Small dense matrices over the scalar fields, with exact elimination.
+"""Small dense matrices over the exact scalar fields, with exact elimination.
 
 Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
-With float scalars, their own tolerance decides what counts as zero.
 """
 
 from __future__ import annotations

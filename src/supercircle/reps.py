@@ -1,10 +1,10 @@
 """Constructors for the irreducible building blocks and the exact
 decomposition algorithms that recover them from a scrambled direct sum.
 
-Decomposition never touches floating point unless the input does: weight
-blocks are read off the weight vector, eigenspaces come from exact kernel
-computations, and the returned change of basis is certified by multiplying
-it against the input (no inversion of the full matrix is ever needed).
+Decomposition is exact throughout: weight blocks are read off the weight
+vector, eigenspaces come from exact kernel computations, and the returned
+change of basis is certified by multiplying it against the input (no
+inversion of the full matrix is ever needed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import Representation, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
-from .scalars import GaussianRational, Scalar, lift, sqrt_neg_im, tolerance
+from .scalars import GaussianRational, Scalar, sqrt_neg_im
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -33,14 +33,13 @@ def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
     )
 
 
-def make_V_m(m: int, *, tol: Optional[float] = None) -> Representation:
+def make_V_m(m: int) -> Representation:
     """The 1|1-dimensional weight-m block: Z swaps the two basis vectors,
-    scaled by sqrt_neg_im(m).  Exact unless tol is given."""
+    scaled by sqrt_neg_im(m)."""
     if m == 0:
         raise ValueError("weight must be nonzero")
-    s = sqrt_neg_im(m, tol)
-    zero = lift(0, tol)
-    z = Matrix([[zero, s], [s, zero]])
+    s = sqrt_neg_im(m)
+    z = Matrix([[ZERO, s], [s, ZERO]])
     return Representation("s11", (0, 1), (m, m), {"Z": z})
 
 
@@ -70,24 +69,23 @@ def _normalize_sign(sign) -> str:
     raise ValueError("sign must be + or -")
 
 
-def make_pi_m(m: int, sign, *, tol: Optional[float] = None) -> Representation:
+def make_pi_m(m: int, sign) -> Representation:
     """The 1|1-dimensional weight-m representation of the su11 table.
 
     Both signs share U, the swap scaled by sqrt_neg_im(m); they differ in S
     by an overall sign, which flips the eigenvalue of U*S on the even vector
-    between +m and -m.  Exact unless tol is given.
+    between +m and -m.
     """
     if m == 0:
         raise ValueError("weight must be nonzero")
     sign = _normalize_sign(sign)
-    s = sqrt_neg_im(m, tol)
-    zero = lift(0, tol)
-    i_s = lift(GaussianRational(0, 1), tol) * s
-    u = Matrix([[zero, s], [s, zero]])
+    s = sqrt_neg_im(m)
+    i_s = GaussianRational(0, 1) * s
+    u = Matrix([[ZERO, s], [s, ZERO]])
     if sign == "+":
-        smat = Matrix([[zero, -i_s], [i_s, zero]])
+        smat = Matrix([[ZERO, -i_s], [i_s, ZERO]])
     else:
-        smat = Matrix([[zero, i_s], [-i_s, zero]])
+        smat = Matrix([[ZERO, i_s], [-i_s, ZERO]])
     return Representation("su11", (0, 1), (m, m), {"U": u, "S": smat})
 
 
@@ -225,7 +223,6 @@ class DecompositionReport:
     __slots__ = (
         "algebra", "v_counts", "pi_counts", "ad_count", "pi_ad_count",
         "trivial_even", "trivial_odd", "weight_zero", "basis_change",
-        "tol",
     )
 
     def __init__(self, algebra: str, basis_change: Matrix, *,
@@ -233,8 +230,7 @@ class DecompositionReport:
                  pi_counts: Optional[Dict[Tuple[int, str], int]] = None,
                  ad_count: int = 0, pi_ad_count: int = 0,
                  trivial_even: int = 0, trivial_odd: int = 0,
-                 weight_zero: Optional[Representation] = None,
-                 tol: Optional[float] = None):
+                 weight_zero: Optional[Representation] = None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis_change", basis_change)
         object.__setattr__(self, "v_counts", dict(v_counts or {}))
@@ -244,7 +240,6 @@ class DecompositionReport:
         object.__setattr__(self, "trivial_even", trivial_even)
         object.__setattr__(self, "trivial_odd", trivial_odd)
         object.__setattr__(self, "weight_zero", weight_zero)
-        object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionReport is immutable")
@@ -270,10 +265,7 @@ class DecompositionReport:
         blocks: List[Representation] = []
         if self.algebra == "s11":
             for m in sorted(self.v_counts):
-                blocks.extend(
-                    make_V_m(m, tol=self.tol)
-                    for _ in range(self.v_counts[m])
-                )
+                blocks.extend(make_V_m(m) for _ in range(self.v_counts[m]))
             blocks.extend(make_weight_zero_s11("W") for _ in range(self.ad_count))
             blocks.extend(make_weight_zero_s11("PiW") for _ in range(self.pi_ad_count))
             if self.trivial_even or self.trivial_odd:
@@ -282,7 +274,7 @@ class DecompositionReport:
             for m in sorted({mm for mm, _ in self.pi_counts}):
                 for sign in ("+", "-"):
                     blocks.extend(
-                        make_pi_m(m, sign, tol=self.tol)
+                        make_pi_m(m, sign)
                         for _ in range(self.pi_counts.get((m, sign), 0))
                     )
             if self.weight_zero is not None:
@@ -412,13 +404,12 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     to the nilpotent pairing.
     """
     require_valid(rep)
-    tol = tolerance(rep.entries())
     z = rep.odd["Z"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
     v_counts: Dict[int, int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = sqrt_neg_im(m, tol).inverse()
+        s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         odds = [i for i in indices if rep.parities[i] == 1]
         if len(evens) != len(odds):
@@ -457,7 +448,6 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
         pi_ad_count=pi_ad,
         trivial_even=te,
         trivial_odd=to_,
-        tol=tol,
     )
 
 
@@ -466,7 +456,6 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     eigenvalue of U*S on the even part; weight zero is returned unclassified.
     """
     require_valid(rep)
-    tol = tolerance(rep.entries())
     u = rep.odd["U"]
     s = rep.odd["S"]
     us = u * s
@@ -474,16 +463,16 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     columns: List[Sequence[Scalar]] = []
     pi_counts: Dict[Tuple[int, str], int] = {}
     for m, indices in _nonzero_weight_blocks(rep):
-        s_inv = sqrt_neg_im(m, tol).inverse()
+        s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         t_blk = Matrix([[us[i, j] for j in evens] for i in evens])
         found = 0
         for lam, sign in ((m, "+"), (-m, "-")):
-            shifted = t_blk - Matrix.diagonal([lift(lam, tol)] * len(evens))
+            shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
             eig = shifted.kernel_basis()
             # i*lam/m is +i or -i; the S-image of an eigenvector must be
             # that multiple of its U-image
-            ratio = lift(GaussianRational(0, 1 if sign == "+" else -1), tol)
+            ratio = GaussianRational(0, 1 if sign == "+" else -1)
             for vec in eig:
                 f = _embed(vec, evens, n)
                 col = Matrix.column(f)
@@ -515,5 +504,4 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
         from_columns(columns),
         pi_counts=pi_counts,
         weight_zero=weight_zero,
-        tol=tol,
     )

@@ -1,21 +1,17 @@
-"""Exact and approximate coefficient scalars.
+"""Exact coefficient scalars.
 
-Everything downstream computes over one of three scalar kinds: exact Gaussian
-rationals, an exact quadratic extension of them by a formal square root of
--i*m, and tolerance-compared complex floats.  The extension parameter m is an
-integer weight; values carrying different parameters never take part in the
-same arithmetic (that is an error, not a coercion).
-
-A tolerance alone selects the field: ``tol=None`` means exact, a float tol
-means FloatScalar arithmetic compared to within tol.  :func:`tolerance` reads
-the field off existing values and :func:`lift` moves an exact value into it.
+Everything downstream computes over exact Gaussian rationals or an exact
+quadratic extension of them by a formal square root of -i*m.  The extension
+parameter m is an integer weight; values carrying different parameters never
+take part in the same arithmetic (that is an error, not a coercion).
+:meth:`to_complex` is the one numeric view of a scalar.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -165,10 +161,6 @@ class GaussianRational:
         # int / int is correctly rounded, so this equals float(self.re) etc.
         return complex(self._a / self._d, self._b / self._d)
 
-    def to_float(self, tol: Optional[float] = None) -> "FloatScalar":
-        t = FloatScalar.DEFAULT_TOL if tol is None else tol
-        return FloatScalar(self._a / self._d, self._b / self._d, t)
-
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 
@@ -260,7 +252,7 @@ class ExtendedScalar:
             return g0
         return ExtendedScalar(c0, g1, m)
 
-    def _lift(self, other) -> Optional[tuple]:
+    def _components(self, other) -> Optional[tuple]:
         if isinstance(other, ExtendedScalar):
             if other.m != self.m:
                 raise ExtensionMismatchError(
@@ -292,33 +284,33 @@ class ExtendedScalar:
         return ExtendedScalar.make(self.c0 / den, -(self.c1 / den), self.m)
 
     def __add__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         return ExtendedScalar.make(self.c0 + b0, self.c1 + b1, self.m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         return ExtendedScalar.make(self.c0 - b0, self.c1 - b1, self.m)
 
     def __rsub__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         return ExtendedScalar.make(b0 - self.c0, b1 - self.c1, self.m)
 
     def __mul__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         s_squared = GaussianRational(0, -self.m)
         return ExtendedScalar.make(
             self.c0 * b0 + self.c1 * b1 * s_squared,
@@ -329,17 +321,17 @@ class ExtendedScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         return self * ExtendedScalar.make(b0, b1, self.m).inverse()
 
     def __rtruediv__(self, other):
-        lifted = self._lift(other)
-        if lifted is None:
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        b0, b1 = lifted
+        b0, b1 = parts
         return ExtendedScalar.make(b0, b1, self.m) * self.inverse()
 
     def __neg__(self):
@@ -360,12 +352,10 @@ class ExtendedScalar:
         return hash((self.c0, self.c1, self.m))
 
     def to_complex(self) -> complex:
-        return self.c0.to_complex() + self.c1.to_complex() * _float_root_neg_im(self.m)
-
-    def to_float(self, tol: Optional[float] = None) -> "FloatScalar":
-        t = FloatScalar.DEFAULT_TOL if tol is None else tol
-        z = self.to_complex()
-        return FloatScalar(z.real, z.imag, t)
+        # s under the principal branch: sqrt(|m|/2) * (1 - i*sign(m))
+        q = math.sqrt(abs(self.m) / 2.0)
+        root = complex(q, -q * _sign(self.m))
+        return self.c0.to_complex() + self.c1.to_complex() * root
 
     def __repr__(self):
         return f"ExtendedScalar({self.c0!r}, {self.c1!r}, {self.m})"
@@ -374,123 +364,7 @@ class ExtendedScalar:
         return f"({self.c0}) + ({self.c1})*s[{self.m}]"
 
 
-class FloatScalar:
-    """A complex double with componentwise comparison tolerance."""
-
-    __slots__ = ("re", "im", "tol")
-
-    DEFAULT_TOL = 1e-9
-
-    def __init__(self, re: float = 0.0, im: float = 0.0, tol: float = DEFAULT_TOL):
-        object.__setattr__(self, "re", float(re))
-        object.__setattr__(self, "im", float(im))
-        object.__setattr__(self, "tol", float(tol))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatScalar is immutable")
-
-    @classmethod
-    def from_exact(cls, x, tol: float = DEFAULT_TOL) -> "FloatScalar":
-        return cls(*_complex_parts(x), tol)
-
-    def _coerce(self, other) -> Optional["FloatScalar"]:
-        if isinstance(other, FloatScalar):
-            return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, float, Fraction)):
-            return FloatScalar(float(other), 0.0, self.tol)
-        if isinstance(other, (GaussianRational, ExtendedScalar)):
-            return other.to_float(self.tol)
-        return None
-
-    def is_zero(self) -> bool:
-        return abs(self.re) <= self.tol and abs(self.im) <= self.tol
-
-    def conjugate(self) -> "FloatScalar":
-        return FloatScalar(self.re, -self.im, self.tol)
-
-    def inverse(self) -> "FloatScalar":
-        n = self.re * self.re + self.im * self.im
-        if n == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return FloatScalar(self.re / n, -self.im / n, self.tol)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatScalar(self.re + o.re, self.im + o.im, max(self.tol, o.tol))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatScalar(self.re - o.re, self.im - o.im, max(self.tol, o.tol))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatScalar(o.re - self.re, o.im - self.im, max(self.tol, o.tol))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatScalar(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-            max(self.tol, o.tol),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return FloatScalar(-self.re, -self.im, self.tol)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        t = max(self.tol, o.tol)
-        return abs(self.re - o.re) <= t and abs(self.im - o.im) <= t
-
-    __hash__ = None  # tolerance-based equality is incompatible with hashing
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __repr__(self):
-        return f"FloatScalar({self.re!r}, {self.im!r}, tol={self.tol!r})"
-
-
-Scalar = Union[GaussianRational, ExtendedScalar, FloatScalar]
-
-
-def _complex_parts(x) -> tuple:
-    if isinstance(x, (GaussianRational, ExtendedScalar)):
-        z = x.to_complex()
-        return z.real, z.imag
-    if isinstance(x, FloatScalar):
-        return x.re, x.im
-    if isinstance(x, (int, float, Fraction)):
-        return float(x), 0.0
-    raise TypeError(f"cannot interpret {type(x).__name__} as a complex scalar")
+Scalar = Union[GaussianRational, ExtendedScalar]
 
 
 def _exact_root_neg_im(m: int) -> Optional[GaussianRational]:
@@ -506,43 +380,19 @@ def _exact_root_neg_im(m: int) -> Optional[GaussianRational]:
     return GaussianRational(k, -k * _sign(m))
 
 
-def _float_root_neg_im(m: int) -> complex:
-    q = math.sqrt(abs(m) / 2.0)
-    return complex(q, -q * _sign(m))
+def sqrt_neg_im(m: int) -> Scalar:
+    """An exact scalar s with s*s = -i*m.
 
-
-def sqrt_neg_im(m: int, tol: Optional[float] = None) -> Scalar:
-    """A scalar s with s*s = -i*m, in the field that tol selects.
-
-    Exact (tol None): the Gaussian-rational root k*(1 - i*sign(m)) when
-    |m| = 2k^2 (then the extension would degenerate and is avoided so that all
-    exact arithmetic stays inside a field), and the formal ExtendedScalar
-    generator otherwise.  Float: the principal branch
-    sqrt(|m|/2)*(1 - i*sign(m)) with tolerance tol.
+    The Gaussian-rational root k*(1 - i*sign(m)) when |m| = 2k^2 (there the
+    extension would degenerate and is avoided, so that all arithmetic stays
+    inside a field), and the formal ExtendedScalar generator otherwise.
     """
     if m == 0:
         raise ValueError("degenerate weight")
-    if tol is not None:
-        z = _float_root_neg_im(m)
-        return FloatScalar(z.real, z.imag, tol)
     root = _exact_root_neg_im(m)
     if root is not None:
         return root
     return ExtendedScalar(ZERO, ONE, m)
-
-
-def tolerance(values: Iterable) -> Optional[float]:
-    """The field a computation over these values runs in: the largest
-    FloatScalar tolerance among them, or None when all are exact."""
-    return max((x.tol for x in values if isinstance(x, FloatScalar)),
-               default=None)
-
-
-def lift(x, tol: Optional[float]) -> Scalar:
-    """The exact value x in the field that tol selects: x itself when tol is
-    None, else a FloatScalar with tolerance tol."""
-    x = as_scalar(x)
-    return x if tol is None else FloatScalar.from_exact(x, tol)
 
 
 def scalar_to_json(x) -> dict:
@@ -554,8 +404,6 @@ def scalar_to_json(x) -> dict:
             "c1": scalar_to_json(x.c1),
             "m": x.m,
         }
-    if isinstance(x, FloatScalar):
-        return {"re": x.re, "im": x.im}
     g = _coerce_gaussian(x)
     if g is not None:
         return scalar_to_json(g)
@@ -581,15 +429,14 @@ def scalar_from_json(obj) -> Scalar:
                 return GaussianRational(Fraction(re), Fraction(im))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in scalar: {obj!r}") from None
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return FloatScalar(float(re), float(im))
-        raise ValueError(f"malformed scalar components: {obj!r}")
+        raise ValueError("scalar components must be exact strings such as "
+                         f'"1/2": {obj!r}')
     raise ValueError(f"malformed scalar: {obj!r}")
 
 
 def as_scalar(x) -> Scalar:
     """Coerce ints and Fractions to GaussianRational; pass scalars through."""
-    if isinstance(x, (GaussianRational, ExtendedScalar, FloatScalar)):
+    if isinstance(x, (GaussianRational, ExtendedScalar)):
         return x
     g = _coerce_gaussian(x)
     if g is None:

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from supercircle.cli import main
 from supercircle.grassmann import element_from_json
 from supercircle.harmonic import Section
@@ -51,6 +53,9 @@ def test_verify_passes(capsys):
     report = json.loads(out)
     assert report["status"] == "pass"
     assert report["failing"] == []
+    # fixed values: every computation is exact
+    assert report["config"] == {"scalar": "exact", "tol": None,
+                                "weights": 3, "seed": 0}
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses.pop("peter-weyl-weight-zero-residual") == "expected-discrepancy"
@@ -88,16 +93,6 @@ def test_verify_corrupt_hook(capsys):
     report = json.loads(out)
     assert report["status"] == "fail"
     assert report["failing"] == ["structure-constants"]
-
-
-def test_verify_float_mode(capsys):
-    code, out = run(capsys, "verify", "--weights", "2", "--scalar", "float",
-                    "--tol", "1e-8")
-    assert code == 0
-    report = json.loads(out)
-    assert report["config"] == {"scalar": "float", "tol": 1e-8,
-                                "weights": 2, "seed": 0}
-    assert report["status"] == "pass"
 
 
 def test_float_mode_requires_tol(capsys):
@@ -480,3 +475,82 @@ def test_rep_validate_accepts_a_sum_over_two_extensions(capsys, tmp_path):
         code, out = run(capsys, "rep", "validate", path)
         assert code == 0
         assert json.loads(out)["problems"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "1e-8"],
+    ["verify", "--scalar", "exact"],
+    ["rep", "validate", "rep.json", "--weights", "3"],
+    ["rep", "decompose", "rep.json", "--seed", "1"],
+    ["point", "check", "pt.json", "--group", "su11", "--weights", "3"],
+    ["point", "involute", "pt.json", "--group", "s11", "--seed", "0"],
+    ["pw", "coeffs", "--adjoint", "--seed", "2"],
+    ["pw", "expand", "f.json", "--scalar", "exact"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    # only verify reads --weights and --seed; no command takes --scalar/--tol
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_rep_and_pw_write_to_out(capsys, tmp_path):
+    path = write(tmp_path, "rep.json", make_pi_m(2, "+").to_json())
+    target = tmp_path / "report.json"
+    code, out = run(capsys, "rep", "validate", path, "--out", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["valid"] is True
+    code, out = run(capsys, "pw", "coeffs", "--adjoint", "--out", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["command"] == "pw-coeffs"
+
+
+NUMERIC_SCALAR = {"re": 0.5, "im": 0.0}
+
+
+def test_rep_validate_numeric_scalar_is_a_parse_error(capsys, tmp_path):
+    blob = make_pi_m(2, "+").to_json()
+    blob["U"][0][1] = NUMERIC_SCALAR
+    path = write(tmp_path, "numeric.json", blob)
+    code, out = run(capsys, "rep", "validate", path)
+    assert code == 2
+    assert 'exact strings such as "1/2"' in json.loads(out)["error"]
+
+
+def test_pw_expand_numeric_scalar_is_a_parse_error(capsys, tmp_path):
+    blob = Section.monomial("su11", 2, ["theta"]).to_json()
+    blob["terms"][0]["coef"] = NUMERIC_SCALAR
+    path = write(tmp_path, "numeric.json", blob)
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 2
+    assert 'exact strings such as "1/2"' in json.loads(out)["error"]
+
+
+def test_pw_expand_names_the_term_over_a_foreign_extension(capsys, tmp_path):
+    blob = Section.monomial("su11", 3, ["theta"]).to_json()
+    blob["terms"][0]["coef"] = {"c0": {"re": "1", "im": "0"},
+                                "c1": {"re": "2", "im": "0"}, "m": 5}
+    path = write(tmp_path, "foreign.json", blob)
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "the coefficient of t^3*theta (weight 3) lies in Q(i)[s] "
+                 "with m=5, but the weight-3 matrix coefficients lie in "
+                 "Q(i)[s] with m=3"}
+
+
+def test_pw_expand_unhashable_group_is_a_parse_error(capsys, tmp_path):
+    path = write(tmp_path, "group.json", {"group": [], "terms": []})
+    code, out = run(capsys, "pw", "expand", path)
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown group tag []"}
+
+
+def test_rep_unhashable_algebra_is_a_parse_error(capsys, tmp_path):
+    blob = make_pi_m(2, "+").to_json()
+    blob["algebra"] = {}
+    path = write(tmp_path, "algebra.json", blob)
+    for action in ("validate", "decompose"):
+        code, out = run(capsys, "rep", action, path)
+        assert code == 2
+        assert json.loads(out) == {"error": "unknown algebra tag {}"}

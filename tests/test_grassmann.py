@@ -12,7 +12,7 @@ from supercircle.grassmann import (
     all_monomials,
     element_from_json,
 )
-from supercircle.scalars import FloatScalar, GaussianRational
+from supercircle.scalars import GaussianRational
 
 GR = GaussianRational
 
@@ -238,11 +238,17 @@ def test_element_json_validates_terms_and_sums_repeats(paired):
 
 
 def test_float_coefficients(paired):
+    # coefficients are exact: numeric JSON components are a parse error,
+    # and Python floats are not scalars
+    blob = {"gens": ["theta", "thetabar"], "pairing": [[0, 1]],
+            "terms": [{"mono": [0], "coef": {"re": 0.5, "im": 0.0}}]}
+    with pytest.raises(ValueError, match="exact strings"):
+        element_from_json(blob)
     th = paired.odd_gen("theta")
-    x = FloatScalar(0.5, 0.0) * th + paired.scalar(FloatScalar(2.0, 0.0))
-    y = x * x
-    assert y.coefficient(((), 0)) == FloatScalar(4.0, 0.0)
-    assert y.coefficient(((), 1)) == FloatScalar(2.0, 0.0)
+    with pytest.raises(TypeError):
+        paired.scalar(0.5)
+    with pytest.raises(TypeError):
+        th * 0.5
 
 
 def test_body_and_soul(paired):

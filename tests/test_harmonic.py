@@ -11,7 +11,8 @@ from supercircle.harmonic import (
 )
 from supercircle.reps import make_V_m, make_adjoint_su11, make_pi_m, make_trivial
 from supercircle.scalars import (
-    FloatScalar,
+    ExtendedScalar,
+    ExtensionMismatchError,
     GaussianRational,
     scalar_from_json,
     sqrt_neg_im,
@@ -219,14 +220,24 @@ def test_expand_completeness_small():
                     assert reconstruct(res.coefficients, group) == f
 
 
-def test_expand_float_mode():
-    f = Section("su11", {(2, 0b01): FloatScalar(1.0, 0.0, tol=1e-9)})
-    res = expand(f)
-    got = res.coefficients[(("pi", 2), (0, 1))]
-    assert isinstance(got, FloatScalar)
-    exact = (GR(1, 0) / GR(2)) * sqrt_neg_im(2).inverse()
-    assert got == FloatScalar.from_exact(exact, tol=1e-9)
-    assert res.residual.is_zero()
+def test_expand_names_terms_over_foreign_extensions():
+    # weight 3: the matrix coefficients lie in Q(i)[s] with m=3
+    f = Section("s11", {(3, 0b1): ExtendedScalar(1, 1, 5), (1, 0): 1})
+    with pytest.raises(ExtensionMismatchError) as err:
+        expand(f)
+    assert str(err.value) == (
+        "the coefficient of t^3*theta (weight 3) lies in Q(i)[s] with m=5, "
+        "but the weight-3 matrix coefficients lie in Q(i)[s] with m=3")
+    # weight 8: the matrix coefficients lie in Q(i), so one extension among
+    # the terms is fine and a second one is named against the first
+    one = Section("su11", {(8, 0b00): ExtendedScalar(1, 2, 3)})
+    assert reconstruct(expand(one).coefficients, "su11") == one
+    two = one + Section("su11", {(8, 0b11): ExtendedScalar(0, 1, 5)})
+    with pytest.raises(ExtensionMismatchError) as err:
+        expand(two)
+    assert str(err.value) == (
+        "the coefficient of t^8*theta*eta (weight 8) lies in Q(i)[s] with "
+        "m=5, but the coefficient of t^8 lies in Q(i)[s] with m=3")
 
 
 def test_expansion_result_json():

@@ -21,7 +21,7 @@ from supercircle.reps import (
     make_weight_zero_s11,
     random_class_preserving,
 )
-from supercircle.scalars import FloatScalar, GaussianRational
+from supercircle.scalars import GaussianRational
 from supercircle.supermatrix import supercommutator
 
 GR = GaussianRational
@@ -149,11 +149,6 @@ def test_intertwiner_dimension_is_basis_independent():
 def test_intertwiners_mismatched_algebras():
     with pytest.raises(ValueError, match="algebra"):
         find_even_intertwiners(make_V_m(1), make_pi_m(1, "+"))
-
-
-def test_field_mismatch():
-    with pytest.raises(ValueError, match="field"):
-        find_even_intertwiners(make_pi_m(1, "+"), make_pi_m(1, "+", tol=FloatScalar.DEFAULT_TOL))
 
 
 def test_representation_json_round_trip():

@@ -15,7 +15,7 @@ from supercircle.reps import (
     make_weight_zero_s11,
     scramble,
 )
-from supercircle.scalars import FloatScalar, GaussianRational
+from supercircle.scalars import GaussianRational
 
 GR = GaussianRational
 
@@ -220,43 +220,3 @@ def test_report_json_shape():
     j = report.to_json()
     assert j["su11"]["pi"] == [{"m": 1, "sign": "-", "count": 1}]
     assert j["su11"]["weight_zero"] is None
-
-
-def test_decompose_float_mode():
-    rep = make_pi_m(2, "+", tol=1e-8)
-    report = decompose_su11(rep)
-    assert report.pi_counts == {(2, "+"): 1}
-    assert report.verify(rep)
-
-
-def _float_parts(rep):
-    return {name: [[(x.re, x.im, x.tol) for x in row] for row in mat.rows]
-            for name, mat in rep.odd.items()}
-
-
-def _to_float(rep, tol):
-    return Representation(
-        rep.algebra, rep.parities, rep.weights,
-        {name: mat.map(lambda x: FloatScalar.from_exact(x, tol))
-         for name, mat in rep.odd.items()},
-    )
-
-
-@pytest.mark.parametrize("m", [1, 2, -3, 8, -8, 5])
-def test_tol_alone_selects_the_float_field(m):
-    tol = 1e-7
-    for sign in ("+", "-"):
-        block = make_pi_m(m, sign, tol=tol)
-        assert _float_parts(block) == _float_parts(_to_float(make_pi_m(m, sign), tol))
-        report = decompose_su11(block)
-        assert report.tol == tol
-        assert report.pi_counts == {(m, sign): 1}
-        assert report.verify(block)
-    block = make_V_m(m, tol=tol)
-    assert _float_parts(block) == _float_parts(_to_float(make_V_m(m), tol))
-    report = decompose_s11(block)
-    assert report.tol == tol
-    assert report.v_counts == {m: 1}
-    assert report.verify(block)
-    # exact blocks keep the exact field
-    assert decompose_s11(make_V_m(m)).tol is None

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from supercircle.scalars import (
     ExtendedScalar,
     ExtensionMismatchError,
-    FloatScalar,
     GaussianRational,
     scalar_from_json,
     scalar_to_json,
-    lift,
     sqrt_neg_im,
-    tolerance,
 )
 
 GR = GaussianRational
@@ -85,39 +82,20 @@ def test_sqrt_neg_im_exact_degenerate_cases():
 
 
 def test_sqrt_neg_im_float_principal_branch():
-    s = sqrt_neg_im(2, tol=FloatScalar.DEFAULT_TOL)
-    assert s == FloatScalar(1.0, -1.0)
-    assert s * s == FloatScalar(0.0, -2.0)
-    t = sqrt_neg_im(-2, tol=FloatScalar.DEFAULT_TOL)
-    assert t == FloatScalar(1.0, 1.0)
-    assert t * t == FloatScalar(0.0, 2.0)
-
-
-def test_tolerance_selects_the_field():
-    assert tolerance([]) is None
-    assert tolerance([GR(1, 2), sqrt_neg_im(3), GR(0)]) is None
-    mixed = [GR(1), FloatScalar(1.0, 0.0, tol=1e-6), sqrt_neg_im(5),
-             FloatScalar(0.0, 2.0, tol=1e-8)]
-    assert tolerance(mixed) == 1e-6
-    assert tolerance(iter(mixed)) == 1e-6
-
-
-def test_lift_keeps_exact_values_and_converts_to_float():
-    assert lift(3, None) == GR(3)
-    assert isinstance(lift(3, None), GaussianRational)
-    s = sqrt_neg_im(3)
-    assert lift(s, None) is s
-    x = lift(GR(Fraction(1, 2), -1), 1e-7)
-    assert isinstance(x, FloatScalar)
-    assert (x.re, x.im, x.tol) == (0.5, -1.0, 1e-7)
-    assert lift(s, 1e-7) == sqrt_neg_im(3, tol=1e-7)
+    # the numeric view of every root is the principal branch
+    # sqrt(|m|/2) * (1 - i*sign(m)), whether the root is Gaussian or formal
+    assert sqrt_neg_im(2).to_complex() == complex(1.0, -1.0)
+    assert sqrt_neg_im(-2).to_complex() == complex(1.0, 1.0)
+    for m in (1, -1, 3, -5, 7, 8, -8):
+        z = sqrt_neg_im(m).to_complex()
+        q = math.sqrt(abs(m) / 2.0)
+        assert z == complex(q, -q if m > 0 else q)
+        assert abs(z * z - complex(0, -m)) < 1e-12
 
 
 def test_sqrt_neg_im_degenerate_weight():
     with pytest.raises(ValueError, match="degenerate weight"):
         sqrt_neg_im(0)
-    with pytest.raises(ValueError, match="degenerate weight"):
-        sqrt_neg_im(0, tol=FloatScalar.DEFAULT_TOL)
 
 
 def test_extended_reduction_never_stores_s_squared():
@@ -207,35 +185,24 @@ def test_extended_conjugate_lands_in_opposite_extension():
     assert math.isclose(z.real, w.real) and math.isclose(z.imag, w.imag)
 
 
-def test_float_scalar_tolerance_equality():
-    a = FloatScalar(1.0, 0.0, tol=1e-6)
-    assert a == FloatScalar(1.0 + 5e-7, -5e-7, tol=1e-6)
-    assert a != FloatScalar(1.0 + 5e-3, 0.0, tol=1e-6)
-    assert FloatScalar(1e-12, -1e-12).is_zero()
-    assert a * a.inverse() == FloatScalar(1.0, 0.0)
-
-
-def test_float_mixes_with_exact():
-    s = sqrt_neg_im(2)  # 1 - i exactly
-    f = FloatScalar(1.0, -1.0)
-    assert f == s
-    assert f + GR(1, 1) == FloatScalar(2.0, 0.0)
-
-
 def test_exact_float_agreement_on_random_inputs():
+    # exact results, viewed through to_complex, agree with complex floats
     rng = random.Random(7)
-    tol = 1e-9
+
+    def close(z, w):
+        return abs(z - w) <= 1e-9 * max(1.0, abs(w))
+
     checked = 0
     for _ in range(1000):
         a = GR(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         b = GR(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        fa, fb = a.to_float(tol), b.to_float(tol)
-        assert fa + fb == (a + b).to_float(tol)
-        assert fa * fb == (a * b).to_float(tol)
+        fa, fb = a.to_complex(), b.to_complex()
+        assert close((a + b).to_complex(), fa + fb)
+        assert close((a * b).to_complex(), fa * fb)
         if not b.is_zero():
-            assert fa / fb == (a / b).to_float(tol)
+            assert close((a / b).to_complex(), fa / fb)
         checked += 1
     assert checked == 1000
 
@@ -250,11 +217,6 @@ def test_scalar_json_round_trip():
     j = scalar_to_json(s)
     assert j["m"] == -4
     assert scalar_from_json(j) == s
-
-    f = FloatScalar(0.5, -1.25)
-    j = scalar_to_json(f)
-    assert j == {"re": 0.5, "im": -1.25}
-    assert scalar_from_json(j) == f
 
 
 def test_scalar_json_rejects_zero_denominator():
@@ -271,6 +233,16 @@ def test_scalar_json_rejects_malformed():
         scalar_from_json({"c0": {"re": "1", "im": "0"}, "c1": {"re": "1", "im": "0"}, "m": "three"})
     with pytest.raises(ValueError):
         scalar_from_json([1, 2])
+
+
+@pytest.mark.parametrize("re, im", [(0.5, -1.25), (1, 0), ("1/2", 0),
+                                    (1.5, "0"), (None, "0")])
+def test_scalar_json_rejects_numeric_components(re, im):
+    with pytest.raises(ValueError, match='exact strings such as "1/2"'):
+        scalar_from_json({"re": re, "im": im})
+    with pytest.raises(ValueError, match='exact strings such as "1/2"'):
+        scalar_from_json({"c0": {"re": re, "im": im},
+                          "c1": {"re": "1", "im": "0"}, "m": 3})
 
 
 def test_extended_scalar_rejects_zero_parameter():
@@ -327,11 +299,6 @@ def _check_against_reference(x, ref):
     assert scalar_to_json(x) == {"re": str(re), "im": str(im)}
     assert scalar_from_json(scalar_to_json(x)) == x
     assert _bits(x.to_complex()) == _bits(complex(re, im))
-    f = x.to_float(1e-7)
-    assert (f.re.hex(), f.im.hex(), f.tol) == (
-        float(re).hex(), float(im).hex(), 1e-7)
-    assert _bits(FloatScalar.from_exact(x).to_complex()) == _bits(
-        complex(re, im))
 
 
 @settings(max_examples=300)
