@@ -34,7 +34,6 @@ from .harmonic import (
     section_from_json,
 )
 from .liealg import (
-    LieSuperAlgebra,
     builtin_algebra,
     find_even_intertwiners,
     representation_from_json,
@@ -157,14 +156,7 @@ def _parse_pair(obj) -> Tuple[GrassmannElement, GrassmannElement]:
 # --- verify checks ---------------------------------------------------------
 
 
-def _check_structure_constants(config: RunConfig, corrupt: bool):
-    if corrupt:
-        try:
-            LieSuperAlgebra(("C", "Z"), (0, 1),
-                            {(1, 1): (-2, 0), (0, 1): (0, 1)})
-        except ValueError as exc:
-            return "fail", {"error": str(exc), "note": "fault injection hook"}
-        return "fail", {"error": "corrupted bracket table was accepted"}
+def _check_structure_constants(config: RunConfig):
     for tag in ("s11", "su11"):
         builtin_algebra(tag)  # constructor re-validates the table
     su = builtin_algebra("su11")
@@ -183,7 +175,7 @@ def _check_structure_constants(config: RunConfig, corrupt: bool):
                                          "under the supercommutator"}
 
 
-def _check_representation_identities(config: RunConfig, corrupt: bool):
+def _check_representation_identities(config: RunConfig):
     count = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
@@ -196,7 +188,7 @@ def _check_representation_identities(config: RunConfig, corrupt: bool):
     return "pass", {"weight_bound": config.weights, "representations": count}
 
 
-def _check_intertwiners(config: RunConfig, corrupt: bool):
+def _check_intertwiners(config: RunConfig):
     pairs = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
@@ -217,7 +209,7 @@ def _check_intertwiners(config: RunConfig, corrupt: bool):
                     "weights_checked": 2 * config.weights}
 
 
-def _check_decomposition_oracle(config: RunConfig, corrupt: bool):
+def _check_decomposition_oracle(config: RunConfig):
     rng = random.Random(config.seed)
     trials = 0
     for algebra in ("s11", "su11"):
@@ -239,7 +231,7 @@ def _check_decomposition_oracle(config: RunConfig, corrupt: bool):
                     "seed": config.seed}
 
 
-def _check_involution_rho(config: RunConfig, corrupt: bool):
+def _check_involution_rho(config: RunConfig):
     gens, w, eta = c11x_ring()
     w1, eta1 = rho_s11(w, eta)
     w2, eta2 = rho_s11(w1, eta1)
@@ -257,7 +249,7 @@ def _check_involution_rho(config: RunConfig, corrupt: bool):
                                    "w * star(w) = 1"}
 
 
-def _check_involution_sigma(config: RunConfig, corrupt: bool):
+def _check_involution_sigma(config: RunConfig):
     gens, p = sl11_generic_ring()
     if sigma_su(sigma_su(p)) != p:
         return "fail", {"error": "applying sigma twice is not the identity "
@@ -285,7 +277,7 @@ def _check_involution_sigma(config: RunConfig, corrupt: bool):
     return "pass", detail
 
 
-def _check_factorization(config: RunConfig, corrupt: bool):
+def _check_factorization(config: RunConfig):
     for group in ("su11", "su11_minus"):
         gens, pts = su11_chart_ring(group)
         p = pts[0]
@@ -303,7 +295,7 @@ def _check_factorization(config: RunConfig, corrupt: bool):
                                     "defactorize then factorize"]}
 
 
-def _check_isomer_convention(config: RunConfig, corrupt: bool):
+def _check_isomer_convention(config: RunConfig):
     # A single literal formula triple cannot serve both isomers: writing
     # beta for the upper-right entry, the shared candidate below matches the
     # shipped factorization only componentwise, differently per group.  Each
@@ -354,7 +346,7 @@ def _span_monomials(group: str, bound: int):
 
 
 def _check_pw_span(group: str):
-    def run(config: RunConfig, corrupt: bool):
+    def run(config: RunConfig):
         count = 0
         for m, mask in _span_monomials(group, config.weights):
             f = Section(group, {(m, mask): 1})
@@ -371,7 +363,7 @@ def _check_pw_span(group: str):
     return run
 
 
-def _check_pw_residual(config: RunConfig, corrupt: bool):
+def _check_pw_residual(config: RunConfig):
     f = Section("su11", {(0, 0b11): 1})
     res = expand(f)
     if res.coefficients or res.residual != f:
@@ -404,7 +396,7 @@ def _random_even_invertible(gens: GeneratorSet, rng: random.Random) -> SuperMatr
     return SuperMatrix(1, 1, rows)
 
 
-def _check_berezinian(config: RunConfig, corrupt: bool):
+def _check_berezinian(config: RunConfig):
     gens = GeneratorSet(["x0", "x1", "x2", "x3"])
     rng = random.Random(config.seed + 1)
     for _ in range(200):
@@ -439,11 +431,11 @@ _VERIFY_CHECKS = [
 ]
 
 
-def cmd_verify(config: RunConfig, corrupt: bool = False) -> Tuple[dict, int]:
+def cmd_verify(config: RunConfig) -> Tuple[dict, int]:
     checks = []
     for name, fn in _VERIFY_CHECKS:
         try:
-            status, detail = fn(config, corrupt)
+            status, detail = fn(config)
         except Exception as exc:  # a crashed check is a failed check
             status = "fail"
             detail = {"error": "%s: %s" % (type(exc).__name__, exc)}
@@ -576,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for randomized checks (default 0)")
     _add_out(p_verify)
-    p_verify.add_argument("--self-test-corrupt", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_rep = sub.add_parser("rep", help="representation tools")
     rep_sub = p_rep.add_subparsers(dest="rep_action", required=True)
@@ -624,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace,
               config: Optional[RunConfig]) -> Tuple[dict, int]:
     if args.command == "verify":
-        return cmd_verify(config, corrupt=args.self_test_corrupt)
+        return cmd_verify(config)
     if args.command == "rep":
         return cmd_rep(args.rep_action, args.file)
     if args.command == "point":

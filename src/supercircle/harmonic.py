@@ -402,5 +402,10 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
             cache[label] = matrix_coefficients(_label_rep(label, group))
         if entry not in cache[label]:
             raise ValueError("entry %r outside representation %r" % (entry, label))
-        total = total + cache[label][entry] * c
+        try:
+            total = total + cache[label][entry] * c
+        except ExtensionMismatchError as exc:
+            raise ExtensionMismatchError(
+                "the coefficient of entry %r of %r: %s" % (entry, label, exc)
+            ) from None
     return total

@@ -258,7 +258,7 @@ def representation_from_json(obj: object) -> Representation:
             raise ValueError("basis entries must be objects")
         p = entry.get("parity")
         m = entry.get("weight")
-        if p not in (0, 1):
+        if not isinstance(p, int) or isinstance(p, bool) or p not in (0, 1):
             raise ValueError("basis parity must be 0 or 1")
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError("basis weight must be an integer")

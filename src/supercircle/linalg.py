@@ -149,9 +149,6 @@ class Matrix:
         body = "; ".join(", ".join(str(x) for x in r) for r in self._rows)
         return f"Matrix([{body}])"
 
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(x) for x in r] for r in self._rows])
-
     # --- elimination ------------------------------------------------------
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:

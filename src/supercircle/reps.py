@@ -10,7 +10,8 @@ inversion of the full matrix is ever needed).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple
 
 from .liealg import Representation, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
@@ -212,73 +213,39 @@ def random_direct_sum(algebra: str, rng: random.Random, max_blocks: int = 8,
     return direct_sum(*blocks)
 
 
-class DecompositionReport:
-    """The labels found in a representation plus the certifying basis.
+# s11: ("V", m), ("Ad",), ("PiAd",), ("trivial", even, odd);
+# su11: ("pi", m, sign), ("weight_zero", dim)
+Label = Tuple[object, ...]
 
-    ``basis_change`` has one column per basis vector of the canonical block
-    model (see :meth:`model`); multiplying the input generator matrices
-    against it reproduces the model matrices:  X_input * B = B * X_model.
+
+class DecompositionReport:
+    """The blocks found in a representation plus the certifying basis.
+
+    ``blocks`` is a tuple of (label, Representation) pairs in the column
+    order of ``basis_change``; multiplying the input generator matrices
+    against it reproduces the direct sum of the blocks (see :meth:`model`):
+    X_input * B = B * X_model.
     """
 
-    __slots__ = (
-        "algebra", "v_counts", "pi_counts", "ad_count", "pi_ad_count",
-        "trivial_even", "trivial_odd", "weight_zero", "basis_change",
-    )
+    __slots__ = ("algebra", "blocks", "basis_change")
 
-    def __init__(self, algebra: str, basis_change: Matrix, *,
-                 v_counts: Optional[Dict[int, int]] = None,
-                 pi_counts: Optional[Dict[Tuple[int, str], int]] = None,
-                 ad_count: int = 0, pi_ad_count: int = 0,
-                 trivial_even: int = 0, trivial_odd: int = 0,
-                 weight_zero: Optional[Representation] = None):
+    def __init__(self, algebra: str,
+                 blocks: Sequence[Tuple[Label, Representation]],
+                 basis_change: Matrix):
         object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "basis_change", basis_change)
-        object.__setattr__(self, "v_counts", dict(v_counts or {}))
-        object.__setattr__(self, "pi_counts", dict(pi_counts or {}))
-        object.__setattr__(self, "ad_count", ad_count)
-        object.__setattr__(self, "pi_ad_count", pi_ad_count)
-        object.__setattr__(self, "trivial_even", trivial_even)
-        object.__setattr__(self, "trivial_odd", trivial_odd)
-        object.__setattr__(self, "weight_zero", weight_zero)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionReport is immutable")
 
-    def labels(self):
-        """The multiset of labels as a sorted tuple (for oracle comparison)."""
-        out = []
-        if self.algebra == "s11":
-            for m, c in sorted(self.v_counts.items()):
-                out.extend([("V", m)] * c)
-            out.extend([("Ad",)] * self.ad_count)
-            out.extend([("PiAd",)] * self.pi_ad_count)
-            out.append(("trivial", self.trivial_even, self.trivial_odd))
-        else:
-            for (m, sign), c in sorted(self.pi_counts.items()):
-                out.extend([("pi", m, sign)] * c)
-            if self.weight_zero is not None:
-                out.append(("weight_zero", self.weight_zero.dim))
-        return tuple(out)
+    def labels(self) -> Tuple[Label, ...]:
+        """The block labels in column order (for oracle comparison)."""
+        return tuple(label for label, _ in self.blocks)
 
     def model(self) -> Representation:
-        """The canonical block-diagonal model the basis change points at."""
-        blocks: List[Representation] = []
-        if self.algebra == "s11":
-            for m in sorted(self.v_counts):
-                blocks.extend(make_V_m(m) for _ in range(self.v_counts[m]))
-            blocks.extend(make_weight_zero_s11("W") for _ in range(self.ad_count))
-            blocks.extend(make_weight_zero_s11("PiW") for _ in range(self.pi_ad_count))
-            if self.trivial_even or self.trivial_odd:
-                blocks.append(make_trivial("s11", self.trivial_even, self.trivial_odd))
-        else:
-            for m in sorted({mm for mm, _ in self.pi_counts}):
-                for sign in ("+", "-"):
-                    blocks.extend(
-                        make_pi_m(m, sign)
-                        for _ in range(self.pi_counts.get((m, sign), 0))
-                    )
-            if self.weight_zero is not None:
-                blocks.append(self.weight_zero)
+        """The block-diagonal model the basis change points at."""
+        blocks = [rep for _, rep in self.blocks if rep.dim]
         if not blocks:
             raise ValueError("empty report has no model")
         return direct_sum(*blocks)
@@ -293,27 +260,26 @@ class DecompositionReport:
         )
 
     def to_json(self) -> dict:
+        """The count of each label, in column order, and the basis change."""
+        counts = Counter(self.labels())
         if self.algebra == "s11":
+            _, even, odd = next(k for k in counts if k[0] == "trivial")
             body = {
-                "V": [
-                    {"m": m, "count": c}
-                    for m, c in sorted(self.v_counts.items())
-                ],
-                "Ad": self.ad_count,
-                "PiAd": self.pi_ad_count,
-                "trivial": {"even": self.trivial_even, "odd": self.trivial_odd},
+                "V": [{"m": k[1], "count": c}
+                      for k, c in counts.items() if k[0] == "V"],
+                "Ad": counts[("Ad",)],
+                "PiAd": counts[("PiAd",)],
+                "trivial": {"even": even, "odd": odd},
             }
-            return {"s11": body, "basis_change": matrix_to_json(self.basis_change)}
-        body = {
-            "pi": [
-                {"m": m, "sign": sign, "count": c}
-                for (m, sign), c in sorted(self.pi_counts.items())
-            ],
-            "weight_zero": (
-                None if self.weight_zero is None else self.weight_zero.to_json()
-            ),
-        }
-        return {"su11": body, "basis_change": matrix_to_json(self.basis_change)}
+        else:
+            zero = [r.to_json() for k, r in self.blocks if k[0] == "weight_zero"]
+            body = {
+                "pi": [{"m": k[1], "sign": k[2], "count": c}
+                       for k, c in counts.items() if k[0] == "pi"],
+                "weight_zero": zero[0] if zero else None,
+            }
+        return {self.algebra: body,
+                "basis_change": matrix_to_json(self.basis_change)}
 
 
 def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar]:
@@ -337,7 +303,7 @@ def _extend_independent(existing: List[Tuple[Scalar, ...]],
 def _weight_zero_pairs(rep: Representation):
     """The Prop-style pairing of a weight-zero s11 action (Z with Z^2 = 0).
 
-    Returns (ad_pairs, pi_ad_pairs, trivial_even, trivial_odd) where each
+    Returns (ad_pairs, pi_ad_pairs, triv_even, triv_odd) where each
     pair is (image_vector, source_vector) and every vector lives in the
     coordinates of rep.  Sources are pivot columns of the relevant block of
     Z, so the output is deterministic.
@@ -378,9 +344,9 @@ def _weight_zero_pairs(rep: Representation):
         picked = _extend_independent(existing, kernel)
         return [_embed(v, idx, n) for v in picked]
 
-    trivial_even = trivial_complement(a_blk, ad_pairs, even_idx)
-    trivial_odd = trivial_complement(b_blk, pi_ad_pairs, odd_idx)
-    return ad_pairs, pi_ad_pairs, trivial_even, trivial_odd
+    triv_even = trivial_complement(a_blk, ad_pairs, even_idx)
+    triv_odd = trivial_complement(b_blk, pi_ad_pairs, odd_idx)
+    return ad_pairs, pi_ad_pairs, triv_even, triv_odd
 
 
 def decompose_weight_zero_s11(rep: Representation) -> DecompositionReport:
@@ -407,48 +373,29 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     z = rep.odd["Z"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
-    v_counts: Dict[int, int] = {}
+    blocks: List[Tuple[Label, Representation]] = []
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
-        evens = [i for i in indices if rep.parities[i] == 0]
-        odds = [i for i in indices if rep.parities[i] == 1]
-        if len(evens) != len(odds):
-            raise ValueError(
-                "weight block m=%d has mismatched parity dimensions" % m
-            )
-        for f_idx in evens:
-            f = [ONE if i == f_idx else ZERO for i in range(n)]
-            partner = [z[i, f_idx] * s_inv for i in range(n)]
-            columns.extend([f, partner])
-        v_counts[m] = len(evens)
+        block = make_V_m(m)
+        for f_idx in indices:
+            if rep.parities[f_idx] == 0:
+                partner = [z[i, f_idx] * s_inv for i in range(n)]
+                columns.extend([_embed([ONE], [f_idx], n), partner])
+                blocks.append((("V", m), block))
 
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]
-    ad = pi_ad = te = to_ = 0
-    if zero_idx:
-        sub = rep.restrict(zero_idx)
-        z0 = sub.odd["Z"]
-        if not (z0 * z0).is_zero():
-            raise ValueError("Z^2 != 0 on the weight-zero part")
-        ad_pairs, pi_ad_pairs, triv_even, triv_odd = _weight_zero_pairs(sub)
-        for img, src in ad_pairs:
+    ad_pairs, pi_ad_pairs, triv_even, triv_odd = _weight_zero_pairs(
+        rep.restrict(zero_idx))
+    for variant, label, pairs in (("W", ("Ad",), ad_pairs),
+                                  ("PiW", ("PiAd",), pi_ad_pairs)):
+        block = make_weight_zero_s11(variant)
+        for img, src in pairs:
             columns.extend([_embed(img, zero_idx, n), _embed(src, zero_idx, n)])
-        for img, src in pi_ad_pairs:
-            columns.extend([_embed(img, zero_idx, n), _embed(src, zero_idx, n)])
-        columns.extend(_embed(v, zero_idx, n) for v in triv_even)
-        columns.extend(_embed(v, zero_idx, n) for v in triv_odd)
-        ad, pi_ad = len(ad_pairs), len(pi_ad_pairs)
-        te, to_ = len(triv_even), len(triv_odd)
-    if len(columns) != n:
-        raise ValueError("decomposition does not exhaust the space")
-    return DecompositionReport(
-        "s11",
-        from_columns(columns),
-        v_counts=v_counts,
-        ad_count=ad,
-        pi_ad_count=pi_ad,
-        trivial_even=te,
-        trivial_odd=to_,
-    )
+            blocks.append((label, block))
+    columns.extend(_embed(v, zero_idx, n) for v in triv_even + triv_odd)
+    te, to_ = len(triv_even), len(triv_odd)
+    blocks.append((("trivial", te, to_), make_trivial("s11", te, to_)))
+    return DecompositionReport("s11", blocks, from_columns(columns))
 
 
 def decompose_su11(rep: Representation) -> DecompositionReport:
@@ -457,51 +404,26 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     """
     require_valid(rep)
     u = rep.odd["U"]
-    s = rep.odd["S"]
-    us = u * s
+    us = u * rep.odd["S"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
-    pi_counts: Dict[Tuple[int, str], int] = {}
+    blocks: List[Tuple[Label, Representation]] = []
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
         t_blk = Matrix([[us[i, j] for j in evens] for i in evens])
-        found = 0
         for lam, sign in ((m, "+"), (-m, "-")):
             shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
             eig = shifted.kernel_basis()
-            # i*lam/m is +i or -i; the S-image of an eigenvector must be
-            # that multiple of its U-image
-            ratio = GaussianRational(0, 1 if sign == "+" else -1)
+            block = make_pi_m(m, sign) if eig else None
             for vec in eig:
                 f = _embed(vec, evens, n)
-                col = Matrix.column(f)
-                uf = u * col
-                if s * col != ratio * uf:
-                    raise ValueError(
-                        "S-image certificate failed at weight m=%d" % m
-                    )
-                columns.extend([f, [x * s_inv for x in uf.col(0)]])
-            if eig:
-                pi_counts[(m, sign)] = len(eig)
-            found += len(eig)
-        if found != len(evens):
-            raise ValueError(
-                "eigenvalue of U*S outside {+m,-m} at weight m=%d "
-                "(corrupt input)" % m
-            )
+                uf = (u * Matrix.column(f)).col(0)
+                columns.extend([f, [x * s_inv for x in uf]])
+                blocks.append((("pi", m, sign), block))
 
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]
-    weight_zero = None
     if zero_idx:
-        weight_zero = rep.restrict(zero_idx)
-        for idx in zero_idx:
-            columns.append([ONE if i == idx else ZERO for i in range(n)])
-    if len(columns) != n:
-        raise ValueError("decomposition does not exhaust the space")
-    return DecompositionReport(
-        "su11",
-        from_columns(columns),
-        pi_counts=pi_counts,
-        weight_zero=weight_zero,
-    )
+        columns.extend(_embed([ONE], [idx], n) for idx in zero_idx)
+        blocks.append((("weight_zero", len(zero_idx)), rep.restrict(zero_idx)))
+    return DecompositionReport("su11", blocks, from_columns(columns))

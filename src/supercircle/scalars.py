@@ -425,6 +425,12 @@ def scalar_from_json(obj) -> Scalar:
     if set(obj) == {"re", "im"}:
         re, im = obj["re"], obj["im"]
         if isinstance(re, str) and isinstance(im, str):
+            # Fraction reads exponents, and "1e1000000" costs time and
+            # memory that grow with the exponent
+            for part in (re, im):
+                if "e" in part.lower():
+                    raise ValueError("exponent notation is not allowed in "
+                                     f"scalar components: {part!r}")
             try:
                 return GaussianRational(Fraction(re), Fraction(im))
             except ZeroDivisionError:

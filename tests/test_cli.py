@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from supercircle import cli
 from supercircle.cli import main
 from supercircle.grassmann import element_from_json
 from supercircle.harmonic import Section
-from supercircle.liealg import Representation
+from supercircle.liealg import LieSuperAlgebra, Representation
 from supercircle.linalg import Matrix
 from supercircle.reps import direct_sum, make_pi_m, make_V_m, scramble
 from supercircle.scalars import ExtendedScalar, I
@@ -87,8 +88,13 @@ def test_verify_deterministic(capsys, tmp_path):
     assert target.read_text() == out1
 
 
-def test_verify_corrupt_hook(capsys):
-    code, out = run(capsys, "verify", "--weights", "1", "--self-test-corrupt")
+def test_verify_reports_a_rejected_bracket_table(capsys, monkeypatch):
+    def corrupt_table(tag):
+        return LieSuperAlgebra(("C", "Z"), (0, 1),
+                               {(1, 1): (-2, 0), (0, 1): (0, 1)})
+
+    monkeypatch.setattr(cli, "builtin_algebra", corrupt_table)
+    code, out = run(capsys, "verify", "--weights", "1")
     assert code == 1
     report = json.loads(out)
     assert report["status"] == "fail"
@@ -515,6 +521,27 @@ def test_rep_validate_numeric_scalar_is_a_parse_error(capsys, tmp_path):
     code, out = run(capsys, "rep", "validate", path)
     assert code == 2
     assert 'exact strings such as "1/2"' in json.loads(out)["error"]
+
+
+def test_rep_validate_exponent_notation_is_a_parse_error(capsys, tmp_path):
+    blob = make_pi_m(2, "+").to_json()
+    blob["U"][0][0] = {"re": "1e5", "im": "0"}
+    path = write(tmp_path, "exponent.json", blob)
+    code, out = run(capsys, "rep", "validate", path)
+    assert code == 2
+    assert "'1e5'" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("parities", [(0.0, True), (False, 1.0)])
+def test_rep_validate_non_integer_parity_is_a_parse_error(capsys, tmp_path,
+                                                          parities):
+    blob = make_pi_m(2, "+").to_json()
+    for entry, p in zip(blob["basis"], parities):
+        entry["parity"] = p
+    path = write(tmp_path, "parity.json", blob)
+    code, out = run(capsys, "rep", "validate", path)
+    assert code == 2
+    assert json.loads(out) == {"error": "basis parity must be 0 or 1"}
 
 
 def test_pw_expand_numeric_scalar_is_a_parse_error(capsys, tmp_path):

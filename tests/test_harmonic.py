@@ -240,6 +240,22 @@ def test_expand_names_terms_over_foreign_extensions():
         "m=5, but the coefficient of t^8 lies in Q(i)[s] with m=3")
 
 
+def test_reconstruct_names_coefficients_over_foreign_extensions():
+    with pytest.raises(ExtensionMismatchError) as err:
+        reconstruct({(("pi", 3), (0, 1)): ExtendedScalar(1, 1, 5)}, "su11")
+    assert str(err.value) == (
+        "the coefficient of entry (0, 1) of ('pi', 3): cannot mix extensions "
+        "with parameters m=3 and m=5")
+    # weight 8: the matrix coefficients lie in Q(i), so the clash is between
+    # two coefficients that reach the same term
+    with pytest.raises(ExtensionMismatchError) as err:
+        reconstruct({(("pi", 8), (0, 0)): ExtendedScalar(1, 2, 3),
+                     (("pi", 8), (1, 1)): ExtendedScalar(0, 1, 5)}, "su11")
+    assert str(err.value) == (
+        "the coefficient of entry (1, 1) of ('pi', 8): cannot mix extensions "
+        "with parameters m=3 and m=5")
+
+
 def test_expansion_result_json():
     f = (Section.monomial("su11", 2, ["theta"])
          + Section.monomial("su11", 0, ["theta", "eta"], coef=5))

@@ -59,23 +59,21 @@ def test_weight_zero_kernels():
 def test_decompose_single_blocks():
     rep = make_V_m(4)
     report = decompose_s11(rep)
-    assert report.v_counts == {4: 1}
+    assert report.labels() == (("V", 4), ("trivial", 0, 0))
     assert report.verify(rep)
 
     rep = make_pi_m(5, "-")
     report = decompose_su11(rep)
-    assert report.pi_counts == {(5, "-"): 1}
+    assert report.labels() == (("pi", 5, "-"),)
     assert report.verify(rep)
 
 
 def test_decompose_weight_zero_examples():
     report = decompose_weight_zero_s11(make_weight_zero_s11("W"))
-    assert report.ad_count == 1 and report.pi_ad_count == 0
-    assert report.trivial_even == 0 and report.trivial_odd == 0
+    assert report.labels() == (("Ad",), ("trivial", 0, 0))
 
     report = decompose_weight_zero_s11(make_trivial("s11", 2, 1))
-    assert report.ad_count == 0 and report.pi_ad_count == 0
-    assert (report.trivial_even, report.trivial_odd) == (2, 1)
+    assert report.labels() == (("trivial", 2, 1),)
 
 
 def test_decompose_weight_zero_scrambled():
@@ -87,13 +85,10 @@ def test_decompose_weight_zero_scrambled():
     )
     rep = scramble(model, rng)
     report = decompose_weight_zero_s11(rep)
-    assert report.ad_count == 1 and report.pi_ad_count == 1
-    assert (report.trivial_even, report.trivial_odd) == (1, 0)
+    assert report.labels() == (("Ad",), ("PiAd",), ("trivial", 1, 0))
     assert report.verify(rep)
     # dimension bookkeeping
-    assert report.trivial_even + report.trivial_odd + 2 * (
-        report.ad_count + report.pi_ad_count
-    ) == rep.dim
+    assert sum(block.dim for _, block in report.blocks) == rep.dim
 
 
 def test_decompose_weight_zero_preconditions():
@@ -106,14 +101,13 @@ def test_decompose_s11_mixed():
     model = direct_sum(make_V_m(2), make_V_m(2), make_V_m(-1))
     rep = scramble(model, rng)
     report = decompose_s11(rep)
-    assert report.v_counts == {2: 2, -1: 1}
+    assert report.labels() == (("V", -1), ("V", 2), ("V", 2), ("trivial", 0, 0))
     assert report.verify(rep)
 
     model = direct_sum(make_V_m(1), make_weight_zero_s11("W"))
     rep = scramble(model, random.Random(7))
     report = decompose_s11(rep)
-    assert report.v_counts == {1: 1}
-    assert report.ad_count == 1
+    assert report.labels() == (("V", 1), ("Ad",), ("trivial", 0, 0))
     assert report.verify(rep)
 
 
@@ -122,17 +116,16 @@ def test_decompose_su11_mixed():
     model = direct_sum(make_pi_m(2, "+"), make_pi_m(2, "-"), make_pi_m(-1, "+"))
     rep = scramble(model, rng)
     report = decompose_su11(rep)
-    assert report.pi_counts == {(2, "+"): 1, (2, "-"): 1, (-1, "+"): 1}
+    assert report.labels() == (("pi", -1, "+"), ("pi", 2, "+"), ("pi", 2, "-"))
     assert report.verify(rep)
 
 
 def test_decompose_su11_weight_zero_unclassified():
     rep = make_adjoint_su11()
     report = decompose_su11(rep)
-    assert report.pi_counts == {}
-    assert report.weight_zero is not None
-    assert report.weight_zero.dim == 3
-    assert report.weight_zero.parities == (0, 1, 1)
+    assert report.labels() == (("weight_zero", 3),)
+    (_, weight_zero), = report.blocks
+    assert weight_zero.parities == (0, 1, 1)
     assert report.verify(rep)
 
 
@@ -195,7 +188,7 @@ def test_oracle_su11_randomized():
 def test_us_eigenvalue_check_rejects_corrupt_input():
     # hand-build something weight-preserving and parity-correct whose U*S
     # has an eigenvalue outside {+m, -m}: impossible for valid input, so
-    # corrupt U^2 too and bypass validation via decompose internals
+    # U^2 is corrupt too and require_valid rejects it before decomposing
     rep = make_pi_m(1, "+")
     from supercircle.linalg import Matrix
 
@@ -206,7 +199,7 @@ def test_us_eigenvalue_check_rejects_corrupt_input():
         {"U": Matrix([[GR(0), GR(1)], [GR(1), GR(0)]]),
          "S": Matrix([[GR(0), GR(1)], [GR(1), GR(0)]])},
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="representation is not valid"):
         decompose_su11(bad)
 
 

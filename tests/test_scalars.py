@@ -226,6 +226,13 @@ def test_scalar_json_rejects_zero_denominator():
         scalar_from_json({"re": "0", "im": "3/0"})
 
 
+def test_scalar_json_rejects_exponent_notation():
+    with pytest.raises(ValueError, match="exponent notation .*'1e5'"):
+        scalar_from_json({"re": "1e5", "im": "0"})
+    with pytest.raises(ValueError, match="'2E-3'"):
+        scalar_from_json({"re": "0", "im": "2E-3"})
+
+
 def test_scalar_json_rejects_malformed():
     with pytest.raises(ValueError):
         scalar_from_json({"re": "1/2"})
