@@ -22,6 +22,14 @@ ONE = GaussianRational(1, 0)
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
 
 
+def _parity_tuple(parities: Sequence[int]) -> Tuple[int, ...]:
+    parities = tuple(parities)
+    if any(not isinstance(p, int) or isinstance(p, bool) or p not in (0, 1)
+           for p in parities):
+        raise ValueError("parities must be the integers 0 or 1")
+    return parities
+
+
 class LieSuperAlgebra:
     """A finite-dimensional Lie superalgebra given by structure constants.
 
@@ -41,7 +49,7 @@ class LieSuperAlgebra:
         defining: Optional[Mapping[str, SuperMatrix]] = None,
     ):
         names = tuple(names)
-        parities = tuple(int(p) % 2 for p in parities)
+        parities = _parity_tuple(parities)
         if len(names) != len(parities):
             raise ValueError("names and parities must have equal length")
         n = len(names)
@@ -170,9 +178,9 @@ class Representation:
     ):
         if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
             raise ValueError("unknown algebra tag %r" % (algebra,))
-        parities = tuple(int(p) % 2 for p in parities)
+        parities = _parity_tuple(parities)
         weights = tuple(weights)
-        if any(not isinstance(m, int) for m in weights):
+        if any(not isinstance(m, int) or isinstance(m, bool) for m in weights):
             raise ValueError("weights must be integers")
         if len(parities) != len(weights):
             raise ValueError("parity and weight vectors must have equal length")
@@ -275,16 +283,14 @@ def representation_from_json(obj: object) -> Representation:
     return Representation(algebra, parities, weights, odd)
 
 
-def _first_nonzero_violation(diff: Matrix, weights, relation: str) -> Optional[str]:
-    for i, row in enumerate(diff.rows):
+def _first_violation(product: Matrix, diagonal: Sequence[Scalar], weights,
+                     relation: str) -> Optional[str]:
+    """The first row-major entry where product differs from diag(diagonal)."""
+    for i, row in enumerate(product._rows):
         for j, x in enumerate(row):
-            if not x.is_zero():
+            if (x != diagonal[i]) if i == j else not x.is_zero():
                 return "%s at weight block m=%d (entry (%d,%d))" % (
-                    relation,
-                    weights[i],
-                    i,
-                    j,
-                )
+                    relation, weights[i], i, j)
     return None
 
 
@@ -361,31 +367,19 @@ def validate_representation(rep: Representation) -> List[str]:
     if problems:
         return problems
 
-    # diag(-i*m): the required square of every odd generator
-    minus_ic = Matrix.diagonal([GaussianRational(0, -m) for m in rep.weights])
-    for name in rep.generator_names:
-        mat = rep.odd[name]
-        msg = _first_nonzero_violation(
-            mat * mat - minus_ic, rep.weights, "%s^2 != -i*m" % name
-        )
-        if msg:
-            problems.append(msg)
-
+    # the required square of every odd generator is diag(-i*m)
+    minus_ic = [GaussianRational(0, -m) for m in rep.weights]
+    relations = [("%s^2 != -i*m" % name, rep.odd[name] * rep.odd[name], minus_ic)
+                 for name in rep.generator_names]
     if rep.algebra == "su11":
         u = rep.odd["U"]
         s = rep.odd["S"]
-        msg = _first_nonzero_violation(
-            u * s + s * u, rep.weights, "U*S + S*U != 0"
-        )
-        if msg:
-            problems.append(msg)
-        m_sq = Matrix.diagonal(
-            [GaussianRational(m * m, 0) for m in rep.weights]
-        )
         us = u * s
-        msg = _first_nonzero_violation(
-            us * us - m_sq, rep.weights, "(U*S)^2 != m^2"
-        )
+        relations.append(("U*S + S*U != 0", us + s * u, [ZERO] * n))
+        m_sq = [GaussianRational(m * m, 0) for m in rep.weights]
+        relations.append(("(U*S)^2 != m^2", us * us, m_sq))
+    for relation, product, diagonal in relations:
+        msg = _first_violation(product, diagonal, rep.weights, relation)
         if msg:
             problems.append(msg)
     return problems

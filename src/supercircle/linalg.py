@@ -3,10 +3,14 @@
 Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
+Representation matrices are weight-block-sparse, so products and elimination
+walk only nonzero entries; a product tests each entry of a factor for zero at
+most once.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -92,22 +96,20 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of([list(c) for c in zip(*self._rows)])
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Matrix._of(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
+            [list(map(op, r1, r2)) for r1, r2 in zip(self._rows, other._rows)]
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return Matrix._of([[-x for x in r] for r in self._rows])
@@ -116,8 +118,22 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = list(zip(*other._rows))
-            return Matrix._of([[_dot(r, c) for c in cols] for r in self._rows])
+            # Gustavson's row-wise product: list the nonzeros of each row of
+            # the right factor once, then walk only those.  Each entry is a
+            # sum in ascending k of its nonzero terms, or ZERO if none.
+            nonzeros = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                        for row in other._rows]
+            out = []
+            for row in self._rows:
+                acc = [None] * other.ncols
+                for a, nz in zip(row, nonzeros):
+                    if not nz or a.is_zero():
+                        continue
+                    for j, b in nz:
+                        x = acc[j]
+                        acc[j] = a * b if x is None else x + a * b
+                out.append([ZERO if x is None else x for x in acc])
+            return Matrix._of(out)
         try:
             s = as_scalar(other)
         except TypeError:
@@ -167,14 +183,17 @@ class Matrix:
                 continue
             rows[piv_r], rows[pivot_row] = rows[pivot_row], rows[piv_r]
             inv = rows[piv_r][col].inverse()
-            rows[piv_r] = [x * inv for x in rows[piv_r]]
+            prow = rows[piv_r] = [x * inv for x in rows[piv_r]]
+            # left of col the pivot row is zero; elsewhere only its nonzero
+            # columns change the other rows
+            nz = [(j, prow[j]) for j in range(col, ncols) if not prow[j].is_zero()]
             for r in range(nrows):
-                if r == piv_r:
+                row = rows[r]
+                f = row[col]
+                if r == piv_r or f.is_zero():
                     continue
-                f = rows[r][col]
-                if f.is_zero():
-                    continue
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv_r])]
+                for j, y in nz:
+                    row[j] = row[j] - f * y
             pivots.append(col)
             piv_r += 1
             if piv_r == nrows:
@@ -237,16 +256,6 @@ class Matrix:
         if self.nrows != self.ncols:
             return False
         return self.rank() == self.nrows
-
-
-def _dot(r, c):
-    acc = None
-    for a, b in zip(r, c):
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return ZERO if acc is None else acc
 
 
 def hstack(blocks: Sequence[Matrix]) -> Matrix:

@@ -181,3 +181,15 @@ def test_restrict():
     assert sub.weights == (0, 0)
     assert sub.parities == (0, 1)
     assert sub.odd["Z"] == make_weight_zero_s11("W").odd["Z"]
+
+
+def test_constructors_reject_non_integer_parities_and_bool_weights():
+    v = make_V_m(1)
+    for parities in ([2, 1.9], [0, 2], [0, 1.0], [False, True]):
+        with pytest.raises(ValueError, match="parities"):
+            Representation("s11", parities, v.weights, v.odd)
+    with pytest.raises(ValueError, match="weights"):
+        Representation("s11", v.parities, [True, True], v.odd)
+    for parities in ((0, 3), (0, True), (0.0, 1)):
+        with pytest.raises(ValueError, match="parities"):
+            LieSuperAlgebra(("C", "Z"), parities, {(1, 1): (-2, 0)})

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from supercircle import linalg
 from supercircle.linalg import Matrix, block_diagonal, from_columns, hstack
 from supercircle.scalars import ExtendedScalar, GaussianRational
 
@@ -114,3 +116,95 @@ def test_matrix_cannot_be_changed_through_its_views():
         with pytest.raises(AttributeError):
             setattr(m, name, ((GR(0),),))
     assert m.rows == before
+
+
+def _ext_block(rng, size, m):
+    return [[ExtendedScalar(GR(rng.randint(-3, 3)), GR(rng.randint(1, 3)), m)
+             for _ in range(size)] for _ in range(size)]
+
+
+def _zero(m):
+    # a zero that keeps its extension, so any product with an entry of the
+    # other extension raises
+    return ExtendedScalar(GR(0), GR(0), m)
+
+
+def _padded(blocks, pads):
+    """Block-diagonal rows; the rows of block b are zero(pads[b]) outside it."""
+    n = sum(len(b) for b in blocks)
+    rows, c0 = [], 0
+    for b, pad in zip(blocks, pads):
+        for brow in b:
+            row = [_zero(pad)] * n
+            row[c0:c0 + len(brow)] = brow
+            rows.append(row)
+        c0 += len(b)
+    return rows
+
+
+def _naive_product(a, b):
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = GR(0)
+            for k in range(len(b)):
+                if not a[i][k].is_zero() and not b[k][j].is_zero():
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_block_diagonal_product_over_two_extensions():
+    rng = random.Random(3)
+    blocks = [(2, 3), (3, -3)]
+    # a's zeros share their row's extension, b's belong to the other one:
+    # a product that multiplies by a zero of either factor mixes extensions
+    a = _padded([_ext_block(rng, n, m) for n, m in blocks], (3, -3))
+    b = _padded([_ext_block(rng, n, m) for n, m in blocks], (-3, 3))
+    product = Matrix(a) * Matrix(b)
+    assert product == Matrix(_naive_product(a, b))
+    assert all(product[i, j] is linalg.ZERO
+               for i in range(5) for j in range(5) if (i < 2) != (j < 2))
+
+
+def test_sum_of_zero_terms_is_the_shared_zero():
+    s3 = ExtendedScalar(GR(0), GR(1), 3)
+    s_3 = ExtendedScalar(GR(0), GR(1), -3)
+    # row 0 is all zero, column 0 is all zero, and every term of entry
+    # (1, 1) has one zero factor
+    a = Matrix([[_zero(3), _zero(3)], [s3, _zero(3)]])
+    b = Matrix([[_zero(-3), _zero(-3)], [_zero(-3), s_3]])
+    assert all(x is linalg.ZERO for row in (a * b).rows for x in row)
+
+
+def test_product_tests_each_entry_at_most_once(monkeypatch):
+    rng = random.Random(24)
+
+    def block():
+        return Matrix([[GR(rng.randint(1, 5), rng.randint(-5, 5))
+                        for _ in range(8)] for _ in range(8)])
+
+    a = block_diagonal([block() for _ in range(3)])
+    b = block_diagonal([block() for _ in range(3)])
+    expected = Matrix(_naive_product(a.rows, b.rows))
+    tests, products = [], []
+    is_zero, mul = GaussianRational.is_zero, GaussianRational.__mul__
+
+    def counting_is_zero(self):
+        tests.append(1)
+        return is_zero(self)
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "is_zero", counting_is_zero)
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    product = a * b
+    monkeypatch.undo()
+    assert len(tests) <= 24 * 24 + 24 * 24
+    # only products of two nonzero entries: one per (i, k, j) inside a block
+    assert len(products) == 3 * 8 ** 3
+    assert product == expected

@@ -56,6 +56,16 @@ def _cases(count=150, seed=8):
         yield rng, _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
 
 
+def test_product_matches_sympy():
+    for rng, a in _cases():
+        b = _random_matrix(rng, a.ncols, rng.randint(1, 8))
+        ref = (_domain(a.rows) * _domain(b.rows)).to_list()
+        product = a * b
+        assert all(type(x) is GR for row in product.rows for x in row)
+        assert product.rows == tuple(tuple(_from_sympy(z) for z in row)
+                                     for row in ref)
+
+
 def test_rref_and_rank_match_sympy():
     deficient = 0
     for _, a in _cases():
