@@ -7,6 +7,12 @@ coordinates (theta for the circle group, theta and eta for the unitary one).
 Expansion solves one small exact linear system per weight and reports
 whatever falls outside the coefficient span as an exact residual instead of
 forcing it to zero.
+
+:func:`matrix_coefficients` validates the representation it is given.
+:func:`expand` and :func:`reconstruct` work only with blocks the package
+builds itself (``make_V_m``, ``make_pi_m`` and the weight-zero blocks) and do
+not re-validate them; the ``representation-identities`` check of ``verify``
+and the tests validate those constructors.
 """
 
 from __future__ import annotations
@@ -219,12 +225,23 @@ def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
     t^m * (delta + theta*U + eta*S + theta*eta*(U*S)) entrywise.
     """
     require_valid(rep)
+    return _coefficient_sections(rep)
+
+
+def _generator_products(rep: Representation) -> List[Matrix]:
+    """For each odd mask, the product of the generators it selects, in the
+    factorization order (the identity for mask 0)."""
     names = rep.generator_names
     products = []
     for mask in range(1 << len(names)):
         factors = [rep.odd[name] for k, name in enumerate(names) if mask >> k & 1]
         products.append(reduce(mul, factors) if factors
                         else Matrix.identity(rep.dim))
+    return products
+
+
+def _coefficient_sections(rep: Representation) -> Dict[Tuple[int, int], Section]:
+    products = _generator_products(rep)
     return {
         (i, j): Section(rep.algebra, {
             (rep.weights[i], mask): p[i, j] for mask, p in enumerate(products)
@@ -328,13 +345,11 @@ def expand(f: Section) -> ExpansionResult:
             _expand_weight_zero(f, coefficients, residual_terms)
             continue
         label: Label = ("pi", m) if group == "su11" else ("V", m)
-        rep = _label_rep(label, group)
-        sections = matrix_coefficients(rep)
+        # every basis vector of the block has weight m, so entry e of the
+        # section for mask is entry e of the mask's generator product
+        products = _generator_products(_label_rep(label, group))
         entries = _entry_list(group)
-        system = Matrix([
-            [sections[e].coefficient(m, mask) for e in entries]
-            for mask in masks
-        ])
+        system = Matrix([[p[e] for e in entries] for p in products])
         rhs = tuple(f.coefficient(m, mask) for mask in masks)
         try:
             sol = system.solve(rhs)
@@ -399,7 +414,7 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
     cache: Dict[Label, Dict[Tuple[int, int], Section]] = {}
     for (label, entry), c in coefficients.items():
         if label not in cache:
-            cache[label] = matrix_coefficients(_label_rep(label, group))
+            cache[label] = _coefficient_sections(_label_rep(label, group))
         if entry not in cache[label]:
             raise ValueError("entry %r outside representation %r" % (entry, label))
         try:

@@ -5,6 +5,14 @@ quadratic extension of them by a formal square root of -i*m.  The extension
 parameter m is an integer weight; values carrying different parameters never
 take part in the same arithmetic (that is an error, not a coercion).
 :meth:`to_complex` is the one numeric view of a scalar.
+
+``ExtendedScalar(...)`` and ``ExtendedScalar.make`` check their input.
+Arithmetic results are built by the private constructors :func:`_gr` and
+:func:`_ext`, which skip those checks: ``_gr`` takes ints with d > 0, and
+``_ext`` takes two GaussianRationals and a parameter m that an operand
+already carries (or its negation), so m is a nonzero integer for which -i*m
+has no root in Q(i).  ``_ext`` returns the plain GaussianRational when the
+s-part is 0.
 """
 
 from __future__ import annotations
@@ -273,22 +281,23 @@ class ExtendedScalar:
         Under the principal branch the conjugate of sqrt(-i*m) is exactly
         sqrt(+i*m) = sqrt(-i*(-m)), so the result lives at parameter -m.
         """
-        return ExtendedScalar.make(self.c0.conjugate(), self.c1.conjugate(), -self.m)
+        return _ext(self.c0.conjugate(), self.c1.conjugate(), -self.m)
 
     def inverse(self):
         # (c0 + c1 s)(c0 - c1 s) = c0^2 + i*m*c1^2, which is Gaussian rational.
         # It vanishes only at zero, since -i*m is not a square in Q(i).
-        den = self.c0 * self.c0 + GaussianRational(0, self.m) * self.c1 * self.c1
+        c0, c1, m = self.c0, self.c1, self.m
+        den = c0 * c0 + _gr(0, m, 1) * c1 * c1
         if den.is_zero():
             raise ZeroDivisionError("division by zero in Q(i)[s]")
-        return ExtendedScalar.make(self.c0 / den, -(self.c1 / den), self.m)
+        return _ext(c0 / den, -(c1 / den), m)
 
     def __add__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        return ExtendedScalar.make(self.c0 + b0, self.c1 + b1, self.m)
+        return _ext(self.c0 + b0, self.c1 + b1, self.m)
 
     __radd__ = __add__
 
@@ -297,26 +306,25 @@ class ExtendedScalar:
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        return ExtendedScalar.make(self.c0 - b0, self.c1 - b1, self.m)
+        return _ext(self.c0 - b0, self.c1 - b1, self.m)
 
     def __rsub__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        return ExtendedScalar.make(b0 - self.c0, b1 - self.c1, self.m)
+        return _ext(b0 - self.c0, b1 - self.c1, self.m)
 
     def __mul__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        s_squared = GaussianRational(0, -self.m)
-        return ExtendedScalar.make(
-            self.c0 * b0 + self.c1 * b1 * s_squared,
-            self.c0 * b1 + self.c1 * b0,
-            self.m,
-        )
+        c0, c1, m = self.c0, self.c1, self.m
+        if b1.is_zero():
+            return _ext(c0 * b0, c1 * b0, m)
+        # s*s = -i*m
+        return _ext(c0 * b0 + c1 * b1 * _gr(0, -m, 1), c0 * b1 + c1 * b0, m)
 
     __rmul__ = __mul__
 
@@ -325,17 +333,17 @@ class ExtendedScalar:
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        return self * ExtendedScalar.make(b0, b1, self.m).inverse()
+        return self * _ext(b0, b1, self.m).inverse()
 
     def __rtruediv__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         b0, b1 = parts
-        return ExtendedScalar.make(b0, b1, self.m) * self.inverse()
+        return _ext(b0, b1, self.m) * self.inverse()
 
     def __neg__(self):
-        return ExtendedScalar(-self.c0, -self.c1, self.m)
+        return _ext(-self.c0, -self.c1, self.m)
 
     def __pos__(self):
         return self
@@ -365,6 +373,23 @@ class ExtendedScalar:
 
 
 Scalar = Union[GaussianRational, ExtendedScalar]
+
+_set = object.__setattr__
+
+
+def _ext(c0: GaussianRational, c1: GaussianRational, m: int) -> Scalar:
+    """c0 + c1*s for an arithmetic result, demoted to c0 when c1 = 0.
+
+    c0 and c1 are GaussianRationals and m (or -m) is the parameter of an
+    existing ExtendedScalar, so the checks of ``__init__`` would only repeat.
+    """
+    if c1.is_zero():
+        return c0
+    x = _new(ExtendedScalar)
+    _set(x, "c0", c0)
+    _set(x, "c1", c1)
+    _set(x, "m", m)
+    return x
 
 
 def _exact_root_neg_im(m: int) -> Optional[GaussianRational]:
