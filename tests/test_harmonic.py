@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from supercircle import liealg
 from supercircle.harmonic import (
     Section,
     expand,
@@ -9,6 +11,7 @@ from supercircle.harmonic import (
     reconstruct,
     section_from_json,
 )
+from supercircle.linalg import Matrix
 from supercircle.reps import make_V_m, make_adjoint_su11, make_pi_m, make_trivial
 from supercircle.scalars import (
     ExtendedScalar,
@@ -278,3 +281,66 @@ def test_reconstruct_rejects_unknown_labels():
     with pytest.raises(ValueError):
         reconstruct({(("pi", 2), (0, 5)): GR(1)}, "su11")
     assert reconstruct({}, "s11").is_zero()
+
+
+# --- differential test against the public coefficient sections --------------
+
+def _reference_expand(f, m, sections, label, entries):
+    """The weight-m coefficients of f, from the system that the public
+    matrix_coefficients gives, solved by Matrix.solve."""
+    masks = range(len(entries))  # one row per odd mask; the system is square
+    system = Matrix([[sections[e].coefficient(m, mask) for e in entries]
+                     for mask in masks])
+    sol = system.solve([f.coefficient(m, mask) for mask in masks])
+    return {(label, e): x for e, x in zip(entries, sol) if not x.is_zero()}
+
+
+def test_expand_matches_public_coefficient_systems():
+    # every mask's coefficient is 0, a Gaussian rational, a value over the
+    # weight's own root, or a value over Q(i)[s] at m=7 or m=-5; m=2 and
+    # m=8 have Gaussian roots, so their systems lie in Q(i)
+    cases = mismatches = 0
+    for group, rep_of, label_kind, entries in (
+        ("s11", make_V_m, "V", [(0, 0), (0, 1)]),
+        ("su11", lambda m: make_pi_m(m, "+"), "pi", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    ):
+        for m in (1, 2, -3, 8):
+            sections = matrix_coefficients(rep_of(m))
+            label = (label_kind, m)
+            values = [GR(0), GR(2, -1), GR(1, 3) + GR(-2) * sqrt_neg_im(m),
+                      ExtendedScalar(GR(0, 1), 3, 7), ExtendedScalar(-1, GR(1, 1), -5)]
+            for choice in itertools.product(values, repeat=len(entries)):
+                f = Section(group, {(m, mask): c for mask, c in enumerate(choice)})
+                try:
+                    want = _reference_expand(f, m, sections, label, entries)
+                except ExtensionMismatchError:
+                    with pytest.raises(ExtensionMismatchError):
+                        expand(f)
+                    mismatches += 1
+                else:
+                    res = expand(f)
+                    assert res.coefficients == want
+                    assert reconstruct(res.coefficients, group) + res.residual == f
+                cases += 1
+    assert cases == 4 * (5 ** 2 + 5 ** 4)
+    assert 0 < mismatches < cases
+
+
+def test_expand_and_reconstruct_do_not_revalidate(monkeypatch):
+    calls = []
+    original = liealg.validate_representation
+
+    def counting(rep):
+        calls.append(rep)
+        return original(rep)
+
+    monkeypatch.setattr(liealg, "validate_representation", counting)
+    for group in ("s11", "su11"):
+        f = Section(group, {(m, mask): GR(m, 1) for m in (-7, 0, 2, 5)
+                            for mask in range(2)})
+        res = expand(f)
+        assert reconstruct(res.coefficients, group) + res.residual == f
+    assert calls == []
+    # the public entry point still validates what it is given
+    matrix_coefficients(make_pi_m(3, "-"))
+    assert len(calls) == 1

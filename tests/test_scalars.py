@@ -360,3 +360,69 @@ def test_gaussian_components_are_read_only():
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
     assert x == GR(Fraction(1, 2), 3)
+
+
+# --- Q(i)[s] arithmetic against a pair reference -----------------------------
+
+def _pair_mul(x, y, m):
+    (a0, a1), (b0, b1) = x, y
+    # s*s = -i*m
+    return a0 * b0 + a1 * b1 * GR(0, -m), a0 * b1 + a1 * b0
+
+
+def _check_pair(x, ref, m):
+    """x is an arithmetic result, ref its (c0, c1) pair over Q(i)[s] at m."""
+    c0, c1 = ref
+    if c1.is_zero():
+        assert type(x) is GaussianRational and x == c0
+    else:
+        assert type(x) is ExtendedScalar
+        assert (x.c0, x.c1, x.m) == (c0, c1, m)
+
+
+def small_gaussians():
+    # small integer parts, so that s-parts cancel often
+    parts = st.integers(-2, 2)
+    return st.one_of(st.builds(GR, parts, parts), gaussians())
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 3, -3, 5, -6, 7]),
+       small_gaussians(), small_gaussians(), small_gaussians(),
+       small_gaussians(), small_gaussians())
+def test_extended_matches_pair_reference(m, a0, a1, b0, b1, g):
+    x, y = ExtendedScalar(a0, a1, m), ExtendedScalar(b0, b1, m)
+    rx, ry, rg = (a0, a1), (b0, b1), (g, GR(0))
+    for u, v, ru, rv in ((x, y, rx, ry), (x, g, rx, rg), (g, x, rg, rx)):
+        _check_pair(u + v, (ru[0] + rv[0], ru[1] + rv[1]), m)
+        _check_pair(u - v, (ru[0] - rv[0], ru[1] - rv[1]), m)
+        _check_pair(u * v, _pair_mul(ru, rv, m), m)
+    _check_pair(-x, (-a0, -a1), m)
+    den = a0 * a0 + GR(0, m) * a1 * a1
+    if den.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        _check_pair(x.inverse(), (a0 / den, -a1 / den), m)
+
+
+def test_extended_times_gaussian_costs_two_gaussian_products(monkeypatch):
+    x, g = sqrt_neg_im(3) + GR(1, 2), GR(2, -1)
+    counts = {"mul": 0, "init": 0}
+
+    def counting(key, fn):
+        # g * x first tries GaussianRational.__mul__, which declines
+        def wrapper(*args):
+            out = fn(*args)
+            counts[key] += out is not NotImplemented
+            return out
+        return wrapper
+
+    monkeypatch.setattr(GR, "__mul__", counting("mul", GR.__mul__))
+    monkeypatch.setattr(GR, "__rmul__", counting("mul", GR.__rmul__))
+    monkeypatch.setattr(GR, "__init__", counting("init", GR.__init__))
+    for multiply in (lambda: x * g, lambda: g * x):
+        counts.update(mul=0, init=0)
+        product = multiply()
+        assert counts == {"mul": 2, "init": 0}
+        assert product == ExtendedScalar(GR(4, 3), GR(2, -1), 3)
