@@ -5,10 +5,20 @@ Laurent monomial in declared invertible even generators (the group charts need
 coordinates such as t, t^-1).  The star operation conjugates coefficients and
 replaces every generator by a declared image; it extends multiplicatively, so
 it is an algebra automorphism, not an antiautomorphism.
+
+Every product runs through one private kernel, :func:`_mul_into`, which adds
+each product of a left term and a right term into a term dict the caller
+owns; element products, supermatrix entries, ``invert`` and ``star`` all
+accumulate into such dicts and drop zero sums once, at the end.  Their
+results are wrapped by the private ``GrassmannElement._of``, which neither
+copies nor checks: its dict must hold only nonzero coefficients and must not
+be shared with anything that may change it.  The public constructor copies
+its dict and drops zero coefficients.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -20,6 +30,9 @@ from .scalars import (
 )
 
 Monomial = Tuple[Tuple[int, ...], int]  # (even exponents, odd bitmask)
+
+_new = object.__new__
+_set = object.__setattr__
 
 EVEN = "even"
 ODD = "odd"
@@ -129,20 +142,20 @@ class GeneratorSet:
         return (0,) * len(self.even)
 
     def zero(self) -> "GrassmannElement":
-        return GrassmannElement(self, {})
+        return GrassmannElement._of(self, {})
 
     def scalar(self, c) -> "GrassmannElement":
         c = as_scalar(c)
         if c.is_zero():
             return self.zero()
-        return GrassmannElement(self, {(self._unit_exps(), 0): c})
+        return GrassmannElement._of(self, {(self._unit_exps(), 0): c})
 
     def one(self) -> "GrassmannElement":
         return self.scalar(1)
 
     def odd_gen(self, name: str) -> "GrassmannElement":
         idx = self.odd.index(name)
-        return GrassmannElement(
+        return GrassmannElement._of(
             self, {(self._unit_exps(), 1 << idx): GaussianRational(1, 0)}
         )
 
@@ -150,7 +163,7 @@ class GeneratorSet:
         idx = self.even.index(name)
         exps = [0] * len(self.even)
         exps[idx] = power
-        return GrassmannElement(self, {(tuple(exps), 0): GaussianRational(1, 0)})
+        return GrassmannElement._of(self, {(tuple(exps), 0): GaussianRational(1, 0)})
 
     def element(self, terms: Mapping[Monomial, object]) -> "GrassmannElement":
         out: Dict[Monomial, Scalar] = {}
@@ -159,7 +172,7 @@ class GeneratorSet:
             if not c.is_zero():
                 exps, mask = key
                 out[(tuple(exps), mask)] = c
-        return GrassmannElement(self, out)
+        return GrassmannElement._of(self, out)
 
 
 def _merge_sign(left_mask: int, right_mask: int) -> int:
@@ -175,14 +188,84 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return sign
 
 
+# _merge_sign by (left mask, right mask).  It is a pure function of the two
+# masks, so one memo serves every generator set; it stops growing once it
+# holds every pair of masks over six generators.
+_SIGNS: Dict[Tuple[int, int], int] = {}
+_SIGNS_MAX = 1 << 12
+
+
+def _mul_into(out: Dict[Monomial, Scalar], left: Mapping[Monomial, Scalar],
+              right: Mapping[Monomial, Scalar]) -> None:
+    """Add every product of a left term and a right term into out.
+
+    The sums may reach zero; callers drop zeros once with :func:`_nonzero`.
+    """
+    signs = _SIGNS
+    for (e1, m1), c1 in left.items():
+        for (e2, m2), c2 in right.items():
+            if m1 & m2:
+                continue
+            odd = signs.get((m1, m2))
+            if odd is None:
+                odd = _merge_sign(m1, m2)
+                if len(signs) < _SIGNS_MAX:
+                    signs[(m1, m2)] = odd
+            # without even generators every exponent tuple is ()
+            key = (tuple(map(add, e1, e2)) if e1 else e1, m1 | m2)
+            c = c1 * c2
+            acc = out.get(key)
+            if acc is None:
+                out[key] = -c if odd else c
+            else:
+                out[key] = acc - c if odd else acc + c
+
+
+def _add_into(out: Dict[Monomial, Scalar], terms: Mapping[Monomial, Scalar],
+              negate: bool = False) -> None:
+    """Add (or, with negate, subtract) terms into out; zeros stay."""
+    for key, c in terms.items():
+        acc = out.get(key)
+        if acc is None:
+            out[key] = -c if negate else c
+        else:
+            out[key] = acc - c if negate else acc + c
+
+
+def _nonzero(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
+    """Drop the zero coefficients of terms in place and return it."""
+    for key in [key for key, c in terms.items() if c.is_zero()]:
+        del terms[key]
+    return terms
+
+
+def _product(left: Mapping[Monomial, Scalar],
+             right: Mapping[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
+    """The nonzero terms of left times right, in a new dict."""
+    out: Dict[Monomial, Scalar] = {}
+    _mul_into(out, left, right)
+    return _nonzero(out)
+
+
 class GrassmannElement:
     """A finitely supported map from monomials to nonzero scalars."""
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: GeneratorSet, terms: Dict[Monomial, Scalar]):
+    def __init__(self, gens: GeneratorSet, terms: Mapping[Monomial, Scalar]):
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(
+            self, "terms", {k: c for k, c in terms.items() if not c.is_zero()}
+        )
+
+    @classmethod
+    def _of(cls, gens: GeneratorSet, terms: Dict[Monomial, Scalar]) -> "GrassmannElement":
+        """Wrap terms without copying; every coefficient is nonzero and the
+        dict is owned by the new element."""
+        x = _new(cls)
+        _set(x, "gens", gens)
+        _set(x, "terms", terms)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
@@ -200,7 +283,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         unit = (self.gens._unit_exps(), 0)
-        return GrassmannElement(
+        return GrassmannElement._of(
             self.gens, {k: v for k, v in self.terms.items() if k != unit}
         )
 
@@ -224,14 +307,8 @@ class GrassmannElement:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return GrassmannElement(self.gens, out)
+        _add_into(out, other.terms)
+        return GrassmannElement._of(self.gens, _nonzero(out))
 
     __radd__ = __add__
 
@@ -239,16 +316,18 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        _add_into(out, other.terms, negate=True)
+        return GrassmannElement._of(self.gens, _nonzero(out))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self):
-        return GrassmannElement(self.gens, {k: -c for k, c in self.terms.items()})
+        return GrassmannElement._of(self.gens, {k: -c for k, c in self.terms.items()})
 
     def _coerce(self, other) -> Optional["GrassmannElement"]:
         if isinstance(other, GrassmannElement):
@@ -263,22 +342,7 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: Dict[Monomial, Scalar] = {}
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if _merge_sign(m1, m2):
-                    c = -c
-                key = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)
-                acc = out.get(key)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return GrassmannElement(self.gens, out)
+        return GrassmannElement._of(self.gens, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         # Scalars commute with everything; elements handle themselves in __mul__.
@@ -317,23 +381,19 @@ class GrassmannElement:
             # inverse; the pure-Grassmann case lands here when the body is 0.
             raise ValueError("not invertible")
         ((exps, _mask), coef), = unit_terms.items()
-        u_inv = GrassmannElement(
-            self.gens,
-            {(tuple(-e for e in exps), 0): coef.inverse()},
-        )
-        v = u_inv * GrassmannElement(
-            self.gens, {k: c for k, c in self.terms.items() if k[1] != 0}
-        )
-        # (1 + v)^-1 = 1 - v + v^2 - ...; v is nilpotent of index at most
-        # the number of odd generators plus one.
-        result = self.gens.one()
-        power = self.gens.one()
+        u_inv = {(tuple(-e for e in exps), 0): coef.inverse()}
+        v = _product(u_inv, {k: c for k, c in self.terms.items() if k[1] != 0})
+        # x^-1 = u^-1 (1 - v + v^2 - ...) with power_k = u^-1 v^k, since the
+        # unit u^-1 is central; v is nilpotent of index at most the number of
+        # odd generators plus one.
+        result = dict(u_inv)
+        power = u_inv
         for k in range(1, len(self.gens.odd) + 1):
-            power = power * v
-            if power.is_zero():
+            power = _product(power, v)
+            if not power:
                 break
-            result = result + (-power if k % 2 else power)
-        return result * u_inv
+            _add_into(result, power, negate=k % 2 == 1)
+        return GrassmannElement._of(self.gens, _nonzero(result))
 
     def star(self) -> "GrassmannElement":
         """Antilinear algebra automorphism.
@@ -343,20 +403,20 @@ class GrassmannElement:
         generator order of the monomial.
         """
         gens = self.gens
-        out = gens.zero()
+        out: Dict[Monomial, Scalar] = {}
         for (exps, mask), c in self.terms.items():
-            term = gens.scalar(c.conjugate())
-            for idx, e in enumerate(exps):
-                if e:
-                    term = term * gens._even_star_image(idx) ** e
+            term = {(gens._unit_exps(), 0): c.conjugate()}
+            factors = [gens._even_star_image(idx) ** e
+                       for idx, e in enumerate(exps) if e]
             m = mask
             while m:
                 low = m & -m
-                idx = low.bit_length() - 1
-                term = term * gens._odd_star_image(idx)
+                factors.append(gens._odd_star_image(low.bit_length() - 1))
                 m ^= low
-            out = out + term
-        return out
+            for factor in factors:
+                term = _product(term, factor.terms)
+            _add_into(out, term)
+        return GrassmannElement._of(gens, _nonzero(out))
 
     def __eq__(self, other):
         if isinstance(other, GrassmannElement):
@@ -473,4 +533,4 @@ def all_monomials(gens: GeneratorSet) -> Iterable[GrassmannElement]:
     """Every odd-generator monomial (without Laurent part), ascending mask."""
     unit = gens._unit_exps()
     for mask in range(1 << len(gens.odd)):
-        yield GrassmannElement(gens, {(unit, mask): GaussianRational(1, 0)})
+        yield GrassmannElement._of(gens, {(unit, mask): GaussianRational(1, 0)})

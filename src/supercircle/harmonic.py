@@ -110,7 +110,7 @@ class Section:
         return sorted({m for m, _ in self.terms})
 
     def _as_grassmann(self) -> GrassmannElement:
-        return GrassmannElement(
+        return GrassmannElement._of(
             _RINGS[self.group],
             {((m,), mask): c for (m, mask), c in self.terms.items()},
         )

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, element_from_json
+from .grassmann import (
+    EVEN,
+    ODD,
+    GeneratorSet,
+    GrassmannElement,
+    _mul_into,
+    _nonzero,
+    element_from_json,
+)
 from .scalars import as_scalar
 
 
@@ -18,19 +26,20 @@ class SuperMatrix:
     __slots__ = ("pdim", "qdim", "rows")
 
     def __init__(self, pdim: int, qdim: int, entries: Sequence[Sequence[GrassmannElement]]):
+        for d in (pdim, qdim):
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise TypeError("block dimensions must be integers")
         if pdim < 0 or qdim < 0 or pdim + qdim == 0:
             raise ValueError("need nonnegative block dimensions, not both zero")
         n = pdim + qdim
         rows = tuple(tuple(r) for r in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} entry grid")
+        if any(not isinstance(x, GrassmannElement) for r in rows for x in r):
+            raise TypeError("entries must be GrassmannElements")
         gens = rows[0][0].gens
-        for r in rows:
-            for x in r:
-                if not isinstance(x, GrassmannElement):
-                    raise TypeError("entries must be GrassmannElements")
-                if x.gens != gens:
-                    raise ValueError("entries must share one generator set")
+        if any(x.gens != gens for r in rows for x in r):
+            raise ValueError("entries must share one generator set")
         object.__setattr__(self, "pdim", pdim)
         object.__setattr__(self, "qdim", qdim)
         object.__setattr__(self, "rows", rows)
@@ -95,18 +104,18 @@ class SuperMatrix:
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
             self._check_same_shape(other)
-            n = self.dim
-            z = self.gens.zero()
+            gens = self.gens
+            cols = list(zip(*other.rows))
             out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = z
-                    for k in range(n):
+            for row in self.rows:
+                out_row = []
+                for col in cols:
+                    acc = {}
+                    for a, b in zip(row, col):
                         # Entry order is preserved; Grassmann products care.
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
+                        _mul_into(acc, a.terms, b.terms)
+                    out_row.append(GrassmannElement._of(gens, _nonzero(acc)))
+                out.append(out_row)
             return SuperMatrix(self.pdim, self.qdim, out)
         if isinstance(other, GrassmannElement):
             return SuperMatrix(

@@ -3,16 +3,21 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grassmann_reference as ref
 from supercircle.grassmann import (
     EVEN,
     INHOMOGENEOUS,
     ODD,
     GeneratorSet,
+    GrassmannElement,
     all_monomials,
     element_from_json,
 )
 from supercircle.scalars import GaussianRational
+from supercircle.supergroup import su11_chart_ring
 
 GR = GaussianRational
 
@@ -258,3 +263,148 @@ def test_body_and_soul(paired):
     assert x.body() == GR(2, 1)
     assert x.soul() == 5 * th * tb
     assert x.soul().body().is_zero()
+
+
+def test_constructor_drops_zero_coefficients():
+    g = GeneratorSet(["x0", "x1"])
+    zero = GR(0, 0)
+    z = GrassmannElement(g, {((), 0): zero})
+    assert z.is_zero()
+    assert z == g.zero()
+    w = GrassmannElement(g, {((), 0b11): GR(2, 0), ((), 0b01): zero})
+    assert (w + g.one()).parity() == EVEN
+    explicit_zero_body = GrassmannElement(g, {((), 0): zero, ((), 0b11): GR(1, 0)})
+    with pytest.raises(ValueError, match="not invertible"):
+        explicit_zero_body.invert()
+
+
+# --- differential tests against the naive reference ---------------------------
+
+
+def _lambda4():
+    return GeneratorSet(["a", "b", "c", "d"], pairing=[[0, 1], [2, 3]])
+
+
+def _chart():
+    # Laurent even generators a0, a1 whose star images are not monomials
+    return su11_chart_ring(copies=2)[0]
+
+
+RINGS = {"lambda4": _lambda4, "su11_chart": _chart}
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["gaussian", "ext"])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_arithmetic_matches_reference(ring, extended):
+    gens = RINGS[ring]()
+    rng = random.Random(f"{ring}/{extended}")
+    for _ in range(300):
+        xt = ref.random_terms(rng, gens, extended)
+        yt = ref.random_terms(rng, gens, extended)
+        x, y = gens.element(xt), gens.element(yt)
+        assert (x * y).terms == ref.mul(xt, yt)
+        assert (x + y).terms == ref.add(xt, yt)
+        assert (x - y).terms == ref.sub(xt, yt)
+        assert (x - x).terms == {}
+        assert (-x).terms == ref.neg(xt)
+        assert x.star().terms == ref.star(gens, xt)
+        ut = ref.random_unit_terms(rng, gens, extended)
+        assert gens.element(ut).invert().terms == ref.invert(gens, ut)
+
+
+def test_cancelled_sums_leave_no_terms(four):
+    # (1 + ab)(1 - ab) = 1: both ab products cancel inside one product
+    ab = four.odd_gen("a") * four.odd_gen("b")
+    assert ((four.one() + ab) * (four.one() - ab)).terms == four.one().terms
+    # with coefficients +-1 many monomials of a product or inverse sum to zero
+    rng = random.Random(11)
+    even_masks = [m for m in range(16) if bin(m).count("1") % 2 == 0]
+    cancelled = 0
+    for _ in range(200):
+        xt, yt = ({((), m): GR(rng.choice((-1, 1)), 0)
+                   for m in rng.sample(even_masks, 4)} for _ in range(2))
+        reached = {m1 | m2 for (_, m1) in xt for (_, m2) in yt if not m1 & m2}
+        product = ref.mul(xt, yt)
+        cancelled += len(reached) - len(product)
+        assert (four.element(xt) * four.element(yt)).terms == product
+        ut = {((), 0): GR(2, 0), **{k: c for k, c in xt.items() if k[1]}}
+        assert four.element(ut).invert().terms == ref.invert(four, ut)
+    assert cancelled > 50
+    # su11 chart: star(a) = a^-1 (1 - i b bbar) and star(a b bbar) = -a^-1 b bbar,
+    # so the b bbar parts of star(a + i a b bbar) cancel
+    gens, (point,) = su11_chart_ring()
+    a, b = point.a, point.beta
+    x = a + GR(0, 1) * a * b * b.star()
+    assert x.star().terms == {((-1,), 0): GR(1, 0)}
+
+
+def test_invert_makes_no_product_against_one(four, monkeypatch):
+    # x = 2 + 3ab + 5cd: v = u^-1 soul costs 2 Q(i) products, u^-1 v 2 more,
+    # u^-1 v^2 the 2 disjoint pairs (ab, cd) and (cd, ab), u^-1 v^3 none
+    calls = []
+    original = GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    a, b, c, d = (four.odd_gen(n) for n in "abcd")
+    x = four.scalar(2) + 3 * a * b + 5 * c * d
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    inverse = x.invert()
+    monkeypatch.undo()
+    assert len(calls) == 6
+    assert all(p != 1 and q != 1 for p, q in calls)
+    assert inverse * x == four.one()
+
+
+# --- properties ----------------------------------------------------------------
+
+
+def _coefficients():
+    small = st.integers(-3, 3)
+    return st.builds(GR, small, small).filter(lambda c: not c.is_zero())
+
+
+def _elements(gens, parity=None):
+    masks = [m for m in range(1 << len(gens.odd))
+             if parity is None or bin(m).count("1") % 2 == parity]
+    exps = st.tuples(*[st.integers(-2, 2) for _ in gens.even])
+    terms = st.dictionaries(st.tuples(exps, st.sampled_from(masks)),
+                            _coefficients(), max_size=5)
+    return terms.map(gens.element)
+
+
+LAMBDA4 = _lambda4()
+CHART = _chart()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_is_associative_and_distributive(data):
+    gens = data.draw(st.sampled_from([LAMBDA4, CHART]))
+    x, y, z = (data.draw(_elements(gens)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) * z == x * z - y * z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_is_graded_commutative(data):
+    gens = data.draw(st.sampled_from([LAMBDA4, CHART]))
+    px, py = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    x, y = data.draw(_elements(gens, px)), data.draw(_elements(gens, py))
+    assert x * y == (-1 if px and py else 1) * (y * x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_invert_is_a_two_sided_inverse(data):
+    gens = data.draw(st.sampled_from([LAMBDA4, CHART]))
+    nilpotent = data.draw(_elements(gens, 0)).terms
+    exps = data.draw(st.tuples(*[st.integers(-2, 2) for _ in gens.even]))
+    x = gens.element({(exps, 0): data.draw(_coefficients()),
+                      **{k: c for k, c in nilpotent.items() if k[1]}})
+    assert x * x.invert() == gens.one()
+    assert x.invert() * x == gens.one()

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supercircle.grassmann import GeneratorSet
+import grassmann_reference as ref
+from supercircle.grassmann import GeneratorSet, GrassmannElement
 from supercircle.linalg import Matrix
 from supercircle.scalars import GaussianRational
+from supercircle.supergroup import su11_chart_ring
 from supercircle.supermatrix import (
     SuperMatrix,
     berezinian,
@@ -217,3 +221,113 @@ def test_entry_grid_validation(four):
         SuperMatrix(1, 1, [[one, one]])
     with pytest.raises(TypeError):
         SuperMatrix(1, 1, [[one, 1], [1, one]])
+
+
+def test_constructor_checks_entry_types_and_integer_dimensions(four):
+    with pytest.raises(TypeError, match="GrassmannElements"):
+        SuperMatrix(1, 0, [[1]])
+    one = four.one()
+    with pytest.raises(TypeError, match="integers"):
+        SuperMatrix(True, False, [[one]])
+    with pytest.raises(TypeError, match="integers"):
+        SuperMatrix(1, 1.0, [[one, one], [one, one]])
+
+
+# --- differential tests against the naive reference ---------------------------
+
+
+def _random_grid(rng, gens, extended, pdim, qdim, unit_diagonal=False):
+    """Even supermatrix entries as term dicts; with unit_diagonal the
+    diagonal entries have one invertible unit term each."""
+    n = pdim + qdim
+    grid = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            odd = (i < pdim) != (j < pdim)
+            if unit_diagonal and i == j:
+                row.append(ref.random_unit_terms(rng, gens, extended))
+            else:
+                row.append(ref.random_terms(rng, gens, extended, parity=int(odd),
+                                            size=(0, 4)))
+        grid.append(row)
+    return grid
+
+
+def _matrix(gens, pdim, qdim, grid):
+    return SuperMatrix(pdim, qdim, [[gens.element(t) for t in row] for row in grid])
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["gaussian", "ext"])
+@pytest.mark.parametrize("ring", ["lambda4", "su11_chart"])
+def test_products_and_berezinian_match_reference(ring, extended):
+    if ring == "lambda4":
+        gens = GeneratorSet(["a", "b", "c", "d"], pairing=[[0, 1], [2, 3]])
+    else:
+        gens = su11_chart_ring(copies=2)[0]
+    rng = random.Random(f"{ring}/{extended}")
+    for _ in range(60):
+        for pdim, qdim in ((1, 1), (2, 1)):
+            at = _random_grid(rng, gens, extended, pdim, qdim)
+            bt = _random_grid(rng, gens, extended, pdim, qdim)
+            product = _matrix(gens, pdim, qdim, at) * _matrix(gens, pdim, qdim, bt)
+            assert [[x.terms for x in row] for row in product.rows] == ref.matmul(at, bt)
+        gt = _random_grid(rng, gens, extended, 1, 1, unit_diagonal=True)
+        assert berezinian(_matrix(gens, 1, 1, gt)).terms == ref.berezinian(gens, gt)
+
+
+def test_product_builds_one_element_per_entry(four, monkeypatch):
+    rng = random.Random(41)
+    a, b = _random_even_invertible(four, rng), _random_even_invertible(four, rng)
+    built = []
+    init, of = GrassmannElement.__init__, GrassmannElement._of.__func__
+
+    def counting_init(self, gens, terms):
+        built.append("init")
+        init(self, gens, terms)
+
+    def counting_of(cls, gens, terms):
+        built.append("of")
+        return of(cls, gens, terms)
+
+    monkeypatch.setattr(GrassmannElement, "__init__", counting_init)
+    monkeypatch.setattr(GrassmannElement, "_of", classmethod(counting_of))
+    product = a * b
+    monkeypatch.undo()
+    # one element for each of the four entries, each summing its two
+    # products into one term dict
+    assert built == ["of"] * 4
+    assert product == SuperMatrix(1, 1, [
+        [a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0], a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]],
+        [a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0], a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]],
+    ])
+
+
+# --- properties ----------------------------------------------------------------
+
+
+def _entries(gens, parity, unit):
+    """Entries over four odd generators with Gaussian coefficients; a unit
+    entry has a nonzero body and an even nilpotent part."""
+    small = st.integers(-3, 3)
+    coef = st.builds(GR, small, small).filter(lambda c: not c.is_zero())
+    masks = [m for m in range(1, 16) if bin(m).count("1") % 2 == parity]
+    terms = st.dictionaries(st.tuples(st.just(()), st.sampled_from(masks)), coef,
+                            max_size=4)
+    if unit:
+        terms = st.tuples(coef, terms).map(lambda p: {((), 0): p[0], **p[1]})
+    return terms.map(gens.element)
+
+
+FOUR = GeneratorSet(["t1", "t2", "t3", "t4"])
+EVEN_INVERTIBLE = st.builds(
+    lambda a, beta, gamma, d: SuperMatrix(1, 1, [[a, beta], [gamma, d]]),
+    _entries(FOUR, 0, True), _entries(FOUR, 1, False),
+    _entries(FOUR, 1, False), _entries(FOUR, 0, True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(EVEN_INVERTIBLE, EVEN_INVERTIBLE)
+def test_berezinian_is_multiplicative(a, b):
+    assert berezinian(a * b) == berezinian(a) * berezinian(b)
