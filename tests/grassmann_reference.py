@@ -6,7 +6,9 @@ its running sum reaches zero.  Nothing is shared with the library's product
 kernel, so tests can compare the library's term dicts with these.
 """
 
+from supercircle.grassmann import GeneratorSet
 from supercircle.scalars import ExtendedScalar, GaussianRational
+from supercircle.supergroup import su11_chart_ring
 
 GR = GaussianRational
 
@@ -121,6 +123,18 @@ def berezinian(gens, rows):
 
 
 # --- seeded random inputs -----------------------------------------------------
+
+
+def lambda4():
+    return GeneratorSet(["a", "b", "c", "d"], pairing=[[0, 1], [2, 3]])
+
+
+def su11_chart():
+    """Laurent even generators a0, a1 whose star images are not monomials."""
+    return su11_chart_ring(copies=2)[0]
+
+
+RINGS = {"lambda4": lambda4, "su11_chart": su11_chart}
 
 # -3i is not a square in Q(i), so m = 3 gives a genuine extension
 EXT_M = 3

@@ -281,22 +281,10 @@ def test_constructor_drops_zero_coefficients():
 # --- differential tests against the naive reference ---------------------------
 
 
-def _lambda4():
-    return GeneratorSet(["a", "b", "c", "d"], pairing=[[0, 1], [2, 3]])
-
-
-def _chart():
-    # Laurent even generators a0, a1 whose star images are not monomials
-    return su11_chart_ring(copies=2)[0]
-
-
-RINGS = {"lambda4": _lambda4, "su11_chart": _chart}
-
-
 @pytest.mark.parametrize("extended", [False, True], ids=["gaussian", "ext"])
-@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("ring", sorted(ref.RINGS))
 def test_arithmetic_matches_reference(ring, extended):
-    gens = RINGS[ring]()
+    gens = ref.RINGS[ring]()
     rng = random.Random(f"{ring}/{extended}")
     for _ in range(300):
         xt = ref.random_terms(rng, gens, extended)
@@ -375,8 +363,8 @@ def _elements(gens, parity=None):
     return terms.map(gens.element)
 
 
-LAMBDA4 = _lambda4()
-CHART = _chart()
+LAMBDA4 = ref.lambda4()
+CHART = ref.su11_chart()
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,6 @@ import grassmann_reference as ref
 from supercircle.grassmann import GeneratorSet, GrassmannElement
 from supercircle.linalg import Matrix
 from supercircle.scalars import GaussianRational
-from supercircle.supergroup import su11_chart_ring
 from supercircle.supermatrix import (
     SuperMatrix,
     berezinian,
@@ -259,12 +258,9 @@ def _matrix(gens, pdim, qdim, grid):
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["gaussian", "ext"])
-@pytest.mark.parametrize("ring", ["lambda4", "su11_chart"])
+@pytest.mark.parametrize("ring", sorted(ref.RINGS))
 def test_products_and_berezinian_match_reference(ring, extended):
-    if ring == "lambda4":
-        gens = GeneratorSet(["a", "b", "c", "d"], pairing=[[0, 1], [2, 3]])
-    else:
-        gens = su11_chart_ring(copies=2)[0]
+    gens = ref.RINGS[ring]()
     rng = random.Random(f"{ring}/{extended}")
     for _ in range(60):
         for pdim, qdim in ((1, 1), (2, 1)):
