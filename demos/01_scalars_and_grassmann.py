@@ -31,11 +31,12 @@ def main():
 
     print()
     print("== Grassmann elements ==")
-    gens = GeneratorSet(["xi", "xibar"], pairing=[[0, 1]], even=["q"])
+    base = GeneratorSet(["xi", "xibar"], pairing=[[0, 1]], even=["q"])
+    gens = base.with_star_images(  # q is real
+        [base.odd_gen("xibar"), base.odd_gen("xi")], [base.even_gen("q")])
     xi = gens.odd_gen("xi")
     xibar = gens.odd_gen("xibar")
     q = gens.even_gen("q")
-    gens.install_star_images([xibar, xi], [q])  # q is real
     u = q + xi * xibar
     print("u           =", u)
     print("xi * xi     =", xi * xi)

@@ -23,7 +23,6 @@ from .linalg import (
     Matrix,
     block_diagonal,
     from_columns,
-    hstack,
     matrix_from_json,
     matrix_to_json,
 )
@@ -46,7 +45,6 @@ from .reps import (
     conjugate,
     decompose_s11,
     decompose_su11,
-    decompose_weight_zero_s11,
     direct_sum,
     make_V_m,
     make_adjoint_su11,
@@ -71,7 +69,6 @@ from .supergroup import (
     sigma_su,
     sl11_generic_ring,
     su11_chart_ring,
-    triple_from_json,
 )
 from .harmonic import (
     ExpansionResult,
@@ -95,7 +92,6 @@ __all__ = [
     "Matrix",
     "block_diagonal",
     "from_columns",
-    "hstack",
     "matrix_from_json",
     "matrix_to_json",
     "SuperMatrix",
@@ -112,7 +108,6 @@ __all__ = [
     "conjugate",
     "decompose_s11",
     "decompose_su11",
-    "decompose_weight_zero_s11",
     "direct_sum",
     "make_V_m",
     "make_adjoint_su11",
@@ -135,7 +130,6 @@ __all__ = [
     "sigma_su",
     "sl11_generic_ring",
     "su11_chart_ring",
-    "triple_from_json",
     "ExpansionResult",
     "Section",
     "expand",

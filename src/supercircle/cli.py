@@ -189,7 +189,6 @@ def _check_representation_identities(config: RunConfig):
 
 
 def _check_intertwiners(config: RunConfig):
-    pairs = 0
     for m in range(1, config.weights + 1):
         for mm in (m, -m):
             plus = make_pi_m(mm, "+")
@@ -203,7 +202,6 @@ def _check_intertwiners(config: RunConfig):
                 return "fail", {"error": "self-intertwiner space has "
                                          "dimension %d" % selfdim,
                                 "weight": mm}
-            pairs += 1
     return "pass", {"weight_bound": config.weights,
                     "cross_dimension": 0, "self_dimension": 1,
                     "weights_checked": 2 * config.weights}

@@ -19,7 +19,7 @@ its dict and drops zero coefficients.
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
     GaussianRational,
@@ -45,7 +45,10 @@ class GeneratorSet:
 
     The pairing is an involution on odd indices marking conjugate pairs; fixed
     points are real generators.  Even generators have no default star; rings
-    that need one install explicit images via with_star_images.
+    that need one get a copy with explicit images from with_star_images.
+    Equality compares the names, the pairing and the star images; the hash
+    and :meth:`signature` read the names and the pairing only, since a set
+    decoded from JSON carries no star images.
     """
 
     __slots__ = ("odd", "even", "pairing", "_star_odd", "_star_even")
@@ -91,7 +94,8 @@ class GeneratorSet:
     def __eq__(self, other):
         if not isinstance(other, GeneratorSet):
             return NotImplemented
-        return self is other or self.signature() == other.signature()
+        return self is other or (self.signature() == other.signature()
+                                 and self._star_terms() == other._star_terms())
 
     def __hash__(self):
         return hash(self.signature())
@@ -104,15 +108,18 @@ class GeneratorSet:
             parts.append(f"pairing={list(self.pairing)}")
         return f"GeneratorSet({', '.join(parts)})"
 
-    def install_star_images(
+    def with_star_images(
         self,
         odd_images: Sequence["GrassmannElement"],
         even_images: Sequence["GrassmannElement"] = (),
-    ) -> None:
-        """Declare star images for every generator.
+    ) -> "GeneratorSet":
+        """A copy of this set whose star sends each generator to the given
+        image, an element of this set.
 
-        Used by the group chart rings, where star is determined by the
-        defining constraints rather than by a plain generator swap.
+        The copy carries the images' terms as its own elements, and compares
+        equal only to sets with the same names and the same images.  Used by
+        the group chart rings, where star is determined by the defining
+        constraints rather than by a plain generator swap.
         """
         if len(odd_images) != len(self.odd):
             raise ValueError("need one star image per odd generator")
@@ -121,8 +128,17 @@ class GeneratorSet:
         for img in tuple(odd_images) + tuple(even_images):
             if img.gens != self:
                 raise ValueError("star images must live in this algebra")
-        object.__setattr__(self, "_star_odd", tuple(odd_images))
-        object.__setattr__(self, "_star_even", tuple(even_images))
+        new = _new(GeneratorSet)
+        for name in ("odd", "even", "pairing"):
+            _set(new, name, getattr(self, name))
+        for name, images in (("_star_odd", odd_images), ("_star_even", even_images)):
+            _set(new, name, tuple(GrassmannElement._of(new, x.terms) for x in images))
+        return new
+
+    def _star_terms(self) -> Optional[tuple]:
+        if self._star_odd is None:
+            return None
+        return tuple(x.terms for x in self._star_odd + self._star_even)
 
     def _odd_star_image(self, index: int) -> "GrassmannElement":
         if self._star_odd is not None:
@@ -281,12 +297,6 @@ class GrassmannElement:
         """Coefficient of the empty monomial."""
         return self.terms.get((self.gens._unit_exps(), 0), GaussianRational(0, 0))
 
-    def soul(self) -> "GrassmannElement":
-        unit = (self.gens._unit_exps(), 0)
-        return GrassmannElement._of(
-            self.gens, {k: v for k, v in self.terms.items() if k != unit}
-        )
-
     def parity(self) -> str:
         if not self.terms:
             return EVEN
@@ -344,12 +354,8 @@ class GrassmannElement:
             return NotImplemented
         return GrassmannElement._of(self.gens, _product(self.terms, other.terms))
 
-    def __rmul__(self, other):
-        # Scalars commute with everything; elements handle themselves in __mul__.
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+    # a scalar factor is central; elements handle themselves in __mul__
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -404,10 +410,17 @@ class GrassmannElement:
         """
         gens = self.gens
         out: Dict[Monomial, Scalar] = {}
+        # star image powers by (even index, exponent), shared across terms
+        powers: Dict[Tuple[int, int], GrassmannElement] = {}
         for (exps, mask), c in self.terms.items():
             term = {(gens._unit_exps(), 0): c.conjugate()}
-            factors = [gens._even_star_image(idx) ** e
-                       for idx, e in enumerate(exps) if e]
+            factors = []
+            for idx, e in enumerate(exps):
+                if e:
+                    power = powers.get((idx, e))
+                    if power is None:
+                        power = powers[(idx, e)] = gens._even_star_image(idx) ** e
+                    factors.append(power)
             m = mask
             while m:
                 low = m & -m
@@ -528,9 +541,3 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
         terms[key] = coef if key not in terms else terms[key] + coef
     return gens.element(terms)
 
-
-def all_monomials(gens: GeneratorSet) -> Iterable[GrassmannElement]:
-    """Every odd-generator monomial (without Laurent part), ascending mask."""
-    unit = gens._unit_exps()
-    for mask in range(1 << len(gens.odd)):
-        yield GrassmannElement._of(gens, {(unit, mask): GaussianRational(1, 0)})

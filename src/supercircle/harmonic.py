@@ -148,12 +148,7 @@ class Section:
             return NotImplemented
         return Section(self.group, {k: x * c for k, x in self.terms.items()})
 
-    def __rmul__(self, other):
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return Section(self.group, {k: c * x for k, x in self.terms.items()})
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Section):

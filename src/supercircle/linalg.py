@@ -140,12 +140,7 @@ class Matrix:
             return NotImplemented
         return Matrix._of([[x * s for x in r] for r in self._rows])
 
-    def __rmul__(self, other):
-        try:
-            s = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return Matrix._of([[s * x for x in r] for r in self._rows])
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -256,15 +251,6 @@ class Matrix:
         if self.nrows != self.ncols:
             return False
         return self.rank() == self.nrows
-
-
-def hstack(blocks: Sequence[Matrix]) -> Matrix:
-    nrows = blocks[0].nrows
-    if any(b.nrows != nrows for b in blocks):
-        raise ValueError("row counts differ")
-    return Matrix._of(
-        [[x for b in blocks for x in b._rows[i]] for i in range(nrows)]
-    )
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -349,13 +349,6 @@ def _weight_zero_pairs(rep: Representation):
     return ad_pairs, pi_ad_pairs, triv_even, triv_odd
 
 
-def decompose_weight_zero_s11(rep: Representation) -> DecompositionReport:
-    """Split a weight-zero action into paired and trivial pieces."""
-    if any(m != 0 for m in rep.weights):
-        raise ValueError("nonzero weight present")
-    return decompose_s11(rep)
-
-
 def _nonzero_weight_blocks(rep: Representation):
     weights = sorted({m for m in rep.weights if m != 0})
     return [(m, [i for i in range(rep.dim) if rep.weights[i] == m])

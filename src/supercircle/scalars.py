@@ -357,6 +357,9 @@ class ExtendedScalar:
         return self.c1.is_zero() and self.c0 == g
 
     def __hash__(self):
+        # with c1 = 0 the value equals the Gaussian c0, so it hashes like it
+        if self.c1.is_zero():
+            return hash(self.c0)
         return hash((self.c0, self.c1, self.m))
 
     def to_complex(self) -> complex:

@@ -4,7 +4,7 @@ unitary point into a circle factor and two odd exponential factors.
 
 Every identity here is decided by normal-form comparison in an explicit
 coordinate ring.  The constrained rings eliminate the conjugate variables
-(star images are installed on the generators), so the group relations hold
+(the generator sets carry star images), so the group relations hold
 identically rather than modulo an ideal.
 """
 
@@ -117,10 +117,10 @@ def point_from_json(obj: object, gens: Optional[GeneratorSet] = None) -> GL11Poi
 def c11x_ring() -> Tuple[GeneratorSet, GrassmannElement, GrassmannElement]:
     """The unconstrained invertible 1|1 coordinates (w, eta) together with
     their formal conjugates; star swaps each generator with its partner."""
-    gens = GeneratorSet(["eta", "etabar"], pairing=[[0, 1]], even=["w", "wbar"])
-    gens.install_star_images(
-        [gens.odd_gen("etabar"), gens.odd_gen("eta")],
-        [gens.even_gen("wbar"), gens.even_gen("w")],
+    base = GeneratorSet(["eta", "etabar"], pairing=[[0, 1]], even=["w", "wbar"])
+    gens = base.with_star_images(
+        [base.odd_gen("etabar"), base.odd_gen("eta")],
+        [base.even_gen("wbar"), base.even_gen("w")],
     )
     return gens, gens.even_gen("w"), gens.odd_gen("eta")
 
@@ -128,27 +128,25 @@ def c11x_ring() -> Tuple[GeneratorSet, GrassmannElement, GrassmannElement]:
 def s11_chart_ring() -> Tuple[GeneratorSet, GrassmannElement, GrassmannElement]:
     """The reduced-circle chart: the fixed-point constraints are built into
     star, so star(w) = w^-1 and star(eta) = -i w^-2 eta identically."""
-    gens = GeneratorSet(["eta"], even=["w"])
-    w = gens.even_gen("w")
-    eta = gens.odd_gen("eta")
-    gens.install_star_images(
-        [-I * gens.even_gen("w", -2) * eta],
-        [gens.even_gen("w", -1)],
+    base = GeneratorSet(["eta"], even=["w"])
+    gens = base.with_star_images(
+        [-I * base.even_gen("w", -2) * base.odd_gen("eta")],
+        [base.even_gen("w", -1)],
     )
-    return gens, w, eta
+    return gens, gens.even_gen("w"), gens.odd_gen("eta")
 
 
 def sl11_generic_ring() -> Tuple[GeneratorSet, GL11Point]:
     """A generic point with unit berezinian: d is eliminated through
     d = a - a^-1*beta*gamma, which makes Ber = 1 an identity."""
-    gens = GeneratorSet(
+    base = GeneratorSet(
         ["beta", "betabar", "gamma", "gammabar"],
         pairing=[[0, 1], [2, 3]],
         even=["a", "abar"],
     )
-    gens.install_star_images(
-        [gens.odd_gen(n) for n in ("betabar", "beta", "gammabar", "gamma")],
-        [gens.even_gen("abar"), gens.even_gen("a")],
+    gens = base.with_star_images(
+        [base.odd_gen(n) for n in ("betabar", "beta", "gammabar", "gamma")],
+        [base.even_gen("abar"), base.even_gen("a")],
     )
     a = gens.even_gen("a")
     beta = gens.odd_gen("beta")
@@ -181,17 +179,17 @@ def su11_chart_ring(group: str = "su11", copies: int = 1,
         odd_names += ["b%d" % k, "b%dbar" % k]
         pairing.append([2 * k, 2 * k + 1])
     even_names = ["a%d" % k for k in range(copies)]
-    gens = GeneratorSet(odd_names, pairing=pairing, even=even_names)
+    base = GeneratorSet(odd_names, pairing=pairing, even=even_names)
 
     even_images = []
     for k in range(copies):
-        b = gens.odd_gen("b%d" % k)
-        bbar = gens.odd_gen("b%dbar" % k)
+        b = base.odd_gen("b%d" % k)
+        bbar = base.odd_gen("b%dbar" % k)
         # star(a) = a^-1 (1 + sign * i^2 ... ) written directly:
         # plus group: a^-1 (1 - i b bbar); minus group: a^-1 (1 + i b bbar)
-        even_images.append(gens.even_gen("a%d" % k, -1) * (gens.one() + sign * b * bbar))
-    gens.install_star_images(
-        [gens.odd_gen(odd_names[i ^ 1]) for i in range(2 * copies)],
+        even_images.append(base.even_gen("a%d" % k, -1) * (base.one() + sign * b * bbar))
+    gens = base.with_star_images(
+        [base.odd_gen(odd_names[i ^ 1]) for i in range(2 * copies)],
         even_images,
     )
 
@@ -313,19 +311,6 @@ class FactorizationTriple:
         }
 
 
-def triple_from_json(obj: object, gens: Optional[GeneratorSet] = None,
-                     ) -> FactorizationTriple:
-    if not isinstance(obj, dict):
-        raise ValueError("triple JSON must be an object")
-    parts = {}
-    for name in ("t", "theta", "eta"):
-        if name not in obj:
-            raise ValueError("triple JSON is missing entry %r" % name)
-        parts[name] = element_from_json(obj[name], gens)
-        gens = parts[name].gens
-    return FactorizationTriple(parts["t"], parts["theta"], parts["eta"])
-
-
 def factorize(p: GL11Point, group: str = "su11") -> FactorizationTriple:
     """Coordinates (t, theta, eta) with p = diag(t, star(t)^-1) *
     (1 + theta*U) * (1 + eta*S).
@@ -377,14 +362,15 @@ def factorization_triple_ring(group: str = "su11",
     """Generic (t, theta, eta) with the reality types the factorization
     produces: star(t) = t^-1 always; theta and eta are star-real for su11
     and star-imaginary for the isomer."""
-    gens = GeneratorSet(["theta", "eta"], even=["t"])
-    theta = gens.odd_gen("theta")
-    eta = gens.odd_gen("eta")
+    base = GeneratorSet(["theta", "eta"], even=["t"])
+    theta = base.odd_gen("theta")
+    eta = base.odd_gen("eta")
     if group == "su11":
         odd_images = [theta, eta]
     elif group == "su11_minus":
         odd_images = [-theta, -eta]
     else:
         raise ValueError("group must be su11 or su11_minus")
-    gens.install_star_images(odd_images, [gens.even_gen("t", -1)])
-    return gens, FactorizationTriple(gens.even_gen("t"), theta, eta)
+    gens = base.with_star_images(odd_images, [base.even_gen("t", -1)])
+    return gens, FactorizationTriple(
+        gens.even_gen("t"), gens.odd_gen("theta"), gens.odd_gen("eta"))

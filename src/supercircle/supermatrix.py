@@ -17,7 +17,6 @@ from .grassmann import (
     GrassmannElement,
     _mul_into,
     _nonzero,
-    element_from_json,
 )
 from .scalars import as_scalar
 
@@ -188,20 +187,6 @@ class SuperMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in r) for r in self.rows)
         return f"SuperMatrix({self.pdim}|{self.qdim}: [{body}])"
-
-
-def supermatrix_from_json(obj, gens: Optional[GeneratorSet] = None) -> SuperMatrix:
-    if not isinstance(obj, dict) or not {"pdim", "qdim", "entries"} <= set(obj):
-        raise ValueError("malformed SuperMatrix")
-    entries = []
-    for row in obj["entries"]:
-        out_row = []
-        for cell in row:
-            elem = element_from_json(cell, gens=gens)
-            gens = elem.gens
-            out_row.append(elem)
-        entries.append(out_row)
-    return SuperMatrix(obj["pdim"], obj["qdim"], entries)
 
 
 def supercommutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

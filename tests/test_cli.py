@@ -17,7 +17,6 @@ from supercircle.supergroup import (
     point_from_json,
     sl11_generic_ring,
     su11_chart_ring,
-    triple_from_json,
 )
 
 CHECK_NAMES = [
@@ -186,8 +185,10 @@ def test_point_factorize_round_trip(capsys, tmp_path):
     path = write(tmp_path, "pt.json", pts[0].to_json())
     code, out = run(capsys, "point", "factorize", path, "--group", "su11")
     assert code == 0
-    triple = triple_from_json(json.loads(out), gens)
-    assert defactorize(triple.t, triple.theta, triple.eta) == pts[0]
+    coords = json.loads(out)
+    t, theta, eta = (element_from_json(coords[name], gens)
+                     for name in ("t", "theta", "eta"))
+    assert defactorize(t, theta, eta) == pts[0]
 
 
 def test_point_factorize_rejects_non_member(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """Seeded fuzz test of the JSON decoders behind the CLI.
 
-Each case takes a valid document, replaces the value at one path (an object
-key, a list index, or the whole document) by a value of another type, and
-runs the command on it in-process.  Every top-level path is tried with every
-replacement, since tags and the overall shape are read there first; the
-remaining cases pick a deeper path at random.  Whatever the input, the CLI
-must return exit code 0, 1 or 2 with JSON on stdout; an exception escaping
-``main`` is a decoder bug.
+Each case takes a valid document, changes it at one path (an object key, a
+list index, or the whole document) and runs the command on it in-process.
+The change replaces the value by one of another type, deletes the key or
+list item, or, for a tag string (a group or algebra tag, or a generator
+name), replaces it by an unknown string.  Every top-level path is tried with
+every replacement and deleted once, since tags and the overall shape are read
+there first, and every tag string is replaced once; the remaining cases pick
+a deeper path at random.  Whatever the input, the CLI must return exit code
+0, 1 or 2 with JSON on stdout; an exception escaping ``main`` is a decoder
+bug.
 """
 
 import json
@@ -20,6 +23,9 @@ from supercircle.supergroup import c11x_ring, su11_chart_ring
 
 CASES = 300
 REPLACEMENTS = [None, 1.5, "x", [], {}, True, -1]
+DELETE = object()  # removes the key or list item instead of replacing it
+UNKNOWN = "no-such-name"
+NAME_LISTS = ("gens", "evens", "mono")
 
 
 def _documents():
@@ -46,7 +52,8 @@ def _documents():
 
 
 def _paths(obj, prefix=()):
-    yield prefix
+    """(path, value) for the document and everything inside it."""
+    yield prefix, obj
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, list):
@@ -57,6 +64,13 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _is_tag(path, value) -> bool:
+    """A group or algebra tag, or a generator name."""
+    return isinstance(value, str) and bool(path) and (
+        path[-1] in ("group", "algebra")
+        or len(path) > 1 and path[-2] in NAME_LISTS)
+
+
 def _replaced(obj, path, value):
     if not path:
         return value
@@ -64,25 +78,33 @@ def _replaced(obj, path, value):
     node = out
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return out
 
 
 def _cases(rng):
     """(document, command, path, replacement) tuples, CASES in all."""
     docs = _documents()
-    count = 0
+    fixed = []
     for doc, commands in docs:
-        for where in _paths(doc):
+        for where, value in _paths(doc):
             if len(where) <= 1:
-                for value in REPLACEMENTS:
-                    yield doc, rng.choice(commands), where, value
-                    count += 1
-    deep = [(doc, commands, [p for p in _paths(doc) if len(p) > 1])
+                fixed += [(doc, commands, where, v) for v in REPLACEMENTS]
+            if len(where) == 1:
+                fixed.append((doc, commands, where, DELETE))
+            if _is_tag(where, value):
+                fixed.append((doc, commands, where, UNKNOWN))
+    for doc, commands, where, value in fixed:
+        yield doc, rng.choice(commands), where, value
+    deep = [(doc, commands, [p for p, _ in _paths(doc) if len(p) > 1])
             for doc, commands in docs]
-    for case in range(CASES - count):
+    for case in range(CASES - len(fixed)):
         doc, commands, paths = deep[case % len(deep)]
-        yield doc, rng.choice(commands), rng.choice(paths), rng.choice(REPLACEMENTS)
+        yield (doc, rng.choice(commands), rng.choice(paths),
+               rng.choice(REPLACEMENTS + [DELETE]))
 
 
 def _run(capsys, argv):
@@ -96,7 +118,7 @@ def _run(capsys, argv):
 
 def test_mutated_documents_never_escape_main(capsys, tmp_path):
     path = tmp_path / "doc.json"
-    cases = 0
+    cases = deleted = renamed = 0
     for doc, command, where, value in _cases(random.Random(20151)):
         path.write_text(json.dumps(_replaced(doc, where, value)))
         argv = command[:2] + (str(path),) + command[2:]
@@ -107,4 +129,6 @@ def test_mutated_documents_never_escape_main(capsys, tmp_path):
         if code == 2:
             assert set(report) == {"error"}, (where, value, report)
         cases += 1
-    assert cases == CASES
+        deleted += value is DELETE
+        renamed += value is UNKNOWN
+    assert cases == CASES and deleted and renamed

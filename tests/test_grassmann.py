@@ -13,11 +13,16 @@ from supercircle.grassmann import (
     ODD,
     GeneratorSet,
     GrassmannElement,
-    all_monomials,
     element_from_json,
 )
-from supercircle.scalars import GaussianRational
-from supercircle.supergroup import su11_chart_ring
+from supercircle.scalars import GaussianRational, sqrt_neg_im
+from supercircle.supergroup import (
+    c11x_ring,
+    factorization_triple_ring,
+    s11_chart_ring,
+    sl11_generic_ring,
+    su11_chart_ring,
+)
 
 GR = GaussianRational
 
@@ -57,7 +62,7 @@ def test_mismatched_generator_sets_error(paired, four):
 
 
 def test_supercommutativity_exhaustive_four_generators(four):
-    monos = list(all_monomials(four))
+    monos = [four.element({((), mask): 1}) for mask in range(16)]
     for x, y in combinations(monos, 2):
         px, py = x.parity(), y.parity()
         sign = -1 if (px == ODD and py == ODD) else 1
@@ -181,19 +186,61 @@ def test_laurent_generators():
 
 
 def test_laurent_star_images():
-    g = GeneratorSet(["eta"], even=["w"])
-    w_inv = g.even_gen("w", -1)
+    base = GeneratorSet(["eta"], even=["w"])
     minus_i = GR(0, -1)
-    g.install_star_images(
-        odd_images=[minus_i * g.even_gen("w", -2) * g.odd_gen("eta")],
-        even_images=[w_inv],
+    g = base.with_star_images(
+        odd_images=[minus_i * base.even_gen("w", -2) * base.odd_gen("eta")],
+        even_images=[base.even_gen("w", -1)],
     )
+    w_inv = g.even_gen("w", -1)
     w = g.even_gen("w")
     eta = g.odd_gen("eta")
     assert w.star() == w_inv
     assert w.star().star() == w
     assert eta.star().star() == eta
     assert (w * eta).star() == w.star() * eta.star()
+    # the base set is left without images, and differs from the copy
+    assert g != base and g.signature() == base.signature()
+    with pytest.raises(ValueError, match="no star image"):
+        base.even_gen("w").star()
+    with pytest.raises(ValueError, match="one star image per odd"):
+        base.with_star_images([], [base.one()])
+    with pytest.raises(ValueError, match="live in this algebra"):
+        base.with_star_images([g.odd_gen("eta")], [g.one()])
+
+
+def test_star_images_are_part_of_identity():
+    # su11 and its isomer share generator names and differ only in star
+    plus, (p,) = su11_chart_ring("su11")
+    minus, (q,) = su11_chart_ring("su11_minus")
+    assert plus != minus
+    with pytest.raises(ValueError, match="mismatched generator sets"):
+        p.a * q.a
+    again, (p2,) = su11_chart_ring("su11")
+    assert again is not plus and again == plus and p2 == p
+    # JSON decoding matches rings by name, through the hash and signature
+    assert hash(plus) == hash(minus) and plus.signature() == minus.signature()
+
+
+def test_star_inverts_each_even_image_power_once(monkeypatch):
+    gens = ref.su11_chart()
+    exps = [(-1, 0), (-2, 0), (0, -1), (0, -2), (-1, -1),
+            (-1, -2), (-2, -1), (-2, -2), (1, 0), (0, 0)]
+    x = gens.element({(e, k % 4): GR(k + 1, 0) for k, e in enumerate(exps)})
+    negative = [(i, e) for e_s in exps for i, e in enumerate(e_s) if e < 0]
+    assert len(x.terms) == 10 and len(negative) == 12 and len(set(negative)) == 4
+    calls = []
+    original = GrassmannElement.invert
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GrassmannElement, "invert", counting)
+    star = x.star()
+    monkeypatch.undo()
+    assert len(calls) <= len(set(negative))
+    assert star.terms == ref.star(gens, x.terms)
 
 
 def test_element_json_round_trip(paired):
@@ -261,8 +308,9 @@ def test_body_and_soul(paired):
     tb = paired.odd_gen("thetabar")
     x = paired.scalar(GR(2, 1)) + th * tb * 5
     assert x.body() == GR(2, 1)
-    assert x.soul() == 5 * th * tb
-    assert x.soul().body().is_zero()
+    soul = x - x.body()
+    assert soul == 5 * th * tb
+    assert soul.body().is_zero()
 
 
 def test_constructor_drops_zero_coefficients():
@@ -384,6 +432,25 @@ def test_product_is_graded_commutative(data):
     px, py = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     x, y = data.draw(_elements(gens, px)), data.draw(_elements(gens, py))
     assert x * y == (-1 if px and py else 1) * (y * x)
+
+
+# every package ring whose generator set carries star images
+STAR_RINGS = [c11x_ring()[0], s11_chart_ring()[0], sl11_generic_ring()[0],
+              su11_chart_ring("su11")[0], su11_chart_ring("su11_minus")[0],
+              factorization_triple_ring("su11")[0],
+              factorization_triple_ring("su11_minus")[0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_star_is_an_antilinear_involutive_automorphism(data):
+    gens = data.draw(st.sampled_from(STAR_RINGS))
+    x, y = data.draw(_elements(gens)), data.draw(_elements(gens))
+    c = data.draw(st.one_of(_coefficients(),
+                            _coefficients().map(lambda c: c * sqrt_neg_im(3))))
+    assert (x * y).star() == x.star() * y.star()
+    assert (c * x).star() == c.conjugate() * x.star()
+    assert x.star().star() == x
 
 
 @settings(max_examples=100, deadline=None)

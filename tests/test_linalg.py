@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supercircle import linalg
-from supercircle.linalg import Matrix, block_diagonal, from_columns, hstack
+from supercircle.linalg import Matrix, block_diagonal, from_columns
 from supercircle.scalars import ExtendedScalar, GaussianRational
 
 GR = GaussianRational
@@ -71,7 +71,6 @@ def test_extended_scalar_entries():
 def test_helpers():
     a = Matrix([[GR(1)]])
     b = Matrix([[GR(2)]])
-    assert hstack([a, b]) == Matrix([[GR(1), GR(2)]])
     d = block_diagonal([a, b])
     assert d == Matrix([[GR(1), GR(0)], [GR(0), GR(2)]])
     c = from_columns([(GR(1), GR(2)), (GR(3), GR(4))])

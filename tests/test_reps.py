@@ -6,7 +6,6 @@ from supercircle.liealg import Representation
 from supercircle.reps import (
     decompose_s11,
     decompose_su11,
-    decompose_weight_zero_s11,
     direct_sum,
     make_adjoint_su11,
     make_pi_m,
@@ -69,10 +68,10 @@ def test_decompose_single_blocks():
 
 
 def test_decompose_weight_zero_examples():
-    report = decompose_weight_zero_s11(make_weight_zero_s11("W"))
+    report = decompose_s11(make_weight_zero_s11("W"))
     assert report.labels() == (("Ad",), ("trivial", 0, 0))
 
-    report = decompose_weight_zero_s11(make_trivial("s11", 2, 1))
+    report = decompose_s11(make_trivial("s11", 2, 1))
     assert report.labels() == (("trivial", 2, 1),)
 
 
@@ -84,16 +83,11 @@ def test_decompose_weight_zero_scrambled():
         make_trivial("s11", 1, 0),
     )
     rep = scramble(model, rng)
-    report = decompose_weight_zero_s11(rep)
+    report = decompose_s11(rep)
     assert report.labels() == (("Ad",), ("PiAd",), ("trivial", 1, 0))
     assert report.verify(rep)
     # dimension bookkeeping
     assert sum(block.dim for _, block in report.blocks) == rep.dim
-
-
-def test_decompose_weight_zero_preconditions():
-    with pytest.raises(ValueError, match="nonzero weight"):
-        decompose_weight_zero_s11(make_V_m(1))
 
 
 def test_decompose_s11_mixed():

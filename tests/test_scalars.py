@@ -173,6 +173,15 @@ def test_extension_mixing_is_an_error():
     assert (x + GR(1, 0)) - x == GR(1, 0)
 
 
+def test_extended_with_zero_s_part_hashes_like_its_gaussian_value():
+    # equal values must hash equal, or sets and dicts keep both as keys
+    x, g = ExtendedScalar(1, 0, 3), GR(1, 0)
+    assert x == g and hash(x) == hash(g) == hash(1)
+    assert len({x, g}) == 1
+    assert {x: "ext"}[g] == "ext"
+    assert len({sqrt_neg_im(3), GR(0, 0)}) == 2
+
+
 def test_extended_conjugate_lands_in_opposite_extension():
     s3 = sqrt_neg_im(3)
     c = s3.conjugate()
