@@ -2,8 +2,9 @@
 
 Each case runs ``cli.main`` in-process and compares its stdout and exit code
 with ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
-representation and section inputs are committed under ``tests/golden/inputs``
-so that the expected bytes do not depend on the scrambling code.
+representation, section and point inputs are committed under
+``tests/golden/inputs`` so that the expected bytes do not depend on the
+scrambling or chart code.
 
 After an intended change of output, rewrite the expected files with
 
@@ -37,6 +38,14 @@ CASES = {
     "pw_coeffs_m8_plus": ["pw", "coeffs", "--m", "8", "--sign", "+"],
     "pw_coeffs_adjoint": ["pw", "coeffs", "--adjoint"],
     "pw_expand_extension": ["pw", "expand", "section_m3_extension.json"],
+    **{"point_%s_%s" % (action, group): [
+        "point", action, "point_%s.json" % group.replace("-", "_"),
+        "--group", group]
+       for group in ("su11", "su11-minus") for action in ("check", "factorize")},
+    "point_involute_su11": ["point", "involute", "point_su11.json",
+                            "--group", "su11"],
+    "point_involute_s11": ["point", "involute", "circle_s11.json",
+                           "--group", "s11"],
 }
 
 
