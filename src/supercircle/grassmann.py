@@ -21,6 +21,7 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from ._values import Frozen
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -39,7 +40,7 @@ ODD = "odd"
 INHOMOGENEOUS = "inhomogeneous"
 
 
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """Ordered odd generator names, an optional conjugation pairing, and
     optional invertible even generators.
 
@@ -84,9 +85,6 @@ class GeneratorSet:
         object.__setattr__(self, "pairing", perm)
         object.__setattr__(self, "_star_odd", None)
         object.__setattr__(self, "_star_even", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorSet is immutable")
 
     def signature(self) -> tuple:
         return (self.odd, self.even, self.pairing)
@@ -263,7 +261,7 @@ def _product(left: Mapping[Monomial, Scalar],
     return _nonzero(out)
 
 
-class GrassmannElement:
+class GrassmannElement(Frozen):
     """A finitely supported map from monomials to nonzero scalars."""
 
     __slots__ = ("gens", "terms")
@@ -282,9 +280,6 @@ class GrassmannElement:
         _set(x, "gens", gens)
         _set(x, "terms", terms)
         return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
 
     def _check_compatible(self, other: "GrassmannElement") -> None:
         if self.gens != other.gens:

@@ -21,7 +21,8 @@ from functools import reduce
 from operator import mul
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .grassmann import GeneratorSet, GrassmannElement, _list_of
+from ._values import Frozen, Record
+from .grassmann import GeneratorSet, GrassmannElement, _add_into, _list_of
 from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
@@ -54,7 +55,7 @@ TermKey = Tuple[int, int]  # (weight, odd-coordinate bitmask)
 Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
 
 
-class Section:
+class Section(Record):
     """A finitely supported function on the group chart.
 
     ``terms`` maps (weight, mask) to a nonzero scalar, where the mask selects
@@ -78,9 +79,6 @@ class Section:
                 clean[(m, mask)] = c
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Section is immutable")
 
     @classmethod
     def zero(cls, group: str) -> "Section":
@@ -115,21 +113,20 @@ class Section:
             {((m,), mask): c for (m, mask), c in self.terms.items()},
         )
 
-    def __add__(self, other):
+    def _combine(self, other, negate: bool):
         if not isinstance(other, Section):
             return NotImplemented
         if other.group != self.group:
             raise ValueError("sections live on different groups")
         terms = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = terms.get(k)
-            terms[k] = c if acc is None else acc + c
+        _add_into(terms, other.terms, negate)
         return Section(self.group, terms)
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     def __sub__(self, other):
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __neg__(self):
         return Section(self.group, {k: -c for k, c in self.terms.items()})
@@ -149,13 +146,6 @@ class Section:
         return Section(self.group, {k: x * c for k, x in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self.group == other.group and self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self):
         parts = ["(%s)*%s" % (c, _monomial(self.group, m, mask))
@@ -203,10 +193,7 @@ def section_from_json(obj: object) -> Section:
             if mask & (1 << idx):
                 raise ValueError("repeated odd coordinate %r" % (name,))
             mask |= 1 << idx
-        c = scalar_from_json(entry.get("coef"))
-        key = (m, mask)
-        acc = terms.get(key)
-        terms[key] = c if acc is None else acc + c
+        _add_into(terms, {(m, mask): scalar_from_json(entry.get("coef"))})
     return Section(group, terms)
 
 
@@ -220,7 +207,14 @@ def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
     t^m * (delta + theta*U + eta*S + theta*eta*(U*S)) entrywise.
     """
     require_valid(rep)
-    return _coefficient_sections(rep)
+    products = _generator_products(rep)
+    return {
+        (i, j): Section(rep.algebra, {
+            (rep.weights[i], mask): p[i, j] for mask, p in enumerate(products)
+        })
+        for i in range(rep.dim)
+        for j in range(rep.dim)
+    }
 
 
 def _generator_products(rep: Representation) -> List[Matrix]:
@@ -235,18 +229,7 @@ def _generator_products(rep: Representation) -> List[Matrix]:
     return products
 
 
-def _coefficient_sections(rep: Representation) -> Dict[Tuple[int, int], Section]:
-    products = _generator_products(rep)
-    return {
-        (i, j): Section(rep.algebra, {
-            (rep.weights[i], mask): p[i, j] for mask, p in enumerate(products)
-        })
-        for i in range(rep.dim)
-        for j in range(rep.dim)
-    }
-
-
-class ExpansionResult:
+class ExpansionResult(Frozen):
     """Coefficients over (representation label, entry) plus an exact residual."""
 
     __slots__ = ("group", "coefficients", "residual")
@@ -257,9 +240,6 @@ class ExpansionResult:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coefficients", dict(coefficients))
         object.__setattr__(self, "residual", residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpansionResult is immutable")
 
     def to_json(self) -> dict:
         out = []
@@ -405,17 +385,22 @@ def _expand_weight_zero(f: Section, coefficients, residual_terms) -> None:
 def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                 group: str) -> Section:
     """The linear combination of matrix-coefficient sections; exact."""
-    total = Section.zero(group)
-    cache: Dict[Label, Dict[Tuple[int, int], Section]] = {}
+    terms: Dict[TermKey, Scalar] = {}
+    blocks = {}  # label -> (weights, generator products, entries)
     for (label, entry), c in coefficients.items():
-        if label not in cache:
-            cache[label] = _coefficient_sections(_label_rep(label, group))
-        if entry not in cache[label]:
+        if label not in blocks:
+            rep = _label_rep(label, group)
+            blocks[label] = (rep.weights, _generator_products(rep), {
+                (i, j) for i in range(rep.dim) for j in range(rep.dim)})
+        weights, products, entries = blocks[label]
+        if entry not in entries:
             raise ValueError("entry %r outside representation %r" % (entry, label))
-        try:
-            total = total + cache[label][entry] * c
+        m = weights[entry[0]]
+        try:  # the entry's section, as matrix_coefficients builds it, times c
+            _add_into(terms, {(m, mask): p[entry] * c
+                              for mask, p in enumerate(products)})
         except ExtensionMismatchError as exc:
             raise ExtensionMismatchError(
                 "the coefficient of entry %r of %r: %s" % (entry, label, exc)
             ) from None
-    return total
+    return Section(group, terms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._values import Frozen, Record
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
 from .scalars import ExtendedScalar, GaussianRational, Scalar
@@ -30,7 +31,7 @@ def _parity_tuple(parities: Sequence[int]) -> Tuple[int, ...]:
     return parities
 
 
-class LieSuperAlgebra:
+class LieSuperAlgebra(Frozen):
     """A finite-dimensional Lie superalgebra given by structure constants.
 
     ``brackets`` maps a pair of basis indices (i, j) to the coefficient
@@ -68,9 +69,6 @@ class LieSuperAlgebra:
         object.__setattr__(self, "defining", dict(defining) if defining else None)
         self._check_antisymmetry()
         self._check_jacobi()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieSuperAlgebra is immutable")
 
     @property
     def dim(self) -> int:
@@ -159,7 +157,7 @@ def builtin_algebra(tag: str) -> LieSuperAlgebra:
     raise ValueError("unknown algebra tag %r" % (tag,))
 
 
-class Representation:
+class Representation(Record):
     """A finite-dimensional representation of one of the built-in algebras.
 
     The central even generator acts as diag(i * weights[j]); only the odd
@@ -189,9 +187,6 @@ class Representation:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "odd", dict(odd))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.parities)
@@ -217,18 +212,6 @@ class Representation:
             [self.weights[i] for i in idx],
             odd,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.parities == other.parities
-            and self.weights == other.weights
-            and self.odd == other.odd
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return "Representation(%r, dim=%d|%d)" % (

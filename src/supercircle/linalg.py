@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from typing import List, Optional, Sequence, Tuple
 
+from ._values import Frozen
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -25,7 +26,7 @@ ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 
 
-class Matrix:
+class Matrix(Frozen):
     """An immutable matrix.
 
     Entries live in private row lists that no method hands out; ``rows``
@@ -48,9 +49,6 @@ class Matrix:
         m = object.__new__(cls)
         object.__setattr__(m, "_rows", rows)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

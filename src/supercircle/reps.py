@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
+from ._values import Frozen
 from .liealg import Representation, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
 from .scalars import GaussianRational, Scalar, sqrt_neg_im
@@ -218,7 +219,7 @@ def random_direct_sum(algebra: str, rng: random.Random, max_blocks: int = 8,
 Label = Tuple[object, ...]
 
 
-class DecompositionReport:
+class DecompositionReport(Frozen):
     """The blocks found in a representation plus the certifying basis.
 
     ``blocks`` is a tuple of (label, Representation) pairs in the column
@@ -235,9 +236,6 @@ class DecompositionReport:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "basis_change", basis_change)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecompositionReport is immutable")
 
     def labels(self) -> Tuple[Label, ...]:
         """The block labels in column order (for oracle comparison)."""

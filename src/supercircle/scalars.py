@@ -21,6 +21,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._values import Frozen
+
 RationalLike = Union[int, Fraction]
 
 
@@ -52,9 +54,9 @@ class GaussianRational:
     slots: ``_a``, ``_b`` and ``_d`` must never be assigned outside
     ``__init__`` and ``_gr``.  Assigning one would silently change a value
     that may be shared (ZERO, ONE, I) or already used as a dict key.  Unlike
-    the package's other value classes there is no raising ``__setattr__``,
-    because it would force every result through slot descriptors and double
-    the cost of building one.
+    the package's other value classes it does not derive from
+    ``_values.Frozen``: a raising ``__setattr__`` would force every result
+    through slot descriptors and double the cost of building one.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -215,7 +217,7 @@ ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)
 
 
-class ExtendedScalar:
+class ExtendedScalar(Frozen):
     """c0 + c1*s over Q(i), where the formal generator s satisfies s*s = -i*m.
 
     For |m| = 2k^2 the element -i*m already has a square root in Q(i), so the
@@ -243,9 +245,6 @@ class ExtendedScalar:
         object.__setattr__(self, "c0", g0)
         object.__setattr__(self, "c1", g1)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedScalar is immutable")
 
     @staticmethod
     def make(c0, c1, m: int):
@@ -350,7 +349,9 @@ class ExtendedScalar:
 
     def __eq__(self, other):
         if isinstance(other, ExtendedScalar):
-            return self.m == other.m and self.c0 == other.c0 and self.c1 == other.c1
+            # with both s-parts 0 both values are Gaussian, whatever m is
+            return (self.c0 == other.c0 and self.c1 == other.c1
+                    and (self.m == other.m or self.c1.is_zero()))
         g = _coerce_gaussian(other)
         if g is None:
             return NotImplemented

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from ._values import Record
 from .grassmann import GeneratorSet, GrassmannElement, element_from_json
 from .scalars import GaussianRational
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1
@@ -21,10 +22,8 @@ ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2), 0)
 
-GROUPS = ("sl11", "su11", "su11_minus")
 
-
-class GL11Point:
+class GL11Point(Record):
     """An invertible even 2x2 T-point [[a, beta], [gamma, d]].
 
     a and d are even with invertible even parts; beta and gamma are odd.
@@ -52,9 +51,6 @@ class GL11Point:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GL11Point is immutable")
-
     @classmethod
     def identity(cls, gens: GeneratorSet) -> "GL11Point":
         one, zero = gens.one(), gens.zero()
@@ -74,29 +70,6 @@ class GL11Point:
 
     def inverse(self) -> "GL11Point":
         return GL11Point.from_matrix(inverse_1_1(self.matrix()))
-
-    def __eq__(self, other):
-        if not isinstance(other, GL11Point):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.beta == other.beta
-            and self.gamma == other.gamma
-            and self.d == other.d
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "GL11Point(%r, %r, %r, %r)" % (self.a, self.beta, self.gamma, self.d)
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a.to_json(),
-            "beta": self.beta.to_json(),
-            "gamma": self.gamma.to_json(),
-            "d": self.d.to_json(),
-        }
 
 
 def point_from_json(obj: object, gens: Optional[GeneratorSet] = None) -> GL11Point:
@@ -270,7 +243,7 @@ def membership(p: GL11Point, group: str) -> Tuple[bool, str]:
 # --- factorization --------------------------------------------------------
 
 
-class FactorizationTriple:
+class FactorizationTriple(Record):
     """The circle coordinate and the two odd coordinates of a unitary point."""
 
     __slots__ = ("t", "theta", "eta")
@@ -285,30 +258,6 @@ class FactorizationTriple:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "eta", eta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactorizationTriple is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FactorizationTriple):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and self.theta == other.theta
-            and self.eta == other.eta
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "FactorizationTriple(%r, %r, %r)" % (self.t, self.theta, self.eta)
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t.to_json(),
-            "theta": self.theta.to_json(),
-            "eta": self.eta.to_json(),
-        }
 
 
 def factorize(p: GL11Point, group: str = "su11") -> FactorizationTriple:

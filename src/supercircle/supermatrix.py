@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ._values import Frozen
 from .grassmann import (
     EVEN,
     ODD,
@@ -21,7 +22,7 @@ from .grassmann import (
 from .scalars import as_scalar
 
 
-class SuperMatrix:
+class SuperMatrix(Frozen):
     __slots__ = ("pdim", "qdim", "rows")
 
     def __init__(self, pdim: int, qdim: int, entries: Sequence[Sequence[GrassmannElement]]):
@@ -42,9 +43,6 @@ class SuperMatrix:
         object.__setattr__(self, "pdim", pdim)
         object.__setattr__(self, "qdim", qdim)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
 
     @property
     def gens(self) -> GeneratorSet:

@@ -182,6 +182,15 @@ def test_extended_with_zero_s_part_hashes_like_its_gaussian_value():
     assert len({sqrt_neg_im(3), GR(0, 0)}) == 2
 
 
+def test_extended_equality_with_zero_s_part_ignores_the_parameter():
+    # both equal GR(1), so equality must not separate them by m
+    x, y = ExtendedScalar(1, 0, 3), ExtendedScalar(1, 0, 5)
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, GR(1)}) == 1
+    assert ExtendedScalar(1, 1, 3) != ExtendedScalar(1, 1, 5)
+    assert ExtendedScalar(1, 0, 3) != ExtendedScalar(1, 1, 3)
+
+
 def test_extended_conjugate_lands_in_opposite_extension():
     s3 = sqrt_neg_im(3)
     c = s3.conjugate()
