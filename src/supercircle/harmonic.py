@@ -324,7 +324,8 @@ def expand(f: Section) -> ExpansionResult:
         # section for mask is entry e of the mask's generator product
         products = _generator_products(_label_rep(label, group))
         entries = _entry_list(group)
-        system = Matrix([[p[e] for e in entries] for p in products])
+        system = Matrix._of([[p[e] for e in entries] for p in products],
+                            len(entries))
         rhs = tuple(f.coefficient(m, mask) for mask in masks)
         try:
             sol = system.solve(rhs)

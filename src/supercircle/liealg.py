@@ -182,10 +182,15 @@ class Representation(Record):
             raise ValueError("weights must be integers")
         if len(parities) != len(weights):
             raise ValueError("parity and weight vectors must have equal length")
+        odd = dict(odd)
+        for name, mat in odd.items():
+            if not isinstance(mat, Matrix):
+                raise TypeError("generator %s must be a Matrix, not %s"
+                                % (name, type(mat).__name__))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "odd", dict(odd))
+        object.__setattr__(self, "odd", odd)
 
     @property
     def dim(self) -> int:
@@ -202,10 +207,7 @@ class Representation(Record):
         expected to pass a union of weight blocks.
         """
         idx = tuple(indices)
-        odd = {
-            name: Matrix([[m[i, j] for j in idx] for i in idx])
-            for name, m in self.odd.items()
-        }
+        odd = {name: m._submatrix(idx, idx) for name, m in self.odd.items()}
         return Representation(
             self.algebra,
             [self.parities[i] for i in idx],
@@ -269,11 +271,20 @@ def representation_from_json(obj: object) -> Representation:
 def _first_violation(product: Matrix, diagonal: Sequence[Scalar], weights,
                      relation: str) -> Optional[str]:
     """The first row-major entry where product differs from diag(diagonal)."""
-    for i, row in enumerate(product._rows):
-        for j, x in enumerate(row):
-            if (x != diagonal[i]) if i == j else not x.is_zero():
-                return "%s at weight block m=%d (entry (%d,%d))" % (
-                    relation, weights[i], i, j)
+    for i, row in enumerate(product._nonzeros()):
+        want = diagonal[i]
+        missing = not want.is_zero()  # (i, i) is zero but should not be
+        for j, x in row:
+            if j == i and x == want:
+                missing = False
+                continue
+            if missing and j > i:
+                j = i
+            return "%s at weight block m=%d (entry (%d,%d))" % (
+                relation, weights[i], i, j)
+        if missing:
+            return "%s at weight block m=%d (entry (%d,%d))" % (
+                relation, weights[i], i, i)
     return None
 
 
@@ -288,7 +299,8 @@ def validate_representation(rep: Representation) -> List[str]:
     vectors are linked when some generator has a nonzero entry between them;
     the relations multiply and add only entries of one linked set, so a
     direct sum may write equal weights over different extensions.  Only the
-    last step does arithmetic.
+    last step does arithmetic, and it checks the su11 square (U*S)^2 only
+    when another relation failed, since the others imply it.
     """
     problems: List[str] = []
     n = rep.dim
@@ -315,12 +327,8 @@ def validate_representation(rep: Representation) -> List[str]:
 
     extended: List[Tuple[str, int, int, int]] = []
     for name in rep.generator_names:
-        mat = rep.odd[name]
-        for i in range(n):
-            for j in range(n):
-                x = mat[i, j]
-                if x.is_zero():
-                    continue
+        for i, row in enumerate(rep.odd[name]._nonzeros()):
+            for j, x in row:
                 link[root(i)] = root(j)
                 if isinstance(x, ExtendedScalar):
                     extended.append((name, i, j, x.m))
@@ -352,19 +360,28 @@ def validate_representation(rep: Representation) -> List[str]:
 
     # the required square of every odd generator is diag(-i*m)
     minus_ic = [GaussianRational(0, -m) for m in rep.weights]
-    relations = [("%s^2 != -i*m" % name, rep.odd[name] * rep.odd[name], minus_ic)
-                 for name in rep.generator_names]
+    for name in rep.generator_names:
+        mat = rep.odd[name]
+        msg = _first_violation(mat * mat, minus_ic, rep.weights,
+                               "%s^2 != -i*m" % name)
+        if msg:
+            problems.append(msg)
     if rep.algebra == "su11":
         u = rep.odd["U"]
         s = rep.odd["S"]
         us = u * s
-        relations.append(("U*S + S*U != 0", us + s * u, [ZERO] * n))
-        m_sq = [GaussianRational(m * m, 0) for m in rep.weights]
-        relations.append(("(U*S)^2 != m^2", us * us, m_sq))
-    for relation, product, diagonal in relations:
-        msg = _first_violation(product, diagonal, rep.weights, relation)
+        msg = _first_violation(us + s * u, [ZERO] * n, rep.weights,
+                               "U*S + S*U != 0")
         if msg:
             problems.append(msg)
+        # U^2 = S^2 = D and US + SU = 0 give (US)^2 = -U^2 S^2 = -D^2,
+        # which is diag(m^2) for D = diag(-i*m); so this relation can fail
+        # only when one of the others did
+        if problems:
+            m_sq = [GaussianRational(m * m, 0) for m in rep.weights]
+            msg = _first_violation(us * us, m_sq, rep.weights, "(U*S)^2 != m^2")
+            if msg:
+                problems.append(msg)
     return problems
 
 

@@ -4,8 +4,9 @@ Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
 Representation matrices are weight-block-sparse, so products and elimination
-walk only nonzero entries; a product tests each entry of a factor for zero at
-most once.
+walk only nonzero entries.  A matrix lists its nonzero entries row by row the
+first time a product or a zero test needs them and keeps that list, so each
+entry is tested for zero at most once in the matrix's life.
 """
 
 from __future__ import annotations
@@ -32,41 +33,64 @@ class Matrix(Frozen):
     Entries live in private row lists that no method hands out; ``rows``
     returns a fresh tuple of row tuples.  Lists rather than tuples because
     short-lived tuples of every row length collect on CPython's tuple
-    freelists and raise the resident size of long exact computations.
+    freelists and raise the resident size of long exact computations.  The
+    column count is stored, so a matrix with no rows keeps it.
+
+    The nonzero pattern, per row the ``(column, entry)`` pairs of its nonzero
+    entries in column order, is computed on first use and kept: products walk
+    the patterns of both factors, and representation validation walks the
+    patterns of the generators and of their products.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_ncols", "_nz")
 
     def __init__(self, rows: Sequence[Sequence[object]]):
         data = [[as_scalar(x) for x in row] for row in rows]
-        if data and any(len(r) != len(data[0]) for r in data):
+        ncols = len(data[0]) if data else 0
+        if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_ncols", ncols)
+        object.__setattr__(self, "_nz", None)
 
     @classmethod
-    def _of(cls, rows: List[List[Scalar]]) -> "Matrix":
-        """Wrap rows of scalars built by this module, without copying."""
+    def _of(cls, rows: List[List[Scalar]], ncols: int) -> "Matrix":
+        """Wrap new row lists of scalars that the caller hands over, without
+        copying or coercing; every row has ncols entries."""
         m = object.__new__(cls)
         object.__setattr__(m, "_rows", rows)
+        object.__setattr__(m, "_ncols", ncols)
+        object.__setattr__(m, "_nz", None)
         return m
+
+    def _nonzeros(self) -> List[List[Tuple[int, Scalar]]]:
+        """The nonzero pattern; the first call computes it."""
+        nz = self._nz
+        if nz is None:
+            nz = [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+                  for row in self._rows]
+            object.__setattr__(self, "_nz", nz)
+        return nz
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(
+            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._of([[ZERO] * ncols for _ in range(nrows)])
+        return cls._of([[ZERO] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[object]) -> "Matrix":
         entries = [as_scalar(e) for e in entries]
         n = len(entries)
-        return cls._of([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(
+            [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def column(cls, entries: Sequence[object]) -> "Matrix":
-        return cls([[e] for e in entries])
+        return cls._of([[as_scalar(e)] for e in entries], 1)
 
     @property
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -78,7 +102,7 @@ class Matrix(Frozen):
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0]) if self._rows else 0
+        return self._ncols
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -91,8 +115,15 @@ class Matrix(Frozen):
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(r[j] for r in self._rows)
 
+    def _submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The entries at the listed rows and columns, in the listed order."""
+        src = self._rows
+        return Matrix._of([[src[i][j] for j in cols] for i in rows], len(cols))
+
     def transpose(self) -> "Matrix":
-        return Matrix._of([list(c) for c in zip(*self._rows)])
+        rows = self._rows
+        return Matrix._of([[r[j] for r in rows] for j in range(self._ncols)],
+                          len(rows))
 
     def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
@@ -100,7 +131,8 @@ class Matrix(Frozen):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Matrix._of(
-            [list(map(op, r1, r2)) for r1, r2 in zip(self._rows, other._rows)]
+            [list(map(op, r1, r2)) for r1, r2 in zip(self._rows, other._rows)],
+            self._ncols,
         )
 
     def __add__(self, other):
@@ -110,49 +142,43 @@ class Matrix(Frozen):
         return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return Matrix._of([[-x for x in r] for r in self._rows])
+        return Matrix._of([[-x for x in r] for r in self._rows], self._ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
+            if self._ncols != len(other._rows):
                 raise ValueError("shape mismatch")
-            # Gustavson's row-wise product: list the nonzeros of each row of
-            # the right factor once, then walk only those.  Each entry is a
-            # sum in ascending k of its nonzero terms, or ZERO if none.
-            nonzeros = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-                        for row in other._rows]
+            # Gustavson's row-wise product over the two nonzero patterns.
+            # Each entry is a sum in ascending k of its nonzero terms, or
+            # ZERO if none.
+            right = other._nonzeros()
+            ncols = other._ncols
             out = []
-            for row in self._rows:
-                acc = [None] * other.ncols
-                for a, nz in zip(row, nonzeros):
-                    if not nz or a.is_zero():
-                        continue
-                    for j, b in nz:
+            for row in self._nonzeros():
+                acc = [None] * ncols
+                for k, a in row:
+                    for j, b in right[k]:
                         x = acc[j]
                         acc[j] = a * b if x is None else x + a * b
                 out.append([ZERO if x is None else x for x in acc])
-            return Matrix._of(out)
+            return Matrix._of(out, ncols)
         try:
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Matrix._of([[x * s for x in r] for r in self._rows])
+        return Matrix._of([[x * s for x in r] for r in self._rows], self._ncols)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        return all(
-            a == b for r1, r2 in zip(self._rows, other._rows) for a, b in zip(r1, r2)
-        )
+        return self._ncols == other._ncols and self._rows == other._rows
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self._rows for x in r)
+        return not any(self._nonzeros())
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self._rows)
@@ -191,7 +217,7 @@ class Matrix(Frozen):
             piv_r += 1
             if piv_r == nrows:
                 break
-        return Matrix._of(rows), tuple(pivots)
+        return Matrix._of(rows, ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -219,9 +245,8 @@ class Matrix(Frozen):
         rhs = [as_scalar(x) for x in rhs]
         if len(rhs) != self.nrows:
             raise ValueError("shape mismatch")
-        if self.nrows == 0:
-            return ()
-        aug = Matrix._of([r + [b] for r, b in zip(self._rows, rhs)])
+        aug = Matrix._of([r + [b] for r, b in zip(self._rows, rhs)],
+                         self._ncols + 1)
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -238,12 +263,13 @@ class Matrix(Frozen):
             [
                 self._rows[i] + [ONE if i == j else ZERO for j in range(n)]
                 for i in range(n)
-            ]
+            ],
+            2 * n,
         )
         red, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._of([r[n:] for r in red._rows])
+        return Matrix._of([r[n:] for r in red._rows], n)
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -252,21 +278,23 @@ class Matrix(Frozen):
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
-    n = sum(b.nrows for b in blocks)
     m = sum(b.ncols for b in blocks)
-    rows = [[ZERO] * m for _ in range(n)]
-    r0 = c0 = 0
+    rows = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[r0 + i][c0 + j] = b._rows[i][j]
-        r0 += b.nrows
-        c0 += b.ncols
-    return Matrix._of(rows)
+        for brow in b._rows:
+            row = [ZERO] * m
+            row[c0:c0 + b._ncols] = brow
+            rows.append(row)
+        c0 += b._ncols
+    return Matrix._of(rows, m)
 
 
 def from_columns(columns: Sequence[Sequence[object]]) -> Matrix:
-    return Matrix([[as_scalar(c) for c in col] for col in columns]).transpose()
+    cols = [[as_scalar(x) for x in col] for col in columns]
+    if any(len(c) != len(cols[0]) for c in cols):
+        raise ValueError("ragged columns")
+    return Matrix._of([list(r) for r in zip(*cols)], len(cols))
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -41,7 +41,7 @@ def make_V_m(m: int) -> Representation:
     if m == 0:
         raise ValueError("weight must be nonzero")
     s = sqrt_neg_im(m)
-    z = Matrix([[ZERO, s], [s, ZERO]])
+    z = Matrix._of([[ZERO, s], [s, ZERO]], 2)
     return Representation("s11", (0, 1), (m, m), {"Z": z})
 
 
@@ -83,11 +83,11 @@ def make_pi_m(m: int, sign) -> Representation:
     sign = _normalize_sign(sign)
     s = sqrt_neg_im(m)
     i_s = GaussianRational(0, 1) * s
-    u = Matrix([[ZERO, s], [s, ZERO]])
+    u = Matrix._of([[ZERO, s], [s, ZERO]], 2)
     if sign == "+":
-        smat = Matrix([[ZERO, -i_s], [i_s, ZERO]])
+        smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
     else:
-        smat = Matrix([[ZERO, i_s], [-i_s, ZERO]])
+        smat = Matrix._of([[ZERO, i_s], [-i_s, ZERO]], 2)
     return Representation("su11", (0, 1), (m, m), {"U": u, "S": smat})
 
 
@@ -132,11 +132,7 @@ def permute(rep: Representation, perm: Sequence[int]) -> Representation:
     """Relabel basis indices: new index k is old index perm[k]."""
     if sorted(perm) != list(range(rep.dim)):
         raise ValueError("not a permutation of the basis indices")
-    odd = {
-        name: Matrix([[mat[perm[i], perm[j]] for j in range(rep.dim)]
-                      for i in range(rep.dim)])
-        for name, mat in rep.odd.items()
-    }
+    odd = {name: mat._submatrix(perm, perm) for name, mat in rep.odd.items()}
     return Representation(
         rep.algebra,
         [rep.parities[k] for k in perm],
@@ -250,6 +246,7 @@ class DecompositionReport(Frozen):
 
     def verify(self, rep: Representation) -> bool:
         """Exact check that X_input * B = B * X_model for every generator."""
+        _require_algebra(rep, self.algebra)
         model = self.model()
         b = self.basis_change
         return all(
@@ -278,6 +275,12 @@ class DecompositionReport(Frozen):
             }
         return {self.algebra: body,
                 "basis_change": matrix_to_json(self.basis_change)}
+
+
+def _require_algebra(rep: Representation, algebra: str) -> None:
+    if rep.algebra != algebra:
+        raise ValueError("expected a representation of %s, got one of %s"
+                         % (algebra, rep.algebra))
 
 
 def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar]:
@@ -311,13 +314,11 @@ def _weight_zero_pairs(rep: Representation):
     even_idx = [i for i in range(n) if rep.parities[i] == 0]
     odd_idx = [i for i in range(n) if rep.parities[i] == 1]
     # block mapping even coordinates into odd ones, and vice versa
-    a_blk = Matrix([[z[i, j] for j in even_idx] for i in odd_idx])
-    b_blk = Matrix([[z[i, j] for j in odd_idx] for i in even_idx])
+    a_blk = z._submatrix(odd_idx, even_idx)
+    b_blk = z._submatrix(even_idx, odd_idx)
 
     def pairs(block: Matrix, src_idx, dst_idx):
         out = []
-        if block.ncols == 0 or block.nrows == 0:
-            return out
         _, pivots = block.rref()
         for c in pivots:
             src = [ZERO] * n
@@ -331,13 +332,7 @@ def _weight_zero_pairs(rep: Representation):
 
     def trivial_complement(block_out: Matrix, images, idx):
         # vectors of this parity killed by Z, modulo the image of Z
-        if not idx:
-            return []
-        if block_out.nrows == 0:
-            kernel = [tuple(ONE if k == t else ZERO for k in range(len(idx)))
-                      for t in range(len(idx))]
-        else:
-            kernel = list(block_out.kernel_basis())
+        kernel = block_out.kernel_basis()
         existing = [tuple(img[i] for i in idx) for img, _ in images]
         picked = _extend_independent(existing, kernel)
         return [_embed(v, idx, n) for v in picked]
@@ -360,6 +355,7 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     their Z-images (rescaled by the root of -i*m); weight zero is delegated
     to the nilpotent pairing.
     """
+    _require_algebra(rep, "s11")
     require_valid(rep)
     z = rep.odd["Z"]
     n = rep.dim
@@ -393,6 +389,7 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     """Split by weight and, within each nonzero weight, by the sign of the
     eigenvalue of U*S on the even part; weight zero is returned unclassified.
     """
+    _require_algebra(rep, "su11")
     require_valid(rep)
     u = rep.odd["U"]
     us = u * rep.odd["S"]
@@ -402,7 +399,7 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
-        t_blk = Matrix([[us[i, j] for j in evens] for i in evens])
+        t_blk = us._submatrix(evens, evens)
         for lam, sign in ((m, "+"), (-m, "-")):
             shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
             eig = shifted.kernel_basis()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import liealg_reference
 from supercircle.liealg import (
     LieSuperAlgebra,
     Representation,
@@ -20,8 +21,10 @@ from supercircle.reps import (
     make_trivial,
     make_weight_zero_s11,
     random_class_preserving,
+    random_direct_sum,
+    scramble,
 )
-from supercircle.scalars import GaussianRational
+from supercircle.scalars import ExtendedScalar, GaussianRational
 from supercircle.supermatrix import supercommutator
 
 GR = GaussianRational
@@ -193,3 +196,150 @@ def test_constructors_reject_non_integer_parities_and_bool_weights():
     for parities in ((0, 3), (0, True), (0.0, 1)):
         with pytest.raises(ValueError, match="parities"):
             LieSuperAlgebra(("C", "Z"), parities, {(1, 1): (-2, 0)})
+
+
+def test_constructor_rejects_generators_that_are_not_matrices():
+    v = make_V_m(1)
+    rows = [list(r) for r in v.odd["Z"].rows]
+    for bad in (rows, v.odd["Z"].rows, None):
+        with pytest.raises(TypeError, match="generator Z must be a Matrix"):
+            Representation("s11", v.parities, v.weights, {"Z": bad})
+
+
+# --- differential tests against the naive dense validator ---------------------
+
+
+def _random_rep(algebra, rng):
+    return scramble(random_direct_sum(algebra, rng, max_blocks=5), rng)
+
+
+def _replace(rep, name=None, entry=None, value=None, parities=None,
+             weights=None, drop=None):
+    odd = dict(rep.odd)
+    if name is not None:
+        rows = [list(r) for r in odd[name].rows]
+        rows[entry[0]][entry[1]] = value
+        odd[name] = Matrix(rows)
+    if drop is not None:
+        del odd[drop]
+    return Representation(rep.algebra, parities or rep.parities,
+                          weights or rep.weights, odd)
+
+
+def _weight_zero_su11(parities, u_entries, s_entries):
+    """A weight-zero su11 block whose U and S have ones at the listed
+    entries."""
+    n = len(parities)
+    mats = []
+    for entries in (u_entries, s_entries):
+        rows = [[GR(0)] * n for _ in range(n)]
+        for i, j in entries:
+            rows[i][j] = GR(1)
+        mats.append(Matrix(rows))
+    return Representation("su11", parities, [0] * n,
+                          {"U": mats[0], "S": mats[1]})
+
+
+# each breaks exactly one su11 relation: U^2, S^2, and U*S + S*U (with
+# (U*S)^2 = 0 holding, as it must at weight zero)
+ONE_RELATION_BROKEN = [
+    _weight_zero_su11((0, 1), [(0, 1), (1, 0)], []),
+    _weight_zero_su11((0, 1), [], [(0, 1), (1, 0)]),
+    _weight_zero_su11((0, 1, 0), [(2, 1)], [(1, 0)]),
+]
+
+
+def _corruptions(rep, rng):
+    """Valid rep, then one corrupted copy per kind of defect."""
+    yield rep
+    n = rep.dim
+    names = rep.generator_names
+    name = rng.choice(names)
+    entry = (rng.randrange(n), rng.randrange(n))
+    yield _replace(rep, name, entry,
+                   GR(rng.randint(-2, 2), rng.randint(-2, 2)))
+    k = rng.randrange(n)
+    flipped = list(rep.parities)
+    flipped[k] ^= 1
+    yield _replace(rep, parities=flipped)
+    shifted = list(rep.weights)
+    shifted[k] += 1
+    yield _replace(rep, weights=shifted)
+    extended = [(nm, i, j, x) for nm in names
+                for i, row in enumerate(rep.odd[nm].rows)
+                for j, x in enumerate(row) if isinstance(x, ExtendedScalar)]
+    if extended:
+        nm, i, j, x = rng.choice(extended)
+        yield _replace(rep, nm, (i, j), ExtendedScalar(x.c0, x.c1, x.m + 100))
+    yield _replace(rep, drop=rng.choice(names))
+    # a generator scaled by 2 breaks its square and, on su11, (U*S)^2
+    yield Representation(rep.algebra, rep.parities, rep.weights,
+                         {**rep.odd, name: rep.odd[name] * 2})
+    if rep.algebra == "su11":
+        for block in ONE_RELATION_BROKEN:
+            yield scramble(direct_sum(rep, block), rng)
+
+
+def test_validation_matches_the_dense_reference():
+    rng = random.Random(13)
+    seen = {"valid": 0, "parameter": 0, "alone": 0}
+    for trial in range(40):
+        algebra = ("s11", "su11")[trial % 2]
+        for rep in _corruptions(_random_rep(algebra, rng), rng):
+            problems = validate_representation(rep)
+            assert problems == liealg_reference.validate(rep)
+            seen["valid"] += not problems
+            seen["parameter"] += any("Q(i)[s] parameter" in p
+                                     for p in problems)
+            seen["alone"] += len(problems) == 1 and "m=0" in problems[0]
+    # the corpus has valid reps, parameter clashes and lone su11 relations
+    assert seen["valid"] >= 40 and seen["parameter"] > 5
+    assert seen["alone"] >= 3 * 20
+
+
+def _swap_columns(rep, name, a, b):
+    rows = [list(r) for r in rep.odd[name].rows]
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
+    return Representation(rep.algebra, rep.parities, rep.weights,
+                          {**rep.odd, name: Matrix(rows)})
+
+
+def test_validation_reports_a_missing_diagonal_before_later_entries():
+    # swapping the odd columns of V_1 + V_1 moves Z^2's entries off the
+    # diagonal: row 0 has a zero at (0,0), where -i is due, and -i at (0,2)
+    rep = _swap_columns(direct_sum(make_V_m(1), make_V_m(1)), "Z", 1, 3)
+    pi = direct_sum(make_pi_m(2, "+"), make_pi_m(2, "-"))
+    for bad in (rep, _swap_columns(pi, "U", 1, 3), _swap_columns(pi, "S", 1, 3)):
+        problems = validate_representation(bad)
+        assert problems == liealg_reference.validate(bad)
+        assert "(entry (0,0))" in problems[0]
+
+
+def test_each_su11_relation_can_fail_alone():
+    for block, relation in zip(ONE_RELATION_BROKEN,
+                               ("U^2", "S^2", "U*S + S*U")):
+        problems = validate_representation(block)
+        assert len(problems) == 1 and problems[0].startswith(relation)
+        assert problems == liealg_reference.validate(block)
+
+
+def test_valid_su11_validation_skips_the_implied_square(monkeypatch):
+    calls = []
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    valid = scramble(random_direct_sum("su11", random.Random(5)),
+                     random.Random(6))
+    broken = Representation("su11", valid.parities, valid.weights,
+                            {**valid.odd, "U": valid.odd["U"] * 2})
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert validate_representation(valid) == []
+    # U*U, S*S, U*S and S*U; (U*S)^2 follows from the first three relations
+    assert len(calls) == 4
+    del calls[:]
+    assert validate_representation(broken)[-1].startswith("(U*S)^2")
+    assert len(calls) == 5

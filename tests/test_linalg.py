@@ -207,3 +207,42 @@ def test_product_tests_each_entry_at_most_once(monkeypatch):
     # only products of two nonzero entries: one per (i, k, j) inside a block
     assert len(products) == 3 * 8 ** 3
     assert product == expected
+
+
+def test_matrices_without_rows_keep_their_column_count():
+    assert Matrix.zeros(0, 3).shape == (0, 3)
+    assert Matrix.zeros(0, 3).transpose().shape == (3, 0)
+    assert Matrix.zeros(0, 3).transpose().transpose() == Matrix.zeros(0, 3)
+    assert Matrix.zeros(2, 0) * Matrix.zeros(0, 3) == Matrix.zeros(2, 3)
+    assert Matrix.zeros(0, 3) != Matrix.zeros(0, 2)
+    assert from_columns([(), ()]).shape == (0, 2)
+    assert Matrix.column([]).shape == (0, 1)
+    # every column of a matrix without rows is free
+    assert Matrix.zeros(0, 2).kernel_basis() == [(GR(1), GR(0)), (GR(0), GR(1))]
+    assert Matrix.zeros(0, 2).solve(()) == (GR(0), GR(0))
+    with pytest.raises(ValueError, match="ragged"):
+        from_columns([(GR(1),), ()])
+
+
+def test_factors_keep_their_nonzero_pattern(monkeypatch):
+    rng = random.Random(25)
+    a = Matrix([[GR(rng.randint(-1, 1)) for _ in range(6)] for _ in range(6)])
+    b = Matrix([[GR(rng.randint(-1, 1)) for _ in range(6)] for _ in range(6)])
+    tests = []
+    is_zero = GaussianRational.is_zero
+
+    def counting_is_zero(self):
+        tests.append(1)
+        return is_zero(self)
+
+    monkeypatch.setattr(GaussianRational, "is_zero", counting_is_zero)
+    first = a * b
+    assert len(tests) == 2 * 36
+    del tests[:]
+    # later products and zero tests reuse both patterns
+    again, swapped, zero = a * b, b * a, a.is_zero()
+    assert tests == []
+    monkeypatch.undo()
+    assert first == again == Matrix(_naive_product(a.rows, b.rows))
+    assert swapped == Matrix(_naive_product(b.rows, a.rows))
+    assert zero is False

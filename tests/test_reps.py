@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercircle.liealg import Representation
 from supercircle.reps import (
@@ -12,6 +14,7 @@ from supercircle.reps import (
     make_trivial,
     make_V_m,
     make_weight_zero_s11,
+    random_direct_sum,
     scramble,
 )
 from supercircle.scalars import GaussianRational
@@ -207,3 +210,28 @@ def test_report_json_shape():
     j = report.to_json()
     assert j["su11"]["pi"] == [{"m": 1, "sign": "-", "count": 1}]
     assert j["su11"]["weight_zero"] is None
+
+
+def test_decompose_and_verify_reject_the_other_algebra():
+    s11, su11 = make_V_m(1), make_pi_m(1, "+")
+    expect = "expected a representation of %s, got one of %s"
+    with pytest.raises(ValueError, match=expect % ("s11", "su11")):
+        decompose_s11(su11)
+    with pytest.raises(ValueError, match=expect % ("su11", "s11")):
+        decompose_su11(s11)
+    with pytest.raises(ValueError, match=expect % ("s11", "su11")):
+        decompose_s11(s11).verify(su11)
+    with pytest.raises(ValueError, match=expect % ("su11", "s11")):
+        decompose_su11(su11).verify(s11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_certificate_holds_on_random_scrambles(algebra, structure, seed):
+    decompose = decompose_s11 if algebra == "s11" else decompose_su11
+    model = random_direct_sum(algebra, random.Random(structure))
+    rep = scramble(model, random.Random(seed))
+    report = decompose(rep)
+    assert report.labels() == decompose(model).labels()
+    assert report.verify(rep)
