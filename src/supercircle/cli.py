@@ -81,7 +81,7 @@ class RunConfig:
 
     def __init__(self, weights: int = 10, seed: int = 0):
         if weights < 1:
-            raise ValueError("--weights must be at least 1")
+            raise InputError("--weights must be at least 1")
         self.weights = weights
         self.seed = seed
 
@@ -609,10 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace,
-              config: Optional[RunConfig]) -> Tuple[dict, int]:
+def _dispatch(args: argparse.Namespace) -> Tuple[dict, int]:
     if args.command == "verify":
-        return cmd_verify(config)
+        return cmd_verify(RunConfig(weights=args.weights, seed=args.seed))
     if args.command == "rep":
         return cmd_rep(args.rep_action, args.file)
     if args.command == "point":
@@ -626,15 +625,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = None
-    if args.command == "verify":
-        try:
-            config = RunConfig(weights=args.weights, seed=args.seed)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
     try:
-        report, code = _dispatch(args, config)
+        report, code = _dispatch(args)
     except InputError as exc:
         report, code = {"error": str(exc)}, 2
     except ValueError as exc:

@@ -33,16 +33,14 @@ from .reps import (
     make_weight_zero_s11,
 )
 from .scalars import (
+    ZERO,
     ExtendedScalar,
     ExtensionMismatchError,
-    GaussianRational,
     Scalar,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
 )
-
-ZERO = GaussianRational(0, 0)
 
 ODD_COORDS = {"s11": ("theta",), "su11": ("theta", "eta")}
 

@@ -9,16 +9,14 @@ against the bracket table.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
-from .scalars import ExtendedScalar, GaussianRational, Scalar
+from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
 from .supermatrix import SuperMatrix
-
-ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
 
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
 
@@ -127,12 +125,11 @@ class LieSuperAlgebra(Frozen):
 
 def _su11_defining() -> Dict[str, SuperMatrix]:
     gens = GeneratorSet([])
-    i = GaussianRational(0, 1)
     grid = lambda rows: SuperMatrix.from_scalar_grid(gens, 1, 1, rows)
     return {
-        "C": grid([[i, 0], [0, i]]),
-        "U": grid([[0, 1], [-i, 0]]),
-        "S": grid([[0, i], [-1, 0]]),
+        "C": grid([[I, 0], [0, I]]),
+        "U": grid([[0, 1], [-I, 0]]),
+        "S": grid([[0, I], [-1, 0]]),
     }
 
 
@@ -268,23 +265,22 @@ def representation_from_json(obj: object) -> Representation:
     return Representation(algebra, parities, weights, odd)
 
 
-def _first_violation(product: Matrix, diagonal: Sequence[Scalar], weights,
-                     relation: str) -> Optional[str]:
-    """The first row-major entry where product differs from diag(diagonal)."""
-    for i, row in enumerate(product._nonzeros()):
-        want = diagonal[i]
-        missing = not want.is_zero()  # (i, i) is zero but should not be
-        for j, x in row:
-            if j == i and x == want:
-                missing = False
-                continue
-            if missing and j > i:
-                j = i
+def _first_violation(products: Sequence[Matrix], diagonal: Sequence[Scalar],
+                     weights, relation: str) -> Optional[str]:
+    """The first row-major entry where the sum of the products differs from
+    diag(diagonal); only the nonzero patterns of the products are read."""
+    patterns = [p._nonzeros() for p in products]
+    for i, want in enumerate(diagonal):
+        row: Dict[int, Scalar] = {}
+        for nz in patterns:
+            for j, x in nz[i]:
+                row[j] = row[j] + x if j in row else x
+        wrong = [j for j, x in row.items() if j != i and not x.is_zero()]
+        if row.get(i, ZERO) != want:
+            wrong.append(i)
+        if wrong:
             return "%s at weight block m=%d (entry (%d,%d))" % (
-                relation, weights[i], i, j)
-        if missing:
-            return "%s at weight block m=%d (entry (%d,%d))" % (
-                relation, weights[i], i, i)
+                relation, weights[i], i, min(wrong))
     return None
 
 
@@ -362,7 +358,7 @@ def validate_representation(rep: Representation) -> List[str]:
     minus_ic = [GaussianRational(0, -m) for m in rep.weights]
     for name in rep.generator_names:
         mat = rep.odd[name]
-        msg = _first_violation(mat * mat, minus_ic, rep.weights,
+        msg = _first_violation([mat * mat], minus_ic, rep.weights,
                                "%s^2 != -i*m" % name)
         if msg:
             problems.append(msg)
@@ -370,7 +366,7 @@ def validate_representation(rep: Representation) -> List[str]:
         u = rep.odd["U"]
         s = rep.odd["S"]
         us = u * s
-        msg = _first_violation(us + s * u, [ZERO] * n, rep.weights,
+        msg = _first_violation([us, s * u], [ZERO] * n, rep.weights,
                                "U*S + S*U != 0")
         if msg:
             problems.append(msg)
@@ -379,7 +375,8 @@ def validate_representation(rep: Representation) -> List[str]:
         # only when one of the others did
         if problems:
             m_sq = [GaussianRational(m * m, 0) for m in rep.weights]
-            msg = _first_violation(us * us, m_sq, rep.weights, "(U*S)^2 != m^2")
+            msg = _first_violation([us * us], m_sq, rep.weights,
+                                   "(U*S)^2 != m^2")
             if msg:
                 problems.append(msg)
     return problems
@@ -413,41 +410,26 @@ def find_even_intertwiners(
         if rep2.parities[i] == rep1.parities[j]
         and rep2.weights[i] == rep1.weights[j]
     ]
-    if not unknowns:
-        return []
-    index = {pos: k for k, pos in enumerate(unknowns)}
-
-    rows: List[List[Scalar]] = []
-    for name in rep1.generator_names:
-        x1 = rep1.odd[name]
-        x2 = rep2.odd[name]
-        for r in range(n2):
-            for c in range(n1):
-                row = [ZERO] * len(unknowns)
-                touched = False
-                for j in range(n1):
-                    if (r, j) in index and not x1[j, c].is_zero():
-                        row[index[(r, j)]] = row[index[(r, j)]] + x1[j, c]
-                        touched = True
-                for i in range(n2):
-                    if (i, c) in index and not x2[r, i].is_zero():
-                        row[index[(i, c)]] = row[index[(i, c)]] - x2[r, i]
-                        touched = True
-                if touched:
-                    rows.append(row)
-
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = tuple(
-            tuple(ONE if k == t else ZERO for k in range(len(unknowns)))
-            for t in range(len(unknowns))
-        )
-
+    # one equation per (generator, r, c) of F.X1 - X2.F: the unknown F[i, j]
+    # enters (F.X1)[i, c] with X1[j, c] and (X2.F)[r, j] with X2[r, i]
+    equations: Dict[Tuple[int, int, int], List[Scalar]] = defaultdict(
+        lambda: [ZERO] * len(unknowns))
+    for g, name in enumerate(rep1.generator_names):
+        x1 = rep1.odd[name]._nonzeros()
+        x2t = rep2.odd[name].transpose()._nonzeros()
+        for k, (i, j) in enumerate(unknowns):
+            for c, x in x1[j]:
+                row = equations[(g, i, c)]
+                row[k] = row[k] + x
+            for r, x in x2t[i]:
+                row = equations[(g, r, j)]
+                row[k] = row[k] - x
+    system = Matrix._of([equations[key] for key in sorted(equations)],
+                        len(unknowns))
     basis = []
-    for vec in kernel:
+    for vec in system.kernel_basis():
         grid = [[ZERO] * n1 for _ in range(n2)]
-        for (i, j), k in index.items():
-            grid[i][j] = vec[k]
-        basis.append(Matrix(grid))
+        for (i, j), x in zip(unknowns, vec):
+            grid[i][j] = x
+        basis.append(Matrix._of(grid, n1))
     return basis

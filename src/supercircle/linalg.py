@@ -16,15 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._values import Frozen
 from .scalars import (
-    GaussianRational,
+    ONE,
+    ZERO,
     Scalar,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
 )
-
-ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
 
 
 class Matrix(Frozen):

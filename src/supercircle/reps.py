@@ -14,24 +14,20 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from ._values import Frozen
-from .liealg import Representation, require_valid
+from .liealg import ODD_GENERATORS, Representation, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
-from .scalars import GaussianRational, Scalar, sqrt_neg_im
-
-ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
+from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
 
 
 def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
     """even + odd copies of the one-dimensional trivial representation."""
     n = even + odd
     zeros = Matrix.zeros(n, n)
-    names = {"s11": ("Z",), "su11": ("U", "S")}[algebra]
     return Representation(
         algebra,
         [0] * even + [1] * odd,
         [0] * n,
-        {name: zeros for name in names},
+        {name: zeros for name in ODD_GENERATORS[algebra]},
     )
 
 
@@ -82,7 +78,7 @@ def make_pi_m(m: int, sign) -> Representation:
         raise ValueError("weight must be nonzero")
     sign = _normalize_sign(sign)
     s = sqrt_neg_im(m)
-    i_s = GaussianRational(0, 1) * s
+    i_s = I * s
     u = Matrix._of([[ZERO, s], [s, ZERO]], 2)
     if sign == "+":
         smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
@@ -301,47 +297,6 @@ def _extend_independent(existing: List[Tuple[Scalar, ...]],
     return [candidates[p - k] for p in pivots if p >= k]
 
 
-def _weight_zero_pairs(rep: Representation):
-    """The Prop-style pairing of a weight-zero s11 action (Z with Z^2 = 0).
-
-    Returns (ad_pairs, pi_ad_pairs, triv_even, triv_odd) where each
-    pair is (image_vector, source_vector) and every vector lives in the
-    coordinates of rep.  Sources are pivot columns of the relevant block of
-    Z, so the output is deterministic.
-    """
-    n = rep.dim
-    z = rep.odd["Z"]
-    even_idx = [i for i in range(n) if rep.parities[i] == 0]
-    odd_idx = [i for i in range(n) if rep.parities[i] == 1]
-    # block mapping even coordinates into odd ones, and vice versa
-    a_blk = z._submatrix(odd_idx, even_idx)
-    b_blk = z._submatrix(even_idx, odd_idx)
-
-    def pairs(block: Matrix, src_idx, dst_idx):
-        out = []
-        _, pivots = block.rref()
-        for c in pivots:
-            src = [ZERO] * n
-            src[src_idx[c]] = ONE
-            img = _embed([block[r, c] for r in range(block.nrows)], dst_idx, n)
-            out.append((img, src))
-        return out
-
-    ad_pairs = pairs(b_blk, odd_idx, even_idx)      # odd source, even image
-    pi_ad_pairs = pairs(a_blk, even_idx, odd_idx)   # even source, odd image
-
-    def trivial_complement(block_out: Matrix, images, idx):
-        # vectors of this parity killed by Z, modulo the image of Z
-        kernel = block_out.kernel_basis()
-        existing = [tuple(img[i] for i in idx) for img, _ in images]
-        picked = _extend_independent(existing, kernel)
-        return [_embed(v, idx, n) for v in picked]
-
-    triv_even = trivial_complement(a_blk, ad_pairs, even_idx)
-    triv_odd = trivial_complement(b_blk, pi_ad_pairs, odd_idx)
-    return ad_pairs, pi_ad_pairs, triv_even, triv_odd
-
-
 def _nonzero_weight_blocks(rep: Representation):
     weights = sorted({m for m in rep.weights if m != 0})
     return [(m, [i for i in range(rep.dim) if rep.weights[i] == m])
@@ -352,8 +307,8 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     """Recover the multiset of weight blocks and weight-zero pieces.
 
     For each nonzero weight the even basis vectors of the block pair with
-    their Z-images (rescaled by the root of -i*m); weight zero is delegated
-    to the nilpotent pairing.
+    their Z-images (rescaled by the root of -i*m); at weight zero one
+    elimination of Z pairs sources with images.
     """
     _require_algebra(rep, "s11")
     require_valid(rep)
@@ -370,17 +325,29 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
                 columns.extend([_embed([ONE], [f_idx], n), partner])
                 blocks.append((("V", m), block))
 
+    # Weight zero, where Z^2 = 0.  Z is odd, so every row of Z0 lives on the
+    # columns of one parity, and the pivot columns of Z0 are the sources:
+    # an odd source pairs with its even image (Ad), an even source with its
+    # odd image (PiAd).  The trivial vectors are the kernel vectors outside
+    # the span of the images; each lives on one parity.
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]
-    ad_pairs, pi_ad_pairs, triv_even, triv_odd = _weight_zero_pairs(
-        rep.restrict(zero_idx))
-    for variant, label, pairs in (("W", ("Ad",), ad_pairs),
-                                  ("PiW", ("PiAd",), pi_ad_pairs)):
+    parity = [rep.parities[i] for i in zero_idx]
+    z0 = z._submatrix(zero_idx, zero_idx)
+    _, pivots = z0.rref()
+    images = [z0.col(c) for c in pivots]
+    for src, label, variant in ((1, ("Ad",), "W"), (0, ("PiAd",), "PiW")):
         block = make_weight_zero_s11(variant)
-        for img, src in pairs:
-            columns.extend([_embed(img, zero_idx, n), _embed(src, zero_idx, n)])
-            blocks.append((label, block))
-    columns.extend(_embed(v, zero_idx, n) for v in triv_even + triv_odd)
-    te, to_ = len(triv_even), len(triv_odd)
+        for c, img in zip(pivots, images):
+            if parity[c] == src:
+                columns.extend([_embed(img, zero_idx, n),
+                                _embed([ONE], [zero_idx[c]], n)])
+                blocks.append((label, block))
+    trivial: Tuple[List, List] = ([], [])
+    for v in _extend_independent(images, z0.kernel_basis()):
+        # the first nonzero entry tells the parity
+        trivial[next(p for p, x in zip(parity, v) if not x.is_zero())].append(v)
+    columns.extend(_embed(v, zero_idx, n) for v in trivial[0] + trivial[1])
+    te, to_ = len(trivial[0]), len(trivial[1])
     blocks.append((("trivial", te, to_), make_trivial("s11", te, to_)))
     return DecompositionReport("s11", blocks, from_columns(columns))
 

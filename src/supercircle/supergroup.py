@@ -15,11 +15,9 @@ from typing import List, Optional, Tuple
 
 from ._values import Record
 from .grassmann import GeneratorSet, GrassmannElement, element_from_json
-from .scalars import GaussianRational
+from .scalars import I, GaussianRational
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1
 
-ONE = GaussianRational(1, 0)
-I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2), 0)
 
 

@@ -6,9 +6,15 @@ tuples of the generator matrices: every entry is read and tested, products
 are triple loops over all (i, k, j), and every relation, the su11 square
 (U*S)^2 included, is computed and checked.  Nothing is shared with the
 library's nonzero patterns or products, so tests can compare problem lists.
+
+``even_intertwiners`` is the same kind of reference for
+``find_even_intertwiners``: it probes every entry of both generator matrices
+for each equation of F.X1 = X2.F, keeps an equation when some term touches an
+unknown, and builds the identity basis itself when no equation is left.
 """
 
 from supercircle.liealg import ODD_GENERATORS
+from supercircle.linalg import Matrix
 from supercircle.scalars import ExtendedScalar, GaussianRational
 
 GR = GaussianRational
@@ -117,3 +123,47 @@ def validate(rep):
         if msg:
             problems.append(msg)
     return problems
+
+
+def even_intertwiners(rep1, rep2):
+    n1, n2 = rep1.dim, rep2.dim
+    unknowns = [
+        (i, j)
+        for i in range(n2)
+        for j in range(n1)
+        if rep2.parities[i] == rep1.parities[j]
+        and rep2.weights[i] == rep1.weights[j]
+    ]
+    if not unknowns:
+        return []
+    index = {pos: k for k, pos in enumerate(unknowns)}
+    rows = []
+    for name in ODD_GENERATORS[rep1.algebra]:
+        x1 = rep1.odd[name]
+        x2 = rep2.odd[name]
+        for r in range(n2):
+            for c in range(n1):
+                row = [GR(0)] * len(unknowns)
+                touched = False
+                for j in range(n1):
+                    if (r, j) in index and not x1[j, c].is_zero():
+                        row[index[(r, j)]] = row[index[(r, j)]] + x1[j, c]
+                        touched = True
+                for i in range(n2):
+                    if (i, c) in index and not x2[r, i].is_zero():
+                        row[index[(i, c)]] = row[index[(i, c)]] - x2[r, i]
+                        touched = True
+                if touched:
+                    rows.append(row)
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = [[GR(int(k == t)) for k in range(len(unknowns))]
+                  for t in range(len(unknowns))]
+    basis = []
+    for vec in kernel:
+        grid = [[GR(0)] * n1 for _ in range(n2)]
+        for (i, j), k in index.items():
+            grid[i][j] = vec[k]
+        basis.append(Matrix(grid))
+    return basis

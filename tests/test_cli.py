@@ -100,6 +100,16 @@ def test_verify_reports_a_rejected_bracket_table(capsys, monkeypatch):
     assert report["failing"] == ["structure-constants"]
 
 
+@pytest.mark.parametrize("weights", ["0", "-2"])
+def test_verify_rejects_a_weight_bound_below_one(capsys, weights):
+    code = main(["verify", "--weights", weights])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "error": "--weights must be at least 1"}
+    assert captured.err == ""
+
+
 def test_float_mode_requires_tol(capsys):
     code, out = run(capsys, "verify", "--scalar", "float")
     assert code == 2

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import liealg_reference
+import reps_reference
 from supercircle.liealg import (
     LieSuperAlgebra,
     Representation,
@@ -147,6 +148,25 @@ def test_intertwiner_dimension_is_basis_independent():
     assert len(find_even_intertwiners(rep, rep)) == len(
         find_even_intertwiners(conj, conj)
     )
+
+
+def test_intertwiners_match_the_dense_reference():
+    rng = random.Random(19)
+    pairs = [
+        (make_V_m(1), make_V_m(2)),                  # no unknowns
+        (make_trivial("s11", 2, 1), make_trivial("s11", 1, 1)),  # no equations
+        (make_trivial("su11", 1, 1), make_adjoint_su11()),
+    ]
+    for _ in range(25):
+        a = scramble(reps_reference.weight_zero_heavy_s11(rng), rng)
+        b = scramble(reps_reference.weight_zero_heavy_s11(rng), rng)
+        pairs += [(a, b), (a, scramble(a, rng))]
+        c = scramble(random_direct_sum("su11", rng, max_blocks=4), rng)
+        d = scramble(random_direct_sum("su11", rng, max_blocks=4), rng)
+        pairs += [(c, d), (c, scramble(c, rng))]
+    for rep1, rep2 in pairs:
+        assert (find_even_intertwiners(rep1, rep2)
+                == liealg_reference.even_intertwiners(rep1, rep2))
 
 
 def test_intertwiners_mismatched_algebras():

@@ -1,10 +1,13 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reps_reference
 from supercircle.liealg import Representation
+from supercircle.linalg import Matrix
 from supercircle.reps import (
     decompose_s11,
     decompose_su11,
@@ -187,8 +190,6 @@ def test_us_eigenvalue_check_rejects_corrupt_input():
     # has an eigenvalue outside {+m, -m}: impossible for valid input, so
     # U^2 is corrupt too and require_valid rejects it before decomposing
     rep = make_pi_m(1, "+")
-    from supercircle.linalg import Matrix
-
     bad = Representation(
         "su11",
         rep.parities,
@@ -235,3 +236,33 @@ def test_certificate_holds_on_random_scrambles(algebra, structure, seed):
     report = decompose(rep)
     assert report.labels() == decompose(model).labels()
     assert report.verify(rep)
+
+
+def test_decompose_s11_matches_the_two_block_reference():
+    rng = random.Random(17)
+    for _ in range(150):
+        rep = scramble(reps_reference.weight_zero_heavy_s11(rng), rng)
+        got = json.dumps(decompose_s11(rep).to_json(), sort_keys=True)
+        want = json.dumps(reps_reference.decompose_s11(rep).to_json(),
+                          sort_keys=True)
+        assert got == want
+
+
+def test_weight_zero_s11_takes_three_eliminations(monkeypatch):
+    # one for the pivots of Z0, one for its kernel, one for the trivial
+    # complement; the two-block construction takes two of each
+    rep = scramble(direct_sum(make_weight_zero_s11("W"),
+                              make_weight_zero_s11("PiW"),
+                              make_weight_zero_s11("W"),
+                              make_trivial("s11", 2, 1)), random.Random(23))
+    calls = []
+    rref = Matrix.rref
+
+    def counting_rref(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    report = decompose_s11(rep)
+    assert len(calls) == 3
+    assert report.labels() == (("Ad",), ("Ad",), ("PiAd",), ("trivial", 2, 1))

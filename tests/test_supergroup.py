@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercircle.grassmann import GeneratorSet, element_from_json
 from supercircle.scalars import GaussianRational
@@ -157,6 +159,25 @@ def test_defactorize_then_factorize_is_identity(group):
     assert ok, diag
     back = factorize(p, group)
     assert back == triple
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["su11", "su11_minus"]), st.integers(-3, 3),
+       SMALL_FRACTIONS, st.lists(SMALL_FRACTIONS, min_size=4, max_size=4))
+def test_factorize_inverts_defactorize_on_triples(group, k, r, mix):
+    # t = t0^k (1 + i r theta eta) keeps t star(t) = 1, and rational
+    # combinations of theta and eta keep their reality type
+    gens, generic = factorization_triple_ring(group)
+    theta, eta = generic.theta, generic.eta
+    t = gens.even_gen("t", k) * (gens.one()
+                                 + gens.scalar(GR(0, r)) * theta * eta)
+    a, b, c, d = (gens.scalar(GR(q)) for q in mix)
+    triple = (t, a * theta + b * eta, c * theta + d * eta)
+    back = factorize(defactorize(*triple), group)
+    assert (back.t, back.theta, back.eta) == triple
 
 
 def test_factorization_reality_types():
