@@ -265,23 +265,73 @@ def representation_from_json(obj: object) -> Representation:
     return Representation(algebra, parities, weights, odd)
 
 
-def _first_violation(products: Sequence[Matrix], diagonal: Sequence[Scalar],
-                     weights, relation: str) -> Optional[str]:
+def _first_violation(products: Sequence[Matrix], rows: Sequence[int],
+                     diagonal: Sequence[Scalar], weights,
+                     relation: str) -> Optional[str]:
     """The first row-major entry where the sum of the products differs from
-    diag(diagonal); only the nonzero patterns of the products are read."""
+    diag(diagonal), where row r of each product is row rows[r] of the
+    relation; only the nonzero patterns of the products are read."""
     patterns = [p._nonzeros() for p in products]
-    for i, want in enumerate(diagonal):
+    for r, i in enumerate(rows):
         row: Dict[int, Scalar] = {}
         for nz in patterns:
-            for j, x in nz[i]:
+            for j, x in nz[r]:
                 row[j] = row[j] + x if j in row else x
         wrong = [j for j, x in row.items() if j != i and not x.is_zero()]
-        if row.get(i, ZERO) != want:
+        if row.get(i, ZERO) != diagonal[i]:
             wrong.append(i)
         if wrong:
             return "%s at weight block m=%d (entry (%d,%d))" % (
                 relation, weights[i], i, min(wrong))
     return None
+
+
+def _unimplied_rows(rep: Representation) -> List[int]:
+    """The rows of the relation products that the other rows do not imply:
+    even rows, weight-zero rows, and the rows of nonzero-weight blocks whose
+    even and odd parts differ in size.
+
+    In a block of weight m != 0 with k even and k odd vectors, an odd
+    generator is [[0, A], [B, 0]] with k x k blocks.  Its even rows give
+    A*B = c*I with c = -i*m != 0, so B = c*A^-1 and the odd rows B*A = c*I
+    hold too.  On su11 the even rows of U*S + S*U = 0 give X^2 = -I for
+    X = A_U*A_S^-1, and the odd rows, c*(Y + Y^-1) for Y = A_U^-1*A_S, which
+    is conjugate to X^-1, vanish too.
+    """
+    balance: Dict[int, int] = defaultdict(int)
+    for p, m in zip(rep.parities, rep.weights):
+        balance[m] += 1 - 2 * p
+    return [i for i, (p, m) in enumerate(zip(rep.parities, rep.weights))
+            if p == 0 or m == 0 or balance[m]]
+
+
+def _relation_problems(rep: Representation,
+                       rows: Sequence[int]) -> List[str]:
+    """The violated bracket relations, read on the listed rows of their
+    products.  The su11 square (U*S)^2 is checked only on all rows and only
+    when another relation failed: U^2 = S^2 = D and US + SU = 0 give
+    (US)^2 = -U^2 S^2 = -D^2, which is diag(m^2) for D = diag(-i*m)."""
+    problems: List[str] = []
+
+    def check(products, diagonal, relation):
+        msg = _first_violation(products, rows, diagonal, rep.weights, relation)
+        if msg:
+            problems.append(msg)
+
+    minus_ic = [GaussianRational(0, -m) for m in rep.weights]
+    for name in rep.generator_names:
+        mat = rep.odd[name]
+        check([mat._row_subset(rows) * mat], minus_ic, "%s^2 != -i*m" % name)
+    if rep.algebra == "su11":
+        u = rep.odd["U"]
+        s = rep.odd["S"]
+        us = u._row_subset(rows) * s
+        check([us, s._row_subset(rows) * u], [ZERO] * rep.dim,
+              "U*S + S*U != 0")
+        if problems and len(rows) == rep.dim:
+            check([us * us], [GaussianRational(m * m) for m in rep.weights],
+                  "(U*S)^2 != m^2")
+    return problems
 
 
 def validate_representation(rep: Representation) -> List[str]:
@@ -295,8 +345,12 @@ def validate_representation(rep: Representation) -> List[str]:
     vectors are linked when some generator has a nonzero entry between them;
     the relations multiply and add only entries of one linked set, so a
     direct sum may write equal weights over different extensions.  Only the
-    last step does arithmetic, and it checks the su11 square (U*S)^2 only
-    when another relation failed, since the others imply it.
+    last step does arithmetic.  It forms the relation products only on the
+    rows the other rows do not imply: even rows, weight-zero rows, and the
+    rows of nonzero-weight blocks whose even and odd parts differ in size.
+    If one of those fails, it checks every row, and the su11 square
+    (U*S)^2, which the other relations imply; so the problem list is the
+    one a check of every row of every relation gives.
     """
     problems: List[str] = []
     n = rep.dim
@@ -354,31 +408,11 @@ def validate_representation(rep: Representation) -> List[str]:
     if problems:
         return problems
 
-    # the required square of every odd generator is diag(-i*m)
-    minus_ic = [GaussianRational(0, -m) for m in rep.weights]
-    for name in rep.generator_names:
-        mat = rep.odd[name]
-        msg = _first_violation([mat * mat], minus_ic, rep.weights,
-                               "%s^2 != -i*m" % name)
-        if msg:
-            problems.append(msg)
-    if rep.algebra == "su11":
-        u = rep.odd["U"]
-        s = rep.odd["S"]
-        us = u * s
-        msg = _first_violation([us, s * u], [ZERO] * n, rep.weights,
-                               "U*S + S*U != 0")
-        if msg:
-            problems.append(msg)
-        # U^2 = S^2 = D and US + SU = 0 give (US)^2 = -U^2 S^2 = -D^2,
-        # which is diag(m^2) for D = diag(-i*m); so this relation can fail
-        # only when one of the others did
-        if problems:
-            m_sq = [GaussianRational(m * m, 0) for m in rep.weights]
-            msg = _first_violation([us * us], m_sq, rep.weights,
-                                   "(U*S)^2 != m^2")
-            if msg:
-                problems.append(msg)
+    checked = _unimplied_rows(rep)
+    problems = _relation_problems(rep, checked)
+    if problems and len(checked) < n:
+        # the other rows are implied only when all checked rows hold
+        problems = _relation_problems(rep, range(n))
     return problems
 
 

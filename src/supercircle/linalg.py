@@ -113,6 +113,14 @@ class Matrix(Frozen):
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(r[j] for r in self._rows)
 
+    def _row_subset(self, rows: Sequence[int]) -> "Matrix":
+        """The listed rows, in the listed order.  The row lists, and the
+        nonzero pattern when it is known, are shared with this matrix."""
+        m = Matrix._of([self._rows[i] for i in rows], self._ncols)
+        if self._nz is not None:
+            object.__setattr__(m, "_nz", [self._nz[i] for i in rows])
+        return m
+
     def _submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the listed rows and columns, in the listed order."""
         src = self._rows
@@ -224,6 +232,12 @@ class Matrix(Frozen):
         """Basis vectors of the null space, one per free column, in free-column
         order; the free coordinate is set to 1."""
         red, pivots = self.rref()
+        return red._reduced_kernel(pivots)
+
+    def _reduced_kernel(self, pivots: Sequence[int]) -> List[Tuple[Scalar, ...]]:
+        """``kernel_basis`` read off this matrix, which is in reduced
+        row-echelon form with the given pivot columns (as ``rref`` returns
+        them), by back-substitution alone."""
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
@@ -231,7 +245,7 @@ class Matrix(Frozen):
             vec = [ZERO] * self.ncols
             vec[fj] = ONE
             for r, pj in enumerate(pivots):
-                vec[pj] = -red._rows[r][fj]
+                vec[pj] = -self._rows[r][fj]
             basis.append(tuple(vec))
         return basis
 

@@ -286,15 +286,15 @@ def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar
     return full
 
 
-def _extend_independent(existing: List[Tuple[Scalar, ...]],
-                        candidates: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, ...]]:
-    """The candidates that are independent of the existing span and of the
-    candidates before them: the pivot columns past the existing ones, so the
-    choice is deterministic.
+def _extend_independent(existing: Sequence[Sequence[Scalar]],
+                        candidates: Sequence[Sequence[Scalar]]) -> List[int]:
+    """The indices of the candidates that are independent of the existing
+    span and of the candidates before them: the pivot columns past the
+    existing ones, so the choice is deterministic.
     """
     k = len(existing)
     _, pivots = from_columns(list(existing) + list(candidates)).rref()
-    return [candidates[p - k] for p in pivots if p >= k]
+    return [p - k for p in pivots if p >= k]
 
 
 def _nonzero_weight_blocks(rep: Representation):
@@ -328,12 +328,17 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     # Weight zero, where Z^2 = 0.  Z is odd, so every row of Z0 lives on the
     # columns of one parity, and the pivot columns of Z0 are the sources:
     # an odd source pairs with its even image (Ad), an even source with its
-    # odd image (PiAd).  The trivial vectors are the kernel vectors outside
-    # the span of the images; each lives on one parity.
+    # odd image (PiAd).  The same elimination gives the kernel basis, one
+    # vector per free column and of that column's parity.  The trivial
+    # vectors are the kernel vectors outside the span of the images, picked
+    # in kernel coordinates: Z0^2 = 0 puts every image in the kernel, where
+    # a vector's coordinates are its entries at the free columns.
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]
     parity = [rep.parities[i] for i in zero_idx]
     z0 = z._submatrix(zero_idx, zero_idx)
-    _, pivots = z0.rref()
+    red, pivots = z0.rref()
+    kernel = red._reduced_kernel(pivots)
+    free = [c for c in range(len(zero_idx)) if c not in pivots]
     images = [z0.col(c) for c in pivots]
     for src, label, variant in ((1, ("Ad",), "W"), (0, ("PiAd",), "PiW")):
         block = make_weight_zero_s11(variant)
@@ -343,9 +348,9 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
                                 _embed([ONE], [zero_idx[c]], n)])
                 blocks.append((label, block))
     trivial: Tuple[List, List] = ([], [])
-    for v in _extend_independent(images, z0.kernel_basis()):
-        # the first nonzero entry tells the parity
-        trivial[next(p for p, x in zip(parity, v) if not x.is_zero())].append(v)
+    coords = [[img[c] for c in free] for img in images]
+    for t in _extend_independent(coords, Matrix.identity(len(free)).rows):
+        trivial[parity[free[t]]].append(kernel[t])
     columns.extend(_embed(v, zero_idx, n) for v in trivial[0] + trivial[1])
     te, to_ = len(trivial[0]), len(trivial[1])
     blocks.append((("trivial", te, to_), make_trivial("s11", te, to_)))

@@ -5,6 +5,7 @@ import pytest
 import liealg_reference
 import reps_reference
 from supercircle.liealg import (
+    ODD_GENERATORS,
     LieSuperAlgebra,
     Representation,
     builtin_algebra,
@@ -25,7 +26,7 @@ from supercircle.reps import (
     random_direct_sum,
     scramble,
 )
-from supercircle.scalars import ExtendedScalar, GaussianRational
+from supercircle.scalars import ExtendedScalar, GaussianRational, sqrt_neg_im
 from supercircle.supermatrix import supercommutator
 
 GR = GaussianRational
@@ -246,26 +247,33 @@ def _replace(rep, name=None, entry=None, value=None, parities=None,
                           weights or rep.weights, odd)
 
 
-def _weight_zero_su11(parities, u_entries, s_entries):
-    """A weight-zero su11 block whose U and S have ones at the listed
-    entries."""
+def _weight_zero(algebra, parities, *entries):
+    """A weight-zero block whose odd generators, in table order, have ones
+    at the listed entries."""
     n = len(parities)
-    mats = []
-    for entries in (u_entries, s_entries):
+    odd = {}
+    for name, ones in zip(ODD_GENERATORS[algebra], entries):
         rows = [[GR(0)] * n for _ in range(n)]
-        for i, j in entries:
+        for i, j in ones:
             rows[i][j] = GR(1)
-        mats.append(Matrix(rows))
-    return Representation("su11", parities, [0] * n,
-                          {"U": mats[0], "S": mats[1]})
+        odd[name] = Matrix(rows)
+    return Representation(algebra, parities, [0] * n, odd)
 
 
 # each breaks exactly one su11 relation: U^2, S^2, and U*S + S*U (with
 # (U*S)^2 = 0 holding, as it must at weight zero)
 ONE_RELATION_BROKEN = [
-    _weight_zero_su11((0, 1), [(0, 1), (1, 0)], []),
-    _weight_zero_su11((0, 1), [], [(0, 1), (1, 0)]),
-    _weight_zero_su11((0, 1, 0), [(2, 1)], [(1, 0)]),
+    _weight_zero("su11", (0, 1), [(0, 1), (1, 0)], []),
+    _weight_zero("su11", (0, 1), [], [(0, 1), (1, 0)]),
+    _weight_zero("su11", (0, 1, 0), [(2, 1)], [(1, 0)]),
+]
+
+# 2|2 weight-zero blocks that break Z^2, U^2 or U*S + S*U only at the odd
+# row 2: at weight zero the even rows imply nothing
+ODD_ROW_BROKEN = [
+    _weight_zero("s11", (0, 0, 1, 1), [(2, 0), (0, 3)]),
+    _weight_zero("su11", (0, 0, 1, 1), [(2, 0), (0, 3)], []),
+    _weight_zero("su11", (0, 0, 1, 1), [(2, 0)], [(0, 3)]),
 ]
 
 
@@ -317,6 +325,105 @@ def test_validation_matches_the_dense_reference():
     assert seen["alone"] >= 3 * 20
 
 
+def _balanced_odd_rows(rep):
+    """The odd basis vectors of the nonzero-weight blocks with as many even
+    as odd vectors: the rows validation reads only after a failure."""
+    rows = []
+    for i, (p, m) in enumerate(zip(rep.parities, rep.weights)):
+        block = [q for q, w in zip(rep.parities, rep.weights) if w == m]
+        if p == 1 and m != 0 and 2 * sum(block) == len(block):
+            rows.append(i)
+    return rows
+
+
+def _odd_row_corruptions(rep, rng):
+    """Copies of rep changed in one odd row of a balanced block: one entry
+    set, the row doubled, the row cleared."""
+    for i in _balanced_odd_rows(rep):
+        name = rng.choice(rep.generator_names)
+        cols = [j for j in range(rep.dim) if rep.weights[j] == rep.weights[i]
+                and rep.parities[j] == 0]
+        yield _replace(rep, name, (i, rng.choice(cols)),
+                       GR(rng.randint(-2, 2), rng.randint(-2, 2)))
+        for factor in (2, 0):
+            rows = [list(r) for r in rep.odd[name].rows]
+            rows[i] = [x * GR(factor) for x in rows[i]]
+            yield Representation(rep.algebra, rep.parities, rep.weights,
+                                 {**rep.odd, name: Matrix(rows)})
+
+
+def test_validation_matches_the_reference_on_odd_rows_of_balanced_blocks():
+    rng = random.Random(29)
+    seen = 0
+    for trial in range(30):
+        algebra = ("s11", "su11")[trial % 2]
+        for rep in _odd_row_corruptions(_random_rep(algebra, rng), rng):
+            problems = validate_representation(rep)
+            assert problems == liealg_reference.validate(rep)
+            seen += bool(problems)
+    assert seen >= 80
+
+
+def _random_block(algebra, parities, m, rng):
+    """A weight-m block whose generators have a random entry over Q(i)[s],
+    s^2 = -i*m, wherever the parities differ."""
+    s = sqrt_neg_im(m)
+    n = len(parities)
+    odd = {}
+    for name in ODD_GENERATORS[algebra]:
+        odd[name] = Matrix([
+            [GR(rng.randint(-2, 2), rng.randint(-2, 2))
+             + GR(rng.randint(1, 2)) * s
+             if parities[i] != parities[j] else GR(0) for j in range(n)]
+            for i in range(n)])
+    return Representation(algebra, parities, [m] * n, odd)
+
+
+def test_validation_matches_the_reference_on_random_blocks():
+    # unbalanced blocks such as 2|1 at m=3 are read on every row, balanced
+    # ones on their even rows first; the entries lie in Q(i)[s]
+    rng = random.Random(31)
+    shapes = [(0, 0, 1), (1, 0, 1), (0, 1), (1, 0, 0, 1), (0, 1, 1, 0)]
+    for trial in range(40):
+        algebra = ("s11", "su11")[trial % 2]
+        block = _random_block(algebra, rng.choice(shapes),
+                              rng.choice([-3, -1, 1, 2, 3, 4]), rng)
+        for rep in (block,
+                    scramble(direct_sum(_random_rep(algebra, rng), block), rng)):
+            problems = validate_representation(rep)
+            assert problems and problems == liealg_reference.validate(rep)
+
+
+def test_validation_reads_the_odd_rows_at_weight_zero():
+    rng = random.Random(41)
+    for block in ODD_ROW_BROKEN:
+        assert validate_representation(block)[0].endswith("(entry (2,3))")
+        rep = scramble(direct_sum(_random_rep(block.algebra, rng), block), rng)
+        problems = validate_representation(rep)
+        assert problems and problems == liealg_reference.validate(rep)
+
+
+def test_validation_forms_product_rows_only_for_even_vectors(monkeypatch):
+    # every nonzero-weight block of a sum of pi_m^+- is 1|1, so the odd rows
+    # of U^2, S^2 and U*S + S*U follow from the even ones
+    blocks = [make_pi_m(m, sign) for m in (-3, -2, -1, 1, 2, 3)
+              for sign in "+-"]
+    rep = scramble(direct_sum(*blocks), random.Random(37))
+    evens = [i for i, p in enumerate(rep.parities) if p == 0]
+    even_rows = {tuple(rep.odd[name].rows[i] for i in evens)
+                 for name in ("U", "S")}
+    left_factors = []
+    mul = Matrix.__mul__
+
+    def recording_mul(self, other):
+        left_factors.append(self.rows)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    assert validate_representation(rep) == []
+    assert len(left_factors) == 4 and set(left_factors) <= even_rows
+
+
 def _swap_columns(rep, name, a, b):
     rows = [list(r) for r in rep.odd[name].rows]
     for row in rows:
@@ -362,4 +469,6 @@ def test_valid_su11_validation_skips_the_implied_square(monkeypatch):
     assert len(calls) == 4
     del calls[:]
     assert validate_representation(broken)[-1].startswith("(U*S)^2")
-    assert len(calls) == 5
+    # the same four on the checked rows, which fail, then on all rows, and
+    # (U*S)^2
+    assert len(calls) == 9

@@ -248,9 +248,9 @@ def test_decompose_s11_matches_the_two_block_reference():
         assert got == want
 
 
-def test_weight_zero_s11_takes_three_eliminations(monkeypatch):
-    # one for the pivots of Z0, one for its kernel, one for the trivial
-    # complement; the two-block construction takes two of each
+def test_weight_zero_s11_takes_two_eliminations(monkeypatch):
+    # one of Z0 for its pivots and kernel, one for the trivial complement in
+    # kernel coordinates, with one row per free column of Z0
     rep = scramble(direct_sum(make_weight_zero_s11("W"),
                               make_weight_zero_s11("PiW"),
                               make_weight_zero_s11("W"),
@@ -264,5 +264,5 @@ def test_weight_zero_s11_takes_three_eliminations(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting_rref)
     report = decompose_s11(rep)
-    assert len(calls) == 3
+    assert len(calls) == 2 and calls[1][0] < calls[0][0]
     assert report.labels() == (("Ad",), ("Ad",), ("PiAd",), ("trivial", 2, 1))
