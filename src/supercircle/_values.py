@@ -1,9 +1,15 @@
-"""Immutable value bases for the package's slotted value classes.
+"""Immutable value bases for the package's slotted value classes, and the
+JSON shape check of the package's decoders.
 
 A subclass lists its fields in ``__slots__`` and sets them once, in its
 constructor or an unchecked builder, through ``object.__setattr__``.
 ``GaussianRational`` does not use these bases; its docstring says why.
+
+A ``*_from_json`` decoder checks with :func:`expect` only the shapes it reads
+itself and leaves every check of a value to the constructor it calls.
 """
+
+from typing import Optional
 
 
 class Frozen:
@@ -38,3 +44,22 @@ class Record(Frozen):
 
     def to_json(self) -> dict:
         return {name: getattr(self, name).to_json() for name in self.__slots__}
+
+
+_NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _fits(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def expect(value, kind: type, what: str, items: Optional[type] = None):
+    """value, if it has the JSON shape kind (a dict, list or str, or an int
+    that is not a bool) and, with items given, each of its entries has the
+    shape items; otherwise a ValueError saying what shape ``what`` needs."""
+    if _fits(value, kind) and (
+            items is None or all(_fits(x, items) for x in value)):
+        return value
+    noun = (_NOUNS[kind] if items is None
+            else "a list of %ss" % _NOUNS[items].split()[1])
+    raise ValueError("%s must be %s" % (what, noun))

@@ -22,9 +22,14 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .grassmann import GeneratorSet, GrassmannElement, element_from_json
+from .grassmann import (
+    GeneratorSet,
+    GrassmannElement,
+    _gens_from_json,
+    element_from_json,
+)
 from .harmonic import (
     ODD_COORDS,
     Section,
@@ -50,7 +55,6 @@ from .reps import (
 )
 from .scalars import GaussianRational
 from .supergroup import (
-    GL11Point,
     c11x_ring,
     defactorize,
     factorization_triple_ring,
@@ -97,23 +101,46 @@ class RunConfig:
 # --- file plumbing ---------------------------------------------------------
 
 
-def _load_json(path: str):
+def _json_int(literal: str) -> int:
+    # int() refuses a literal over the digit limit with advice to raise it
+    limit = sys.get_int_max_str_digits()
+    if len(literal.lstrip("-")) > limit > 0:
+        raise ValueError("a JSON integer has more than %d digits" % limit)
+    return int(literal)
+
+
+def _read(path: str, decode: Callable[[object], object]):
+    """decode applied to the JSON document in the file at path.
+
+    Every failure while reading, from the file system to a constructor that
+    rejects a decoded value, raises InputError, which exits with code 2.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
+        return decode(obj)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError("invalid JSON in %s: %s" % (path, exc))
+    except RecursionError:
+        raise InputError("the JSON in %s is nested too deeply" % path)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
-def _canonical_gens(group: str, decoded: GeneratorSet) -> Optional[GeneratorSet]:
-    """The package-defined chart ring matching the file's generator names.
+def _chart_gens(group: str, obj, first: str) -> Optional[GeneratorSet]:
+    """The ring to decode a point or pair against: the package-defined chart
+    ring with the generator set that the element obj[first] declares, or
+    else that set; None if obj has no entry first.
 
-    Star images are not serialized, so symbolic points are re-attached to
-    the ring that carries the group's constraints.  Returns None when the
-    file uses its own generator names; star-free operations still work then.
+    Star images are not serialized, so symbolic points are attached to the
+    ring that carries the group's constraints; star-free operations still
+    work on a file with its own generator names.
     """
+    if not isinstance(obj, dict) or first not in obj:
+        return None  # left for the decoder to report
+    decoded = _gens_from_json(obj[first])
     if group == "sl11":
         candidates = [sl11_generic_ring()[0]]
     elif group in ("su11", "su11_minus"):
@@ -123,34 +150,15 @@ def _canonical_gens(group: str, decoded: GeneratorSet) -> Optional[GeneratorSet]
     for gens in candidates:
         if gens.signature() == decoded.signature():
             return gens
-    return None
-
-
-def _parse_point(obj, group: str) -> GL11Point:
-    try:
-        raw = point_from_json(obj)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    gens = _canonical_gens(group, raw.a.gens)
-    if gens is None:
-        return raw
-    return point_from_json(obj, gens)
+    return decoded
 
 
 def _parse_pair(obj) -> Tuple[GrassmannElement, GrassmannElement]:
     """An invertible 1|1 coordinate pair {w, eta} for the circle involution."""
     if not isinstance(obj, dict) or "w" not in obj or "eta" not in obj:
-        raise InputError("expected an object with entries 'w' and 'eta'")
-    try:
-        w = element_from_json(obj["w"])
-        eta = element_from_json(obj["eta"], w.gens)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    gens = _canonical_gens("s11", w.gens)
-    if gens is not None:
-        w = element_from_json(obj["w"], gens)
-        eta = element_from_json(obj["eta"], gens)
-    return w, eta
+        raise ValueError("expected an object with entries 'w' and 'eta'")
+    gens = _chart_gens("s11", obj, "w")
+    return element_from_json(obj["w"], gens), element_from_json(obj["eta"], gens)
 
 
 # --- verify checks ---------------------------------------------------------
@@ -453,11 +461,7 @@ def cmd_verify(config: RunConfig) -> Tuple[dict, int]:
 
 
 def cmd_rep(action: str, path: str) -> Tuple[dict, int]:
-    obj = _load_json(path)
-    try:
-        rep = representation_from_json(obj)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    rep = _read(path, representation_from_json)
     if action == "validate":
         problems = validate_representation(rep)
         report = {
@@ -474,18 +478,15 @@ def cmd_rep(action: str, path: str) -> Tuple[dict, int]:
 
 
 def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
-    obj = _load_json(path)
-    if action == "involute":
-        if group_flag == "s11":
-            w, eta = _parse_pair(obj)
-            w2, eta2 = rho_s11(w, eta)
-            return {"w": w2.to_json(), "eta": eta2.to_json()}, 0
-        p = _parse_point(obj, GROUP_TAGS[group_flag])
-        return sigma_su(p).to_json(), 0
     if group_flag == "s11":
-        raise InputError("--group s11 only makes sense for involute")
+        if action != "involute":
+            raise InputError("--group s11 only makes sense for involute")
+        w, eta = rho_s11(*_read(path, _parse_pair))
+        return {"w": w.to_json(), "eta": eta.to_json()}, 0
     group = GROUP_TAGS[group_flag]
-    p = _parse_point(obj, group)
+    p = _read(path, lambda o: point_from_json(o, _chart_gens(group, o, "a")))
+    if action == "involute":
+        return sigma_su(p).to_json(), 0
     if action == "check":
         member, diag = membership(p, group)
         report = {
@@ -502,12 +503,7 @@ def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
 
 def cmd_pw(args) -> Tuple[dict, int]:
     if args.pw_action == "expand":
-        obj = _load_json(args.file)
-        try:
-            section = section_from_json(obj)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        res = expand(section)
+        res = expand(_read(args.file, section_from_json))
         report = res.to_json()
         if not res.residual.is_zero():
             report["note"] = "outside listed span"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen
+from ._values import Frozen, expect
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -71,9 +71,9 @@ class GeneratorSet(Frozen):
         if pairing is not None:
             table = list(range(len(odd)))
             for cycle in pairing:
-                i, j = cycle
-                if not (0 <= i < len(odd) and 0 <= j < len(odd)):
+                if len(cycle) != 2 or not all(0 <= k < len(odd) for k in cycle):
                     raise ValueError("pairing must be an involution on odd indices")
+                i, j = cycle
                 table[i] = j
                 table[j] = i
             perm = tuple(table)
@@ -484,13 +484,19 @@ class GrassmannElement(Frozen):
         return obj
 
 
-def _list_of(value, kind: type, what: str) -> list:
-    if not isinstance(value, list) or any(
-        not isinstance(x, kind) or isinstance(x, bool) for x in value
-    ):
-        noun = "integers" if kind is int else "strings"
-        raise ValueError(f"{what} must be a list of {noun}")
-    return value
+def _gens_from_json(obj) -> GeneratorSet:
+    """The generator set a Grassmann element's JSON object declares."""
+    if not isinstance(obj, dict) or "gens" not in obj or "terms" not in obj:
+        raise ValueError("malformed Grassmann element")
+    pairing = obj.get("pairing")
+    if pairing is not None:
+        for cycle in expect(pairing, list, "pairing"):
+            expect(cycle, list, "pairing entry", int)
+    return GeneratorSet(
+        expect(obj["gens"], list, "gens", str),
+        pairing=pairing,
+        even=expect(obj.get("evens", []), list, "evens", str),
+    )
 
 
 def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElement:
@@ -498,41 +504,25 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
 
     Terms with the same monomial are summed.
     """
-    if not isinstance(obj, dict) or "gens" not in obj or "terms" not in obj:
-        raise ValueError("malformed Grassmann element")
-    pairing = obj.get("pairing")
-    if pairing is not None and (not isinstance(pairing, list) or any(
-        len(_list_of(cycle, int, "pairing entry")) != 2 for cycle in pairing
-    )):
-        raise ValueError("pairing must be a list of two-integer lists")
-    decoded = GeneratorSet(
-        _list_of(obj["gens"], str, "gens"),
-        pairing=pairing,
-        even=_list_of(obj.get("evens", []), str, "evens"),
-    )
+    decoded = _gens_from_json(obj)
     if gens is None:
         gens = decoded
     elif gens.signature() != decoded.signature():
         raise ValueError("generator sets disagree across entries")
     n_even = len(gens.even)
-    if not isinstance(obj["terms"], list):
-        raise ValueError("Grassmann terms must be a list")
     terms: Dict[Monomial, Scalar] = {}
-    for entry in obj["terms"]:
-        if not isinstance(entry, dict):
-            raise ValueError("Grassmann terms must be objects")
+    for entry in expect(obj["terms"], list, "Grassmann terms", dict):
         mask = 0
-        for i in _list_of(entry.get("mono"), int, "monomial"):
+        for i in expect(entry.get("mono"), list, "monomial", int):
             if not 0 <= i < len(gens.odd):
                 raise ValueError(f"monomial index {i!r} out of range")
             if mask >> i & 1:
                 raise ValueError("repeated generator in monomial")
             mask |= 1 << i
-        exps = tuple(_list_of(entry.get("powers", [0] * n_even), int, "powers"))
+        exps = tuple(expect(entry.get("powers", [0] * n_even), list, "powers", int))
         if len(exps) != n_even:
             raise ValueError("even exponent vector has wrong length")
         key = (exps, mask)
         coef = scalar_from_json(entry.get("coef"))
         terms[key] = coef if key not in terms else terms[key] + coef
     return gens.element(terms)
-

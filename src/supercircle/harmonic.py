@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record
-from .grassmann import GeneratorSet, GrassmannElement, _add_into, _list_of
+from ._values import Frozen, Record, expect
+from .grassmann import GeneratorSet, GrassmannElement, _add_into, _nonzero
 from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
@@ -53,6 +53,23 @@ TermKey = Tuple[int, int]  # (weight, odd-coordinate bitmask)
 Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
 
 
+def _odd_coords(group: object) -> Tuple[str, ...]:
+    """The odd chart coordinates of a group; the one check of a group tag."""
+    if not isinstance(group, str) or group not in ODD_COORDS:
+        raise ValueError("unknown group tag %r" % (group,))
+    return ODD_COORDS[group]
+
+
+def _mask(coords: Sequence[str], names: Sequence[str]) -> Optional[int]:
+    """The bitmask of the named coordinates; None if a name repeats."""
+    for name in names:
+        if name not in coords:
+            raise ValueError("unknown odd coordinate %r" % (name,))
+    if len(set(names)) < len(names):
+        return None
+    return sum(1 << coords.index(name) for name in names)
+
+
 class Section(Record):
     """A finitely supported function on the group chart.
 
@@ -63,20 +80,22 @@ class Section(Record):
     __slots__ = ("group", "terms")
 
     def __init__(self, group: str, terms: Mapping[TermKey, object]):
-        if not isinstance(group, str) or group not in ODD_COORDS:
-            raise ValueError("unknown group tag %r" % (group,))
-        limit = 1 << len(ODD_COORDS[group])
-        clean: Dict[TermKey, Scalar] = {}
-        for (m, mask), c in terms.items():
+        self._set(group, terms.items())
+
+    def _set(self, group: str, items) -> None:
+        """Check the (key, coefficient) items; sum those with equal keys."""
+        limit = 1 << len(_odd_coords(group))
+        sums: Dict[TermKey, Scalar] = {}
+        for (m, mask), c in items:
             if not isinstance(m, int) or isinstance(m, bool):
                 raise ValueError("weights must be integers")
             if not 0 <= mask < limit:
                 raise ValueError("odd monomial mask out of range")
+            key = (m, mask)
             c = as_scalar(c)
-            if not c.is_zero():
-                clean[(m, mask)] = c
+            sums[key] = sums[key] + c if key in sums else c
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _nonzero(sums))
 
     @classmethod
     def zero(cls, group: str) -> "Section":
@@ -87,13 +106,9 @@ class Section(Record):
                  coef: object = 1) -> "Section":
         """t^m times the product of the named odd coordinates (canonical
         order), times coef."""
-        coords = ODD_COORDS[group]
-        mask = 0
-        for name in names:
-            idx = coords.index(name)
-            if mask & (1 << idx):
-                return cls.zero(group)
-            mask |= 1 << idx
+        mask = _mask(_odd_coords(group), names)
+        if mask is None:
+            return cls.zero(group)
         return cls(group, {(m, mask): coef})
 
     def is_zero(self) -> bool:
@@ -167,32 +182,21 @@ def _monomial(group: str, m: int, mask: int) -> str:
 
 
 def section_from_json(obj: object) -> Section:
-    if not isinstance(obj, dict):
-        raise ValueError("section JSON must be an object")
-    group = obj.get("group")
-    if not isinstance(group, str) or group not in ODD_COORDS:
-        raise ValueError("unknown group tag %r" % (group,))
-    raw = obj.get("terms")
-    if not isinstance(raw, list):
-        raise ValueError("missing terms list")
-    coords = ODD_COORDS[group]
-    terms: Dict[TermKey, Scalar] = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValueError("terms must be objects")
-        m = entry.get("m")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError("term weight must be an integer")
-        mask = 0
-        for name in _list_of(entry.get("mono", []), str, "monomial"):
-            if name not in coords:
-                raise ValueError("unknown odd coordinate %r" % (name,))
-            idx = coords.index(name)
-            if mask & (1 << idx):
-                raise ValueError("repeated odd coordinate %r" % (name,))
-            mask |= 1 << idx
-        _add_into(terms, {(m, mask): scalar_from_json(entry.get("coef"))})
-    return Section(group, terms)
+    obj = expect(obj, dict, "section JSON")
+    coords = _odd_coords(obj.get("group"))
+    items = []
+    for entry in expect(obj.get("terms"), list, "section terms", dict):
+        names = expect(entry.get("mono", []), list, "monomial", str)
+        mask = _mask(coords, names)
+        if mask is None:
+            raise ValueError("repeated odd coordinate in monomial %r"
+                             % (names,))
+        items.append(((entry.get("m"), mask),
+                      scalar_from_json(entry.get("coef"))))
+    # the constructor's checks; equal keys are summed
+    section = object.__new__(Section)
+    section._set(obj["group"], items)
+    return section
 
 
 def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:

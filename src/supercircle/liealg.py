@@ -12,13 +12,20 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record
+from ._values import Frozen, Record, expect
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
 from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
 from .supermatrix import SuperMatrix
 
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
+
+
+def _odd_generators(algebra: object) -> Tuple[str, ...]:
+    """The odd generator names of an algebra; the one check of its tag."""
+    if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
+        raise ValueError("unknown algebra tag %r" % (algebra,))
+    return ODD_GENERATORS[algebra]
 
 
 def _parity_tuple(parities: Sequence[int]) -> Tuple[int, ...]:
@@ -140,18 +147,17 @@ def builtin_algebra(tag: str) -> LieSuperAlgebra:
     ``su11``: basis (C, U, S), C central, [U, U] = [S, S] = -2C, [U, S] = 0,
     with the defining 2x2 matrices attached.
     """
+    _odd_generators(tag)  # rejects an unknown tag
     if tag == "s11":
         return LieSuperAlgebra(
             ("C", "Z"), (0, 1), {(1, 1): (-2, 0)}
         )
-    if tag == "su11":
-        return LieSuperAlgebra(
-            ("C", "U", "S"),
-            (0, 1, 1),
-            {(1, 1): (-2, 0, 0), (2, 2): (-2, 0, 0)},
-            defining=_su11_defining(),
-        )
-    raise ValueError("unknown algebra tag %r" % (tag,))
+    return LieSuperAlgebra(
+        ("C", "U", "S"),
+        (0, 1, 1),
+        {(1, 1): (-2, 0, 0), (2, 2): (-2, 0, 0)},
+        defining=_su11_defining(),
+    )
 
 
 class Representation(Record):
@@ -171,8 +177,7 @@ class Representation(Record):
         weights: Sequence[int],
         odd: Mapping[str, Matrix],
     ):
-        if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
-            raise ValueError("unknown algebra tag %r" % (algebra,))
+        _odd_generators(algebra)  # rejects an unknown tag
         parities = _parity_tuple(parities)
         weights = tuple(weights)
         if any(not isinstance(m, int) or isinstance(m, bool) for m in weights):
@@ -233,36 +238,18 @@ class Representation(Record):
 
 
 def representation_from_json(obj: object) -> Representation:
-    if not isinstance(obj, dict):
-        raise ValueError("representation JSON must be an object")
-    algebra = obj.get("algebra")
-    if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
-        raise ValueError("unknown algebra tag %r" % (algebra,))
-    basis = obj.get("basis")
-    if not isinstance(basis, list):
-        raise ValueError("missing basis list")
-    parities = []
-    weights = []
-    for entry in basis:
-        if not isinstance(entry, dict):
-            raise ValueError("basis entries must be objects")
-        p = entry.get("parity")
-        m = entry.get("weight")
-        if not isinstance(p, int) or isinstance(p, bool) or p not in (0, 1):
-            raise ValueError("basis parity must be 0 or 1")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError("basis weight must be an integer")
-        parities.append(p)
-        weights.append(m)
+    obj = expect(obj, dict, "representation JSON")
+    names = _odd_generators(obj.get("algebra"))
+    basis = expect(obj.get("basis"), list, "basis", dict)
     odd = {}
-    for name in ODD_GENERATORS[algebra]:
+    for name in names:
         if name not in obj:
             raise ValueError("missing generator matrix %s" % name)
-        mat = matrix_from_json(obj[name])
-        if mat.shape != (len(basis), len(basis)):
+        odd[name] = matrix_from_json(obj[name])
+        if odd[name].shape != (len(basis), len(basis)):
             raise ValueError("generator %s has wrong shape" % name)
-        odd[name] = mat
-    return Representation(algebra, parities, weights, odd)
+    return Representation(obj["algebra"], [e.get("parity") for e in basis],
+                          [e.get("weight") for e in basis], odd)
 
 
 def _first_violation(products: Sequence[Matrix], rows: Sequence[int],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import List, Optional, Sequence, Tuple
 
-from ._values import Frozen
+from ._values import Frozen, expect
 from .scalars import (
     ONE,
     ZERO,
@@ -314,6 +314,5 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(rows: object) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError("matrix JSON must be a list of row lists")
-    return Matrix([[scalar_from_json(x) for x in r] for r in rows])
+    return Matrix([[scalar_from_json(x) for x in r]
+                   for r in expect(rows, list, "matrix JSON", list)])

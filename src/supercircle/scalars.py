@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._values import Frozen
+from ._values import Frozen, expect
 
 RationalLike = Union[int, Fraction]
 
@@ -439,34 +439,38 @@ def scalar_to_json(x) -> dict:
     raise TypeError(f"cannot encode {type(x).__name__}")
 
 
-def scalar_from_json(obj) -> Scalar:
-    if not isinstance(obj, dict):
-        raise ValueError(f"malformed scalar: {obj!r}")
-    if set(obj) == {"c0", "c1", "m"}:
-        c0 = scalar_from_json(obj["c0"])
-        c1 = scalar_from_json(obj["c1"])
-        if not isinstance(c0, GaussianRational) or not isinstance(c1, GaussianRational):
-            raise ValueError("extension components must be Gaussian rationals")
-        m = obj["m"]
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError("extension parameter must be an integer")
-        return ExtendedScalar.make(c0, c1, m)
-    if set(obj) == {"re", "im"}:
-        re, im = obj["re"], obj["im"]
-        if isinstance(re, str) and isinstance(im, str):
-            # Fraction reads exponents, and "1e1000000" costs time and
-            # memory that grow with the exponent
-            for part in (re, im):
-                if "e" in part.lower():
-                    raise ValueError("exponent notation is not allowed in "
-                                     f"scalar components: {part!r}")
-            try:
-                return GaussianRational(Fraction(re), Fraction(im))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in scalar: {obj!r}") from None
+def _gaussian_from_json(obj) -> Optional[GaussianRational]:
+    """The value of an {"re", "im"} object, or None for any other shape."""
+    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
+        return None
+    re, im = obj["re"], obj["im"]
+    if not (isinstance(re, str) and isinstance(im, str)):
         raise ValueError("scalar components must be exact strings such as "
                          f'"1/2": {obj!r}')
-    raise ValueError(f"malformed scalar: {obj!r}")
+    # Fraction reads exponents, and "1e1000000" costs time and memory that
+    # grow with the exponent
+    for part in (re, im):
+        if "e" in part.lower():
+            raise ValueError("exponent notation is not allowed in "
+                             f"scalar components: {part!r}")
+    try:
+        return GaussianRational(Fraction(re), Fraction(im))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar: {obj!r}") from None
+
+
+def scalar_from_json(obj) -> Scalar:
+    if isinstance(obj, dict) and set(obj) == {"c0", "c1", "m"}:
+        # the components are Gaussian, so they are read without recursion
+        c0, c1 = _gaussian_from_json(obj["c0"]), _gaussian_from_json(obj["c1"])
+        if c0 is None or c1 is None:
+            raise ValueError("extension components must be Gaussian rationals")
+        return ExtendedScalar.make(c0, c1,
+                                   expect(obj["m"], int, "extension parameter"))
+    x = _gaussian_from_json(obj)
+    if x is None:
+        raise ValueError(f"malformed scalar: {obj!r}")
+    return x
 
 
 def as_scalar(x) -> Scalar:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from ._values import Record
+from ._values import Record, expect
 from .grassmann import GeneratorSet, GrassmannElement, element_from_json
 from .scalars import I, GaussianRational
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1
@@ -71,15 +71,15 @@ class GL11Point(Record):
 
 
 def point_from_json(obj: object, gens: Optional[GeneratorSet] = None) -> GL11Point:
-    if not isinstance(obj, dict):
-        raise ValueError("point JSON must be an object")
-    entries = {}
+    """Decode a point over gens, or else over the generator set of entry a."""
+    obj = expect(obj, dict, "point JSON")
+    entries = []
     for name in ("a", "beta", "gamma", "d"):
         if name not in obj:
             raise ValueError("point JSON is missing entry %r" % name)
-        entries[name] = element_from_json(obj[name], gens)
-        gens = entries[name].gens
-    return GL11Point(entries["a"], entries["beta"], entries["gamma"], entries["d"])
+        entries.append(element_from_json(obj[name], gens))
+        gens = entries[0].gens
+    return GL11Point(*entries)
 
 
 # --- coordinate rings -----------------------------------------------------
@@ -175,12 +175,8 @@ def su11_chart_ring(group: str = "su11", copies: int = 1,
 def _member_point(gens: GeneratorSet, group: str, a: GrassmannElement,
                   b: GrassmannElement) -> GL11Point:
     """The member point of the chosen group with upper row (a, b)."""
-    d = a.star().invert()
-    if group == "su11":
-        gamma = -I * b.star() * a * a
-    else:
-        gamma = I * b.star() * a * a
-    return GL11Point(a, b, gamma, d)
+    gamma = _su11_star_sign(group) * b.star() * a * a
+    return GL11Point(a, b, gamma, a.star().invert())
 
 
 # --- involutions ----------------------------------------------------------
@@ -312,12 +308,8 @@ def factorization_triple_ring(group: str = "su11",
     base = GeneratorSet(["theta", "eta"], even=["t"])
     theta = base.odd_gen("theta")
     eta = base.odd_gen("eta")
-    if group == "su11":
-        odd_images = [theta, eta]
-    elif group == "su11_minus":
-        odd_images = [-theta, -eta]
-    else:
-        raise ValueError("group must be su11 or su11_minus")
+    _su11_star_sign(group)  # rejects any other group
+    odd_images = [theta, eta] if group == "su11" else [-theta, -eta]
     gens = base.with_star_images(odd_images, [base.even_gen("t", -1)])
     return gens, FactorizationTriple(
         gens.even_gen("t"), gens.odd_gen("theta"), gens.odd_gen("eta"))

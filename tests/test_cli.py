@@ -552,7 +552,7 @@ def test_rep_validate_non_integer_parity_is_a_parse_error(capsys, tmp_path,
     path = write(tmp_path, "parity.json", blob)
     code, out = run(capsys, "rep", "validate", path)
     assert code == 2
-    assert json.loads(out) == {"error": "basis parity must be 0 or 1"}
+    assert json.loads(out) == {"error": "parities must be the integers 0 or 1"}
 
 
 def test_pw_expand_numeric_scalar_is_a_parse_error(capsys, tmp_path):
@@ -592,3 +592,75 @@ def test_rep_unhashable_algebra_is_a_parse_error(capsys, tmp_path):
         code, out = run(capsys, "rep", action, path)
         assert code == 2
         assert json.loads(out) == {"error": "unknown algebra tag {}"}
+
+
+def _long_weight():
+    blob = make_pi_m(2, "+").to_json()
+    blob["basis"][0]["weight"] = 0
+    text = json.dumps(blob).replace('"weight": 0', '"weight": ' + "7" * 5000)
+    return text.encode()
+
+
+@pytest.mark.parametrize("content, error", [
+    (_long_weight(), "a JSON integer has more than"),
+    (b"[" * 100000, "nested too deeply"),
+    (b"\xff{}", "'utf-8' codec can't decode"),
+], ids=["long-integer", "deep-nesting", "not-utf-8"])
+def test_unreadable_json_files_exit_2(capsys, tmp_path, content, error):
+    # an integer over the int() digit limit, nesting deeper than the parser's
+    # recursion limit, and bytes that are not UTF-8
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out = run(capsys, "rep", "validate", str(path))
+    assert code == 2
+    message = json.loads(out)["error"]
+    assert error in message and "set_int_max_str_digits" not in message
+
+
+def _ragged_row(blob):
+    blob["U"][0].pop()
+
+
+def _wrong_shape(blob):
+    blob["U"].append(blob["U"][0])
+
+
+def _disagreeing_gens(blob):
+    blob["beta"]["gens"] = ["c0", "c0bar"]
+
+
+def _repeated_names(blob):
+    for entry in blob.values():
+        entry["gens"] = ["b0", "b0"]
+
+
+def _unknown_coordinate(blob):
+    blob["terms"][0]["mono"] = ["zeta"]
+
+
+def _zero_a(blob):
+    blob["a"]["terms"] = []
+
+
+@pytest.mark.parametrize("command, fault, error", [
+    (("rep", "validate"), _ragged_row, "ragged rows"),
+    (("rep", "decompose"), _wrong_shape, "generator U has wrong shape"),
+    (("point", "check"), _disagreeing_gens, "generator sets disagree"),
+    (("point", "factorize"), _repeated_names,
+     "generator names must be distinct"),
+    (("pw", "expand"), _unknown_coordinate, "unknown odd coordinate 'zeta'"),
+    (("point", "involute"), _zero_a, "not invertible"),
+])
+def test_constructor_errors_while_reading_exit_2(capsys, tmp_path, command,
+                                                  fault, error):
+    if command[0] == "rep":
+        blob, flags = make_pi_m(2, "+").to_json(), ()
+    elif command[0] == "point":
+        blob, flags = _su11_point_json(), ("--group", "su11")
+    else:
+        blob, flags = Section.monomial("su11", 2, ["theta"]).to_json(), ()
+    fault(blob)
+    path = write(tmp_path, "fault.json", blob)
+    code, out = run(capsys, *command, path, *flags)
+    assert code == 2
+    assert error in json.loads(out)["error"]

@@ -268,6 +268,8 @@ def test_element_json_rejects_malformed(paired):
         element_from_json(
             {"gens": ["theta"], "terms": [{"mono": [0, 0], "coef": {"re": "1", "im": "0"}}]}
         )
+    with pytest.raises(ValueError, match="involution"):
+        element_from_json({"gens": ["x", "y"], "pairing": [[0, 1, 0]], "terms": []})
     j = paired.odd_gen("theta").to_json()
     other = GeneratorSet(["x", "y"]).odd_gen("x").to_json()
     with pytest.raises(ValueError, match="disagree"):

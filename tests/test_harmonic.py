@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercircle import liealg
 from supercircle.harmonic import (
+    ODD_COORDS,
     Section,
     expand,
     matrix_coefficients,
@@ -22,6 +25,47 @@ from supercircle.scalars import (
 )
 
 GR = GaussianRational
+
+
+SMALL = st.integers(-3, 3)
+GAUSSIAN = st.builds(GR, SMALL, SMALL)
+# c0 + c1*s over Q(i)[s] for a random weight, Gaussian when the weight's
+# root lies in Q(i) or c1 = 0
+EXTENDED = st.builds(lambda c0, c1, m: c0 + c1 * sqrt_neg_im(m), GAUSSIAN,
+                     GAUSSIAN, st.integers(-6, 6).filter(bool))
+
+
+@st.composite
+def sections(draw):
+    group = draw(st.sampled_from(["s11", "su11"]))
+    masks = st.integers(0, (1 << len(ODD_COORDS[group])) - 1)
+    terms = draw(st.dictionaries(st.tuples(st.integers(-40, 40), masks),
+                                 GAUSSIAN | EXTENDED, max_size=8))
+    return Section(group, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sections())
+def test_section_json_round_trips_random_sections(f):
+    assert section_from_json(f.to_json()) == f
+
+
+def test_section_json_sums_terms_with_equal_keys():
+    half, minus_half = {"re": "1/2", "im": "0"}, {"re": "-1/2", "im": "0"}
+    blob = {"group": "s11", "terms": [
+        {"m": 2, "mono": ["theta"], "coef": half},
+        {"m": 1, "coef": half},
+        {"m": 2, "mono": ["theta"], "coef": half},
+        {"m": 1, "coef": minus_half},
+    ]}
+    assert section_from_json(blob) == Section.monomial("s11", 2, ["theta"])
+
+
+@pytest.mark.parametrize("m", [[], {}, 1.5, None, True])
+def test_section_json_weights_are_checked_by_the_constructor(m):
+    blob = {"group": "s11", "terms": [{"m": m, "coef": {"re": "1", "im": "0"}}]}
+    with pytest.raises(ValueError, match="weights must be integers"):
+        section_from_json(blob)
 
 
 def test_section_construction_and_monomials():

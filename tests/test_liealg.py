@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liealg_reference
 import reps_reference
@@ -182,6 +184,14 @@ def test_representation_json_round_trip():
     assert j["basis"] == [{"parity": 0, "weight": 3}, {"parity": 1, "weight": 3}]
     back = representation_from_json(j)
     assert back == rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2**32))
+def test_representation_json_round_trips_scrambled_sums(algebra, seed):
+    rng = random.Random(seed)
+    rep = scramble(random_direct_sum(algebra, rng), rng)
+    assert representation_from_json(rep.to_json()) == rep
 
 
 def test_representation_json_rejects_bad_input():

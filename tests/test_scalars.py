@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,15 @@ def test_scalar_json_rejects_malformed():
         scalar_from_json({"c0": {"re": "1", "im": "0"}, "c1": {"re": "1", "im": "0"}, "m": "three"})
     with pytest.raises(ValueError):
         scalar_from_json([1, 2])
+
+
+def test_scalar_json_reads_extension_components_without_recursion():
+    one = {"re": "1", "im": "0"}
+    obj = one
+    for _ in range(sys.getrecursionlimit()):
+        obj = {"c0": obj, "c1": one, "m": 3}
+    with pytest.raises(ValueError, match="must be Gaussian rationals"):
+        scalar_from_json(obj)
 
 
 @pytest.mark.parametrize("re, im", [(0.5, -1.25), (1, 0), ("1/2", 0),
