@@ -5,8 +5,12 @@ A subclass lists its fields in ``__slots__`` and sets them once, in its
 constructor or an unchecked builder, through ``object.__setattr__``.
 ``GaussianRational`` does not use these bases; its docstring says why.
 
+Each value class has one checked public constructor and at most one
+unchecked private builder, for results whose inputs are known to be valid.
+
 A ``*_from_json`` decoder checks with :func:`expect` only the shapes it reads
-itself and leaves every check of a value to the constructor it calls.
+itself and leaves every check of a value to the constructor it calls.  A
+message quotes a decoded value through :func:`_brief`.
 """
 
 from typing import Optional
@@ -63,3 +67,9 @@ def expect(value, kind: type, what: str, items: Optional[type] = None):
     noun = (_NOUNS[kind] if items is None
             else "a list of %ss" % _NOUNS[items].split()[1])
     raise ValueError("%s must be %s" % (what, noun))
+
+
+def _brief(value) -> str:
+    """repr(value), cut to at most 100 characters for an error message."""
+    text = repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."

@@ -519,7 +519,7 @@ def cmd_pw(args) -> Tuple[dict, int]:
             raise InputError("coeffs needs either --adjoint or both --m "
                              "and --sign")
         if args.m == 0:
-            raise ValueError("weight 0 with a sign is degenerate; the "
+            raise InputError("weight 0 with a sign is degenerate; the "
                              "weight-0 coefficients come from --adjoint")
         rep = make_pi_m(args.m, args.sign)
         desc = {"type": "pi", "m": args.m, "sign": args.sign}

@@ -12,8 +12,10 @@ owns; element products, supermatrix entries, ``invert`` and ``star`` all
 accumulate into such dicts and drop zero sums once, at the end.  Their
 results are wrapped by the private ``GrassmannElement._of``, which neither
 copies nor checks: its dict must hold only nonzero coefficients and must not
-be shared with anything that may change it.  The public constructor copies
-its dict and drops zero coefficients.
+be shared with anything that may change it.  The public constructor
+``GrassmannElement(gens, terms)`` copies its dict, coerces coefficients to
+scalars, drops zeros, and checks that each monomial (exps, mask) has one
+integer exponent per even generator and an integer mask below 2**len(odd).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, expect
+from ._values import Frozen, _brief, _fits, expect
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -148,7 +150,8 @@ class GeneratorSet(Frozen):
     def _even_star_image(self, index: int) -> "GrassmannElement":
         if self._star_even is not None:
             return self._star_even[index]
-        raise ValueError(f"no star image declared for even generator {self.even[index]!r}")
+        raise ValueError("no star image declared for even generator "
+                         + _brief(self.even[index]))
 
     # --- element constructors -------------------------------------------
 
@@ -180,13 +183,7 @@ class GeneratorSet(Frozen):
         return GrassmannElement._of(self, {(tuple(exps), 0): GaussianRational(1, 0)})
 
     def element(self, terms: Mapping[Monomial, object]) -> "GrassmannElement":
-        out: Dict[Monomial, Scalar] = {}
-        for key, c in terms.items():
-            c = as_scalar(c)
-            if not c.is_zero():
-                exps, mask = key
-                out[(tuple(exps), mask)] = c
-        return GrassmannElement._of(self, out)
+        return GrassmannElement(self, terms)
 
 
 def _merge_sign(left_mask: int, right_mask: int) -> int:
@@ -266,11 +263,22 @@ class GrassmannElement(Frozen):
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: GeneratorSet, terms: Mapping[Monomial, Scalar]):
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(
-            self, "terms", {k: c for k, c in terms.items() if not c.is_zero()}
-        )
+    def __init__(self, gens: GeneratorSet, terms: Mapping[Monomial, object]):
+        n_even, limit = len(gens.even), 1 << len(gens.odd)
+        out: Dict[Monomial, Scalar] = {}
+        for (exps, mask), c in terms.items():
+            exps = tuple(exps)
+            if len(exps) != n_even:
+                raise ValueError("even exponent vector has wrong length")
+            if not all(_fits(e, int) for e in exps):
+                raise ValueError("even exponents must be integers")
+            if not (_fits(mask, int) and 0 <= mask < limit):
+                raise ValueError("odd monomial mask out of range")
+            c = as_scalar(c)
+            if not c.is_zero():
+                out[(exps, mask)] = c
+        _set(self, "gens", gens)
+        _set(self, "terms", out)
 
     @classmethod
     def _of(cls, gens: GeneratorSet, terms: Dict[Monomial, Scalar]) -> "GrassmannElement":
@@ -509,20 +517,17 @@ def element_from_json(obj, gens: Optional[GeneratorSet] = None) -> GrassmannElem
         gens = decoded
     elif gens.signature() != decoded.signature():
         raise ValueError("generator sets disagree across entries")
-    n_even = len(gens.even)
     terms: Dict[Monomial, Scalar] = {}
     for entry in expect(obj["terms"], list, "Grassmann terms", dict):
         mask = 0
         for i in expect(entry.get("mono"), list, "monomial", int):
             if not 0 <= i < len(gens.odd):
-                raise ValueError(f"monomial index {i!r} out of range")
+                raise ValueError(f"monomial index {_brief(i)} out of range")
             if mask >> i & 1:
                 raise ValueError("repeated generator in monomial")
             mask |= 1 << i
-        exps = tuple(expect(entry.get("powers", [0] * n_even), list, "powers", int))
-        if len(exps) != n_even:
-            raise ValueError("even exponent vector has wrong length")
-        key = (exps, mask)
+        powers = entry.get("powers", [0] * len(gens.even))
+        key = (tuple(expect(powers, list, "powers", int)), mask)
         coef = scalar_from_json(entry.get("coef"))
         terms[key] = coef if key not in terms else terms[key] + coef
-    return gens.element(terms)
+    return GrassmannElement(gens, terms)

@@ -21,7 +21,7 @@ from functools import reduce
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record, expect
+from ._values import Frozen, Record, _brief, expect
 from .grassmann import GeneratorSet, GrassmannElement, _add_into, _nonzero
 from .liealg import Representation, require_valid
 from .linalg import Matrix
@@ -56,7 +56,7 @@ Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
 def _odd_coords(group: object) -> Tuple[str, ...]:
     """The odd chart coordinates of a group; the one check of a group tag."""
     if not isinstance(group, str) or group not in ODD_COORDS:
-        raise ValueError("unknown group tag %r" % (group,))
+        raise ValueError("unknown group tag %s" % _brief(group))
     return ODD_COORDS[group]
 
 
@@ -64,7 +64,7 @@ def _mask(coords: Sequence[str], names: Sequence[str]) -> Optional[int]:
     """The bitmask of the named coordinates; None if a name repeats."""
     for name in names:
         if name not in coords:
-            raise ValueError("unknown odd coordinate %r" % (name,))
+            raise ValueError("unknown odd coordinate %s" % _brief(name))
     if len(set(names)) < len(names):
         return None
     return sum(1 << coords.index(name) for name in names)
@@ -189,8 +189,8 @@ def section_from_json(obj: object) -> Section:
         names = expect(entry.get("mono", []), list, "monomial", str)
         mask = _mask(coords, names)
         if mask is None:
-            raise ValueError("repeated odd coordinate in monomial %r"
-                             % (names,))
+            raise ValueError("repeated odd coordinate in monomial %s"
+                             % _brief(names))
         items.append(((entry.get("m"), mask),
                       scalar_from_json(entry.get("coef"))))
     # the constructor's checks; equal keys are summed

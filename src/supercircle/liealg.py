@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record, expect
+from ._values import Frozen, Record, _brief, expect
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
 from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
@@ -24,7 +24,7 @@ ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
 def _odd_generators(algebra: object) -> Tuple[str, ...]:
     """The odd generator names of an algebra; the one check of its tag."""
     if not isinstance(algebra, str) or algebra not in ODD_GENERATORS:
-        raise ValueError("unknown algebra tag %r" % (algebra,))
+        raise ValueError("unknown algebra tag %s" % _brief(algebra))
     return ODD_GENERATORS[algebra]
 
 

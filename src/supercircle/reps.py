@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from ._values import Frozen
-from .liealg import ODD_GENERATORS, Representation, require_valid
+from .liealg import Representation, _odd_generators, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
 from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
 
@@ -27,7 +27,7 @@ def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
         algebra,
         [0] * even + [1] * odd,
         [0] * n,
-        {name: zeros for name in ODD_GENERATORS[algebra]},
+        {name: zeros for name in _odd_generators(algebra)},
     )
 
 
@@ -41,12 +41,12 @@ def make_V_m(m: int) -> Representation:
     return Representation("s11", (0, 1), (m, m), {"Z": z})
 
 
-def make_weight_zero_s11(variant: str, even: int = 1, odd: int = 0) -> Representation:
-    """The three indecomposable weight-zero pieces.
+def make_weight_zero_s11(variant: str) -> Representation:
+    """The two indecomposable weight-zero pieces of dimension 1|1.
 
     "W" pairs an even vector with an odd one (Z kills the even vector and
-    maps the odd one onto it), "PiW" is its parity reverse, and "trivial"
-    is even + odd copies of the zero action.
+    maps the odd one onto it), and "PiW" is its parity reverse.  The trivial
+    weight-zero pieces come from :func:`make_trivial`.
     """
     if variant == "W":
         z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
@@ -54,9 +54,7 @@ def make_weight_zero_s11(variant: str, even: int = 1, odd: int = 0) -> Represent
     if variant == "PiW":
         z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
         return Representation("s11", (1, 0), (0, 0), {"Z": z})
-    if variant == "trivial":
-        return make_trivial("s11", even, odd)
-    raise ValueError("variant must be one of W, PiW, trivial")
+    raise ValueError("variant must be one of W, PiW")
 
 
 def _normalize_sign(sign) -> str:
@@ -174,6 +172,7 @@ def random_direct_sum(algebra: str, rng: random.Random, max_blocks: int = 8,
                       weight_bound: int = 4) -> Representation:
     """A random direct sum of constructor blocks; raw material for
     decomposition oracles.  Always has positive dimension."""
+    _odd_generators(algebra)  # rejects an unknown tag
     weights = [m for m in range(-weight_bound, weight_bound + 1) if m]
     blocks: List[Representation] = []
     for _ in range(rng.randint(1, max_blocks)):
@@ -188,7 +187,7 @@ def random_direct_sum(algebra: str, rng: random.Random, max_blocks: int = 8,
             else:
                 blocks.append(make_trivial("s11", rng.randint(0, 2),
                                            rng.randint(0, 1)))
-        elif algebra == "su11":
+        else:
             kind = rng.randint(0, 2)
             if kind == 0:
                 blocks.append(make_pi_m(rng.choice(weights),
@@ -198,8 +197,6 @@ def random_direct_sum(algebra: str, rng: random.Random, max_blocks: int = 8,
             else:
                 blocks.append(make_trivial("su11", rng.randint(1, 2),
                                            rng.randint(0, 1)))
-        else:
-            raise ValueError("unknown algebra tag %r" % (algebra,))
     blocks = [b for b in blocks if b.dim > 0]
     if not blocks:
         blocks = [make_V_m(1) if algebra == "s11" else make_pi_m(1, "+")]

@@ -6,13 +6,13 @@ parameter m is an integer weight; values carrying different parameters never
 take part in the same arithmetic (that is an error, not a coercion).
 :meth:`to_complex` is the one numeric view of a scalar.
 
-``ExtendedScalar(...)`` and ``ExtendedScalar.make`` check their input.
-Arithmetic results are built by the private constructors :func:`_gr` and
-:func:`_ext`, which skip those checks: ``_gr`` takes ints with d > 0, and
-``_ext`` takes two GaussianRationals and a parameter m that an operand
-already carries (or its negation), so m is a nonzero integer for which -i*m
-has no root in Q(i).  ``_ext`` returns the plain GaussianRational when the
-s-part is 0.
+``GaussianRational(...)`` and ``ExtendedScalar(...)`` check their input;
+``ExtendedScalar(c0, 0, m)`` is the GaussianRational c0, so no ExtendedScalar
+has a zero s-part.  Arithmetic results are built by the private builders
+:func:`_gr` and :func:`_ext`, which skip those checks: ``_gr`` takes ints
+with d > 0, and ``_ext`` takes two GaussianRationals and a parameter m that
+an operand already carries (or its negation), so m is a nonzero integer for
+which -i*m has no root in Q(i).  ``_ext`` also demotes a zero s-part.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._values import Frozen, expect
+from ._values import Frozen, _brief, expect
 
 RationalLike = Union[int, Fraction]
 
@@ -225,39 +225,28 @@ class ExtendedScalar(Frozen):
     rejects such m, and sqrt_neg_im returns the Gaussian root instead.  Every
     allowed m gives a field.
 
-    Arithmetic demotes to GaussianRational whenever the s-component cancels,
-    which keeps zeros parameter-free and lets block matrices over different
-    weights coexist without illegal cross-extension arithmetic.
+    A value whose s-component is 0 is the GaussianRational c0, whether it
+    is built or is an arithmetic result; that keeps zeros parameter-free and
+    lets block matrices over different weights coexist without illegal
+    cross-extension arithmetic.
     """
 
     __slots__ = ("c0", "c1", "m")
 
-    def __init__(self, c0, c1, m: int):
+    def __new__(cls, c0, c1, m: int):
         g0 = _coerce_gaussian(c0)
         g1 = _coerce_gaussian(c1)
         if g0 is None or g1 is None:
             raise TypeError("ExtendedScalar components must be Gaussian rationals")
+        # a zero s-part demotes before m is read, whatever m is
+        if g1.is_zero():
+            return g0
         if not isinstance(m, int) or isinstance(m, bool) or m == 0:
             raise ValueError("extension parameter m must be a nonzero integer")
         if _exact_root_neg_im(m) is not None:
             raise ValueError(f"-i*m is a square in Q(i) for m={m}; "
                              "the extension would not be a field")
-        object.__setattr__(self, "c0", g0)
-        object.__setattr__(self, "c1", g1)
-        object.__setattr__(self, "m", m)
-
-    @staticmethod
-    def make(c0, c1, m: int):
-        """Build c0 + c1*s, demoted to GaussianRational if c1 = 0."""
-        g1 = _coerce_gaussian(c1)
-        if g1 is None:
-            raise TypeError("ExtendedScalar components must be Gaussian rationals")
-        if g1.is_zero():
-            g0 = _coerce_gaussian(c0)
-            if g0 is None:
-                raise TypeError("ExtendedScalar components must be Gaussian rationals")
-            return g0
-        return ExtendedScalar(c0, g1, m)
+        return _ext(g0, g1, m)
 
     def _components(self, other) -> Optional[tuple]:
         if isinstance(other, ExtendedScalar):
@@ -272,7 +261,7 @@ class ExtendedScalar(Frozen):
         return g, ZERO
 
     def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero()
+        return False  # the s-part is never 0
 
     def conjugate(self):
         """Complex conjugation; maps the extension for m onto the one for -m.
@@ -284,11 +273,9 @@ class ExtendedScalar(Frozen):
 
     def inverse(self):
         # (c0 + c1 s)(c0 - c1 s) = c0^2 + i*m*c1^2, which is Gaussian rational.
-        # It vanishes only at zero, since -i*m is not a square in Q(i).
+        # It is not 0: c1 is not 0 and -i*m is not a square in Q(i).
         c0, c1, m = self.c0, self.c1, self.m
         den = c0 * c0 + _gr(0, m, 1) * c1 * c1
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero in Q(i)[s]")
         return _ext(c0 / den, -(c1 / den), m)
 
     def __add__(self, other):
@@ -348,19 +335,12 @@ class ExtendedScalar(Frozen):
         return self
 
     def __eq__(self, other):
-        if isinstance(other, ExtendedScalar):
-            # with both s-parts 0 both values are Gaussian, whatever m is
-            return (self.c0 == other.c0 and self.c1 == other.c1
-                    and (self.m == other.m or self.c1.is_zero()))
-        g = _coerce_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self.c1.is_zero() and self.c0 == g
+        if not isinstance(other, ExtendedScalar):
+            return NotImplemented  # no Gaussian value has a nonzero s-part
+        return (self.c0 == other.c0 and self.c1 == other.c1
+                and self.m == other.m)
 
     def __hash__(self):
-        # with c1 = 0 the value equals the Gaussian c0, so it hashes like it
-        if self.c1.is_zero():
-            return hash(self.c0)
         return hash((self.c0, self.c1, self.m))
 
     def to_complex(self) -> complex:
@@ -385,7 +365,8 @@ def _ext(c0: GaussianRational, c1: GaussianRational, m: int) -> Scalar:
     """c0 + c1*s for an arithmetic result, demoted to c0 when c1 = 0.
 
     c0 and c1 are GaussianRationals and m (or -m) is the parameter of an
-    existing ExtendedScalar, so the checks of ``__init__`` would only repeat.
+    existing ExtendedScalar, so the checks of ``ExtendedScalar(...)`` would
+    only repeat.
     """
     if c1.is_zero():
         return c0
@@ -446,17 +427,17 @@ def _gaussian_from_json(obj) -> Optional[GaussianRational]:
     re, im = obj["re"], obj["im"]
     if not (isinstance(re, str) and isinstance(im, str)):
         raise ValueError("scalar components must be exact strings such as "
-                         f'"1/2": {obj!r}')
+                         f'"1/2": {_brief(obj)}')
     # Fraction reads exponents, and "1e1000000" costs time and memory that
     # grow with the exponent
     for part in (re, im):
         if "e" in part.lower():
             raise ValueError("exponent notation is not allowed in "
-                             f"scalar components: {part!r}")
+                             f"scalar components: {_brief(part)}")
     try:
         return GaussianRational(Fraction(re), Fraction(im))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar: {obj!r}") from None
+        raise ValueError(f"zero denominator in scalar: {_brief(obj)}") from None
 
 
 def scalar_from_json(obj) -> Scalar:
@@ -465,11 +446,11 @@ def scalar_from_json(obj) -> Scalar:
         c0, c1 = _gaussian_from_json(obj["c0"]), _gaussian_from_json(obj["c1"])
         if c0 is None or c1 is None:
             raise ValueError("extension components must be Gaussian rationals")
-        return ExtendedScalar.make(c0, c1,
-                                   expect(obj["m"], int, "extension parameter"))
+        return ExtendedScalar(c0, c1,
+                              expect(obj["m"], int, "extension parameter"))
     x = _gaussian_from_json(obj)
     if x is None:
-        raise ValueError(f"malformed scalar: {obj!r}")
+        raise ValueError(f"malformed scalar: {_brief(obj)}")
     return x
 
 

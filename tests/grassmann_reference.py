@@ -144,7 +144,7 @@ def random_coefficient(rng, extended):
     c0 = GR(rng.randint(-2, 2), rng.randint(-2, 2))
     if not extended:
         return c0
-    return ExtendedScalar.make(c0, GR(rng.randint(-2, 2), rng.randint(-2, 2)), EXT_M)
+    return ExtendedScalar(c0, GR(rng.randint(-2, 2), rng.randint(-2, 2)), EXT_M)
 
 
 def random_terms(rng, gens, extended, parity=None, size=(1, 5)):

@@ -272,7 +272,7 @@ def test_pw_coeffs_adjoint(capsys):
 
 
 def test_pw_coeffs_usage_errors(capsys):
-    assert run(capsys, "pw", "coeffs", "--m", "0", "--sign", "+")[0] == 1
+    assert run(capsys, "pw", "coeffs", "--m", "0", "--sign", "+")[0] == 2
     assert run(capsys, "pw", "coeffs", "--m", "2")[0] == 2
     assert run(capsys, "pw", "coeffs")[0] == 2
     assert run(capsys, "pw", "coeffs", "--adjoint", "--m", "2")[0] == 2
@@ -663,4 +663,29 @@ def test_constructor_errors_while_reading_exit_2(capsys, tmp_path, command,
     path = write(tmp_path, "fault.json", blob)
     code, out = run(capsys, *command, path, *flags)
     assert code == 2
+    assert error in json.loads(out)["error"]
+
+
+def _long_entry(blob):
+    blob["U"][0][0] = list(range(200_000))
+
+
+def _long_group(blob):
+    blob["group"] = "g" * 100_000
+
+
+@pytest.mark.parametrize("command, fault, error", [
+    (("rep", "validate"), _long_entry, "malformed scalar: [0, 1, 2, "),
+    (("pw", "expand"), _long_group, "unknown group tag 'ggg"),
+])
+def test_errors_quote_a_long_value_briefly(capsys, tmp_path, command, fault,
+                                           error):
+    if command[0] == "rep":
+        blob = make_pi_m(2, "+").to_json()
+    else:
+        blob = Section.monomial("su11", 2, ["theta"]).to_json()
+    fault(blob)
+    code, out = run(capsys, *command, write(tmp_path, "long.json", blob))
+    assert code == 2
+    assert len(out.encode()) < 1024
     assert error in json.loads(out)["error"]

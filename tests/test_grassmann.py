@@ -326,6 +326,28 @@ def test_constructor_drops_zero_coefficients():
     explicit_zero_body = GrassmannElement(g, {((), 0): zero, ((), 0b11): GR(1, 0)})
     with pytest.raises(ValueError, match="not invertible"):
         explicit_zero_body.invert()
+    # coefficients are coerced to scalars
+    assert GrassmannElement(g, {((), 0): 1}) == g.one()
+    x = GrassmannElement(g, {((), 0b11): Fraction(1, 2), ((), 0b01): 0})
+    assert x.terms == {((), 0b11): GR(Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("even, key", [
+    ((), ((), 0b100)),      # a mask bit past the odd generators
+    ((), ((), -1)),
+    ((), ((), True)),
+    ((), ((), 1.0)),
+    (("t",), ((1, 2), 0)),  # one exponent per even generator
+    (("t",), ((), 0)),
+    (("t",), ((1.0,), 0)),
+    (("t",), ((False,), 0)),
+])
+def test_constructor_rejects_keys_outside_the_ring(even, key):
+    g = GeneratorSet(["x0", "x1"], even=even)
+    with pytest.raises(ValueError):
+        GrassmannElement(g, {key: 1})
+    with pytest.raises(ValueError):
+        g.element({key: 1})
 
 
 # --- differential tests against the naive reference ---------------------------
@@ -453,6 +475,17 @@ def test_star_is_an_antilinear_involutive_automorphism(data):
     assert (x * y).star() == x.star() * y.star()
     assert (c * x).star() == c.conjugate() * x.star()
     assert x.star().star() == x
+
+
+EVEN_RINGS = [GeneratorSet([], even=["t"]), GeneratorSet(["x"], even=["t", "u"]),
+              GeneratorSet(["a", "b"], pairing=[[0, 1]], even=["t"])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_element_json_round_trips_over_rings_with_even_generators(data):
+    x = data.draw(_elements(data.draw(st.sampled_from(EVEN_RINGS))))
+    assert element_from_json(x.to_json()) == x
 
 
 @settings(max_examples=100, deadline=None)

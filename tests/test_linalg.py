@@ -123,8 +123,8 @@ def _ext_block(rng, size, m):
 
 
 def _zero(m):
-    # a zero that keeps its extension, so any product with an entry of the
-    # other extension raises
+    # a zero written over the extension for m; with no s-part it is the
+    # Gaussian zero, which no product can find in the wrong extension
     return ExtendedScalar(GR(0), GR(0), m)
 
 
@@ -158,8 +158,8 @@ def _naive_product(a, b):
 def test_block_diagonal_product_over_two_extensions():
     rng = random.Random(3)
     blocks = [(2, 3), (3, -3)]
-    # a's zeros share their row's extension, b's belong to the other one:
-    # a product that multiplies by a zero of either factor mixes extensions
+    # a's zeros are written over their row's extension, b's over the other
+    # one; both are the Gaussian zero
     a = _padded([_ext_block(rng, n, m) for n, m in blocks], (3, -3))
     b = _padded([_ext_block(rng, n, m) for n, m in blocks], (-3, 3))
     product = Matrix(a) * Matrix(b)

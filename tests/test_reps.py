@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reps_reference
-from supercircle.liealg import Representation
+from supercircle.liealg import Representation, validate_representation
 from supercircle.linalg import Matrix
 from supercircle.reps import (
     decompose_s11,
@@ -20,7 +20,7 @@ from supercircle.reps import (
     random_direct_sum,
     scramble,
 )
-from supercircle.scalars import GaussianRational
+from supercircle.scalars import ZERO, ExtendedScalar, GaussianRational, sqrt_neg_im
 
 GR = GaussianRational
 
@@ -71,6 +71,34 @@ def test_decompose_single_blocks():
     report = decompose_su11(rep)
     assert report.labels() == (("pi", 5, "-"),)
     assert report.verify(rep)
+
+
+def test_make_trivial_rejects_an_unknown_algebra_tag():
+    with pytest.raises(ValueError, match="^unknown algebra tag 'x'$"):
+        make_trivial("x")
+    with pytest.raises(ValueError, match="^unknown algebra tag 'x'$"):
+        random_direct_sum("x", random.Random(0))
+
+
+def test_equal_representations_validate_and_decompose_alike():
+    # a weight-5 2|2 block over Q(i)[s]; t has no s-part, so the extension
+    # parameter it was written with must not matter
+    s = sqrt_neg_im(5)
+
+    def block(t):
+        z = [[ZERO, ZERO, s, t], [ZERO, ZERO, ZERO, s],
+             [s, -t, ZERO, ZERO], [ZERO, s, ZERO, ZERO]]
+        return Representation("s11", (0, 0, 1, 1), (5,) * 4, {"Z": Matrix(z)})
+
+    plain, written = block(GR(1)), block(ExtendedScalar(1, 0, 3))
+    assert plain == written
+    expected = decompose_s11(plain)
+    assert expected.labels() == (("V", 5), ("V", 5), ("trivial", 0, 0))
+    assert validate_representation(written) == []
+    report = decompose_s11(written)
+    assert report.labels() == expected.labels()
+    assert report.basis_change == expected.basis_change
+    assert report.verify(written)
 
 
 def test_decompose_weight_zero_examples():

@@ -132,7 +132,7 @@ def test_extended_rejects_parameters_with_a_gaussian_root():
         with pytest.raises(ValueError):
             ExtendedScalar(GR(1, -1), 1, m)
     # A vanishing s-component still demotes to Q(i) without building one.
-    x = ExtendedScalar.make(GR(1, -1), 0, 2)
+    x = ExtendedScalar(GR(1, -1), 0, 2)
     assert isinstance(x, GaussianRational)
     assert x == GR(1, -1)
 
@@ -140,8 +140,8 @@ def test_extended_rejects_parameters_with_a_gaussian_root():
 @settings(max_examples=150)
 @given(gaussians(), gaussians(), gaussians(), gaussians())
 def test_extended_commutative_and_associative(a0, a1, b0, b1):
-    x = ExtendedScalar.make(a0, a1, 7)
-    y = ExtendedScalar.make(b0, b1, 7)
+    x = ExtendedScalar(a0, a1, 7)
+    y = ExtendedScalar(b0, b1, 7)
     assert x * y == y * x
     assert x + y == y + x
     z = ExtendedScalar(1, 2, 7)
@@ -153,7 +153,7 @@ def test_extended_inverse_round_trip_random():
     rng = random.Random(11)
     for _ in range(300):
         m = rng.choice([1, 3, -3, 5, 7, -7, 9, 10, -10])
-        x = ExtendedScalar.make(
+        x = ExtendedScalar(
             GR(rng.randint(-6, 6), rng.randint(-6, 6)),
             GR(rng.randint(-6, 6), rng.randint(-6, 6)),
             m,
@@ -190,6 +190,27 @@ def test_extended_equality_with_zero_s_part_ignores_the_parameter():
     assert len({x, y, GR(1)}) == 1
     assert ExtendedScalar(1, 1, 3) != ExtendedScalar(1, 1, 5)
     assert ExtendedScalar(1, 0, 3) != ExtendedScalar(1, 1, 3)
+
+
+def test_extended_with_zero_s_part_is_its_gaussian_value():
+    x = ExtendedScalar(1, 0, 3)
+    assert type(x) is GaussianRational and x == GR(1)
+    # a value without an s-part carries no parameter to mismatch
+    assert x * sqrt_neg_im(5) == sqrt_neg_im(5)
+
+
+def _field_parameters():
+    return st.integers(-60, 60).filter(
+        lambda m: m != 0 and type(sqrt_neg_im(m)) is ExtendedScalar)
+
+
+@settings(max_examples=200)
+@given(gaussians(), st.one_of(st.just(GR(0)), gaussians()), _field_parameters())
+def test_extended_constructor_is_the_value_it_names(c0, c1, m):
+    x = ExtendedScalar(c0, c1, m)
+    y = c0 + c1 * sqrt_neg_im(m)
+    assert x == y and hash(x) == hash(y)
+    assert (type(x) is GaussianRational) == c1.is_zero()
 
 
 def test_extended_conjugate_lands_in_opposite_extension():
@@ -236,6 +257,12 @@ def test_scalar_json_round_trip():
     j = scalar_to_json(s)
     assert j["m"] == -4
     assert scalar_from_json(j) == s
+
+    # a zero s-part decodes to the Gaussian c0 before m is checked, so an m
+    # that no extension allows is not an error here
+    j = {"c0": scalar_to_json(x), "c1": {"re": "0", "im": "0"}, "m": 2}
+    assert type(scalar_from_json(j)) is GaussianRational
+    assert scalar_from_json(j) == x
 
 
 def test_scalar_json_rejects_zero_denominator():
