@@ -38,6 +38,10 @@ CASES = {
     "pw_coeffs_m8_plus": ["pw", "coeffs", "--m", "8", "--sign", "+"],
     "pw_coeffs_adjoint": ["pw", "coeffs", "--adjoint"],
     "pw_expand_extension": ["pw", "expand", "section_m3_extension.json"],
+    "pw_expand_su11_weights": ["pw", "expand", "section_su11_weights.json"],
+    "pw_expand_s11_weights": ["pw", "expand", "section_s11_weights.json"],
+    "pw_expand_su11_foreign_theta": ["pw", "expand",
+                                     "section_su11_foreign_theta.json"],
     **{"point_%s_%s" % (action, group): [
         "point", action, "point_%s.json" % group.replace("-", "_"),
         "--group", group]
