@@ -4,7 +4,8 @@ expansion of a section in those coefficients.
 A section is a finite sum of terms t^m * mu where t is the circle coordinate
 of the factorization chart, m an integer, and mu a monomial in the odd chart
 coordinates (theta for the circle group, theta and eta for the unitary one).
-Expansion solves one small exact linear system per weight and reports
+Expansion inverts each nonzero weight's block of coefficient sections in
+closed form, from the explicit matrix elements of V_m and pi_m^+, and reports
 whatever falls outside the coefficient span as an exact residual instead of
 forcing it to zero.
 
@@ -21,7 +22,7 @@ from functools import reduce
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record, _brief, expect
+from ._values import Frozen, Record, _brief, _fits, expect
 from .grassmann import GeneratorSet, GrassmannElement, _add_into, _nonzero
 from .liealg import Representation, require_valid
 from .linalg import Matrix
@@ -33,13 +34,16 @@ from .reps import (
     make_weight_zero_s11,
 )
 from .scalars import (
+    I,
     ZERO,
     ExtendedScalar,
     ExtensionMismatchError,
+    GaussianRational,
     Scalar,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
+    sqrt_neg_im,
 )
 
 ODD_COORDS = {"s11": ("theta",), "su11": ("theta", "eta")}
@@ -87,9 +91,9 @@ class Section(Record):
         limit = 1 << len(_odd_coords(group))
         sums: Dict[TermKey, Scalar] = {}
         for (m, mask), c in items:
-            if not isinstance(m, int) or isinstance(m, bool):
+            if not _fits(m, int):
                 raise ValueError("weights must be integers")
-            if not 0 <= mask < limit:
+            if not (_fits(mask, int) and 0 <= mask < limit):
                 raise ValueError("odd monomial mask out of range")
             key = (m, mask)
             c = as_scalar(c)
@@ -294,26 +298,22 @@ def _label_rep(label: Label, group: str) -> Representation:
     raise ValueError("unknown representation label %r" % (label,))
 
 
-def _entry_list(group: str) -> List[Tuple[int, int]]:
-    # the row-major entries of the 1|1 weight block whose sections are
-    # linearly independent (all four for su11, the first row for s11)
-    if group == "su11":
-        return [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return [(0, 0), (0, 1)]
+_HALF = GaussianRational(2).inverse()
 
 
 def expand(f: Section) -> ExpansionResult:
     """Exact coefficients of f over the spanning matrix coefficients.
 
-    Nonzero weights are solved against the weight-m irreducible block; the
-    weight-zero component is read off against the trivial coefficient and
-    the odd entries of the weight-zero indecomposable.  For the unitary
-    group the weight-zero theta*eta monomial lies outside that span and is
-    returned in the residual.
+    Each nonzero weight m is solved against the weight-m irreducible block
+    by the closed-form inverse of :func:`_weight_solution`; the weight-zero
+    component is read off against the trivial coefficient and the odd
+    entries of the weight-zero indecomposable.  For the unitary group the
+    weight-zero theta*eta monomial lies outside that span and is returned in
+    the residual.
     """
     group = f.group
-    coords = ODD_COORDS[group]
-    masks = list(range(1 << len(coords)))
+    masks = range(1 << len(ODD_COORDS[group]))
+    kind = "pi" if group == "su11" else "V"
     coefficients: Dict[Tuple[Label, Tuple[int, int]], Scalar] = {}
     residual_terms: Dict[TermKey, Scalar] = {}
 
@@ -321,35 +321,47 @@ def expand(f: Section) -> ExpansionResult:
         if m == 0:
             _expand_weight_zero(f, coefficients, residual_terms)
             continue
-        label: Label = ("pi", m) if group == "su11" else ("V", m)
-        # every basis vector of the block has weight m, so entry e of the
-        # section for mask is entry e of the mask's generator product
-        products = _generator_products(_label_rep(label, group))
-        entries = _entry_list(group)
-        system = Matrix._of([[p[e] for e in entries] for p in products],
-                            len(entries))
-        rhs = tuple(f.coefficient(m, mask) for mask in masks)
+        root = sqrt_neg_im(m)
+        rhs = [f.coefficient(m, mask) for mask in masks]
         try:
-            sol = system.solve(rhs)
+            solution = _weight_solution(group, m, root, rhs)
         except ExtensionMismatchError:
-            raise _extension_mismatch(f, m, system) from None
-        if sol is None:
-            raise ValueError("weight-%d system is singular" % m)
-        for e, x in zip(entries, sol):
+            raise _extension_mismatch(f, m, root) from None
+        for entry, x in solution:
             if not x.is_zero():
-                coefficients[(label, e)] = x
+                coefficients[((kind, m), entry)] = x
 
     return ExpansionResult(group, coefficients, Section(group, residual_terms))
 
 
+def _weight_solution(group: str, m: int, root: Scalar,
+                     r: Sequence[Scalar]) -> tuple:
+    """The (entry, coefficient) pairs of the weight-m block for the mask
+    coefficients r, where root = s = sqrt_neg_im(m): the block's system,
+    inverted in closed form.
+
+    V_m's mask products are I and Z = s*swap; pi_m^+'s are I, U = s*swap,
+    S = i*s*[[0, -1], [1, 0]] and U*S = diag(m, -m).  Each odd coefficient
+    is divided by s before odd coefficients mix, so a term over a foreign
+    Q(i)[s] raises ExtensionMismatchError on exactly the inputs where
+    elimination of the system raises it.
+    """
+    s_inv = root.inverse()
+    if group == "s11":
+        return (((0, 0), r[0]), ((0, 1), r[1] * s_inv))
+    a, b = r[1] * s_inv, I * r[2] * s_inv
+    c = r[3] * GaussianRational(m).inverse()
+    return (((0, 0), (r[0] + c) * _HALF), ((0, 1), (a + b) * _HALF),
+            ((1, 0), (a - b) * _HALF), ((1, 1), (r[0] - c) * _HALF))
+
+
 def _extension_mismatch(f: Section, m: int,
-                        system: Matrix) -> ExtensionMismatchError:
-    """Name the weight-m term whose Q(i)[s] differs from the system's, or,
-    when the system lies in Q(i), from that of an earlier term."""
-    params = {x.m for row in system.rows for x in row
-              if isinstance(x, ExtendedScalar)}
-    owner = (("the weight-%d matrix coefficients lie" % m, params.pop())
-             if params else None)
+                        root: Scalar) -> ExtensionMismatchError:
+    """Name the weight-m term whose Q(i)[s] differs from that of the block's
+    root sqrt_neg_im(m), or, when the root lies in Q(i), from that of an
+    earlier term."""
+    owner = (("the weight-%d matrix coefficients lie" % m, root.m)
+             if isinstance(root, ExtendedScalar) else None)
     for mask in range(1 << len(ODD_COORDS[f.group])):
         c = f.coefficient(m, mask)
         if not isinstance(c, ExtendedScalar):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercircle import liealg
+from supercircle import harmonic, liealg
 from supercircle.harmonic import (
     ODD_COORDS,
     Section,
@@ -66,6 +66,12 @@ def test_section_json_weights_are_checked_by_the_constructor(m):
     blob = {"group": "s11", "terms": [{"m": m, "coef": {"re": "1", "im": "0"}}]}
     with pytest.raises(ValueError, match="weights must be integers"):
         section_from_json(blob)
+
+
+@pytest.mark.parametrize("mask", [1.0, True])
+def test_section_masks_must_be_integers(mask):
+    with pytest.raises(ValueError, match="odd monomial mask out of range"):
+        Section("s11", {(0, mask): 1})
 
 
 def test_section_construction_and_monomials():
@@ -341,14 +347,14 @@ def _reference_expand(f, m, sections, label, entries):
 
 def test_expand_matches_public_coefficient_systems():
     # every mask's coefficient is 0, a Gaussian rational, a value over the
-    # weight's own root, or a value over Q(i)[s] at m=7 or m=-5; m=2 and
-    # m=8 have Gaussian roots, so their systems lie in Q(i)
+    # weight's own root, or a value over Q(i)[s] at m=7 or m=-5; the weights
+    # 2, +-8, 18 and -32 have Gaussian roots, so their systems lie in Q(i)
     cases = mismatches = 0
     for group, rep_of, label_kind, entries in (
         ("s11", make_V_m, "V", [(0, 0), (0, 1)]),
         ("su11", lambda m: make_pi_m(m, "+"), "pi", [(0, 0), (0, 1), (1, 0), (1, 1)]),
     ):
-        for m in (1, 2, -3, 8):
+        for m in (1, 2, -3, 8, -1, -8, 18, -32, 40):
             sections = matrix_coefficients(rep_of(m))
             label = (label_kind, m)
             values = [GR(0), GR(2, -1), GR(1, 3) + GR(-2) * sqrt_neg_im(m),
@@ -366,7 +372,7 @@ def test_expand_matches_public_coefficient_systems():
                     assert res.coefficients == want
                     assert reconstruct(res.coefficients, group) + res.residual == f
                 cases += 1
-    assert cases == 4 * (5 ** 2 + 5 ** 4)
+    assert cases == 9 * (5 ** 2 + 5 ** 4)
     assert 0 < mismatches < cases
 
 
@@ -388,3 +394,35 @@ def test_expand_and_reconstruct_do_not_revalidate(monkeypatch):
     # the public entry point still validates what it is given
     matrix_coefficients(make_pi_m(3, "-"))
     assert len(calls) == 1
+
+
+def test_expand_solves_nonzero_weights_without_elimination(monkeypatch):
+    # the weight blocks are inverted in closed form: no elimination runs and
+    # no block is built
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in ((Matrix, "solve"), (Matrix, "rref"),
+                        (harmonic, "make_pi_m"), (harmonic, "make_V_m")):
+        count(owner, name)
+    weights = (-40, -3, 1, 2, 8, 18)
+    for group, kind, block in (("s11", "V", "make_V_m"),
+                               ("su11", "pi", "make_pi_m")):
+        f = Section(group, {(m, mask): GR(m, 1) + mask * sqrt_neg_im(m)
+                            for m in weights
+                            for mask in range(1 << len(ODD_COORDS[group]))})
+        res = expand(f)
+        assert calls == []
+        assert {label for label, _ in res.coefficients} == {
+            (kind, m) for m in weights}
+        # reconstruct still builds the blocks, through the counted names
+        assert reconstruct(res.coefficients, group) == f
+        assert calls.count(block) == len(weights)
+        calls.clear()
