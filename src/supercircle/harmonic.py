@@ -10,10 +10,11 @@ whatever falls outside the coefficient span as an exact residual instead of
 forcing it to zero.
 
 :func:`matrix_coefficients` validates the representation it is given.
-:func:`expand` and :func:`reconstruct` work only with blocks the package
-builds itself (``make_V_m``, ``make_pi_m`` and the weight-zero blocks) and do
-not re-validate them; the ``representation-identities`` check of ``verify``
-and the tests validate those constructors.
+:func:`expand` builds no block, and :func:`reconstruct` works only with
+blocks the package builds itself (``make_V_m``, ``make_pi_m`` and the
+weight-zero blocks) and does not re-validate them; the
+``representation-identities`` check of ``verify`` and the tests validate
+those constructors.
 """
 
 from __future__ import annotations
