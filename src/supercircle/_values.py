@@ -7,6 +7,7 @@ constructor or an unchecked builder, through ``object.__setattr__``.
 
 Each value class has one checked public constructor and at most one
 unchecked private builder, for results whose inputs are known to be valid.
+``Section`` has no builder: its decoder, too, calls its constructor.
 
 A ``*_from_json`` decoder checks with :func:`expect` only the shapes it reads
 itself and leaves every check of a value to the constructor it calls.  A
@@ -54,7 +55,10 @@ _NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
 def _fits(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance(value, kind), but False for a bool; the exact-type test
+    first keeps the common case to one comparison."""
+    return type(value) is kind or (
+        isinstance(value, kind) and not isinstance(value, bool))
 
 
 def expect(value, kind: type, what: str, items: Optional[type] = None):

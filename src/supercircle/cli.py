@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ._values import Frozen
 from .grassmann import (
     GeneratorSet,
     GrassmannElement,
@@ -78,7 +79,7 @@ class InputError(Exception):
     """File or format problem; maps to exit code 2."""
 
 
-class RunConfig:
+class RunConfig(Frozen):
     """The settings of a verify run."""
 
     __slots__ = ("weights", "seed")
@@ -86,8 +87,8 @@ class RunConfig:
     def __init__(self, weights: int = 10, seed: int = 0):
         if weights < 1:
             raise InputError("--weights must be at least 1")
-        self.weights = weights
-        self.seed = seed
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "seed", seed)
 
     def to_json(self) -> dict:
         # Every computation is exact, so "scalar" and "tol" are fixed values;

@@ -492,6 +492,12 @@ class GrassmannElement(Frozen):
         return obj
 
 
+def _require_parity(name: str, x: GrassmannElement, parity: str) -> None:
+    """A ValueError "<name> must be <parity>" unless x is zero or of parity."""
+    if not x.is_zero() and x.parity() != parity:
+        raise ValueError("%s must be %s" % (name, parity))
+
+
 def _gens_from_json(obj) -> GeneratorSet:
     """The generator set a Grassmann element's JSON object declares."""
     if not isinstance(obj, dict) or "gens" not in obj or "terms" not in obj:

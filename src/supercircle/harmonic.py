@@ -10,11 +10,13 @@ whatever falls outside the coefficient span as an exact residual instead of
 forcing it to zero.
 
 :func:`matrix_coefficients` validates the representation it is given.
-:func:`expand` builds no block, and :func:`reconstruct` works only with
-blocks the package builds itself (``make_V_m``, ``make_pi_m`` and the
-weight-zero blocks) and does not re-validate them; the
-``representation-identities`` check of ``verify`` and the tests validate
-those constructors.
+:func:`expand` builds no block.  :func:`reconstruct` builds its blocks itself
+(``make_V_m``, ``make_pi_m`` and the weight-zero blocks) and does not
+re-validate them; the ``representation-identities`` check of ``verify`` and
+the tests validate those constructors.  It takes exactly the labels that
+:func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and ``("W",)``;
+on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m is an int
+other than 0.  Any other label raises ValueError.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ _RINGS = {group: GeneratorSet(coords, even=("t",))
 TermKey = Tuple[int, int]  # (weight, odd-coordinate bitmask)
 Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
 
+# Each group's Peter-Weyl blocks: the weight-m label kind and builder, then
+# the weight-zero label and builder; entry (0, k) of the weight-zero block is
+# the odd monomial of mask k.  Builders look up the module names when called.
+_BLOCKS = {
+    "s11": ("V", lambda m: make_V_m(m),
+            ("W",), lambda: make_weight_zero_s11("W")),
+    "su11": ("pi", lambda m: make_pi_m(m, "+"),
+             ("adjoint",), lambda: make_adjoint_su11()),
+}
+
 
 def _odd_coords(group: object) -> Tuple[str, ...]:
     """The odd chart coordinates of a group; the one check of a group tag."""
@@ -84,14 +96,13 @@ class Section(Record):
 
     __slots__ = ("group", "terms")
 
-    def __init__(self, group: str, terms: Mapping[TermKey, object]):
-        self._set(group, terms.items())
-
-    def _set(self, group: str, items) -> None:
-        """Check the (key, coefficient) items; sum those with equal keys."""
+    def __init__(self, group: str, terms):
+        """terms maps (weight, mask) to a coefficient or lists
+        ((weight, mask), coefficient) pairs; equal keys are summed."""
         limit = 1 << len(_odd_coords(group))
         sums: Dict[TermKey, Scalar] = {}
-        for (m, mask), c in items:
+        items = getattr(terms, "items", None)
+        for (m, mask), c in (items() if items else terms):
             if not _fits(m, int):
                 raise ValueError("weights must be integers")
             if not (_fits(mask, int) and 0 <= mask < limit):
@@ -198,10 +209,7 @@ def section_from_json(obj: object) -> Section:
                              % _brief(names))
         items.append(((entry.get("m"), mask),
                       scalar_from_json(entry.get("coef"))))
-    # the constructor's checks; equal keys are summed
-    section = object.__new__(Section)
-    section._set(obj["group"], items)
-    return section
+    return Section(obj["group"], items)
 
 
 def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
@@ -267,36 +275,29 @@ class ExpansionResult(Frozen):
 
 def _label_sort_key(key):
     label, entry = key
-    kind = label[0]
-    if kind in ("V", "pi"):
+    if len(label) == 2:  # a weight-m block
         return (0, label[1], entry)
-    if kind == "trivial":
-        return (1, 0, entry)
-    return (2, 0, entry)
+    return (1 if label == ("trivial",) else 2, 0, entry)
 
 
 def _label_to_json(label: Label) -> dict:
-    kind = label[0]
-    if kind == "V":
-        return {"type": "V", "m": label[1]}
-    if kind == "pi":
-        return {"type": "pi", "m": label[1], "sign": "+"}
-    return {"type": kind}
+    out = dict(zip(("type", "m"), label))
+    if label[0] == "pi":
+        out["sign"] = "+"
+    return out
 
 
-def _label_rep(label: Label, group: str) -> Representation:
-    kind = label[0]
-    if kind == "V":
-        return make_V_m(label[1])
-    if kind == "pi":
-        return make_pi_m(label[1], "+")
-    if kind == "trivial":
+def _label_rep(label: object, group: str) -> Representation:
+    """The block that label names, for a label that expand emits on group."""
+    kind, weight_block, zero, zero_block = _BLOCKS[group]
+    if (type(label) is tuple and len(label) == 2 and label[0] == kind
+            and _fits(label[1], int) and label[1] != 0):
+        return weight_block(label[1])
+    if label == ("trivial",):
         return make_trivial(group, 1, 0)
-    if kind == "adjoint" and group == "su11":
-        return make_adjoint_su11()
-    if kind == "W" and group == "s11":
-        return make_weight_zero_s11("W")
-    raise ValueError("unknown representation label %r" % (label,))
+    if label == zero:
+        return zero_block()
+    raise ValueError("unknown representation label %s" % _brief(label))
 
 
 _HALF = GaussianRational(2).inverse()
@@ -314,7 +315,7 @@ def expand(f: Section) -> ExpansionResult:
     """
     group = f.group
     masks = range(1 << len(ODD_COORDS[group]))
-    kind = "pi" if group == "su11" else "V"
+    kind = _BLOCKS[group][0]
     coefficients: Dict[Tuple[Label, Tuple[int, int]], Scalar] = {}
     residual_terms: Dict[TermKey, Scalar] = {}
 
@@ -379,28 +380,26 @@ def _extension_mismatch(f: Section, m: int,
 
 
 def _expand_weight_zero(f: Section, coefficients, residual_terms) -> None:
-    group = f.group
-    c_unit = f.coefficient(0, 0)
-    if not c_unit.is_zero():
-        coefficients[(("trivial",), (0, 0))] = c_unit
-    c_theta = f.coefficient(0, 0b01)
-    if not c_theta.is_zero():
-        if group == "su11":
-            coefficients[(("adjoint",), (0, 1))] = c_theta
+    """The constant goes to the trivial block, the odd monomial of mask k to
+    entry (0, k) of the weight-zero block, and theta*eta to the residual."""
+    zero = _BLOCKS[f.group][2]
+    for mask in range(1 << len(ODD_COORDS[f.group])):
+        c = f.coefficient(0, mask)
+        if c.is_zero():
+            continue
+        if mask == 0:
+            coefficients[(("trivial",), (0, 0))] = c
+        elif mask.bit_count() == 1:
+            coefficients[(zero, (0, mask))] = c
         else:
-            coefficients[(("W",), (0, 1))] = c_theta
-    if group == "su11":
-        c_eta = f.coefficient(0, 0b10)
-        if not c_eta.is_zero():
-            coefficients[(("adjoint",), (0, 2))] = c_eta
-        c_both = f.coefficient(0, 0b11)
-        if not c_both.is_zero():
-            residual_terms[(0, 0b11)] = c_both
+            residual_terms[(0, mask)] = c
 
 
 def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                 group: str) -> Section:
-    """The linear combination of matrix-coefficient sections; exact."""
+    """The linear combination of matrix-coefficient sections; exact.  Any
+    label that expand does not emit for group raises ValueError."""
+    _odd_coords(group)  # rejects an unknown tag
     terms: Dict[TermKey, Scalar] = {}
     blocks = {}  # label -> (weights, generator products, entries)
     for (label, entry), c in coefficients.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._values import Frozen, Record, _brief, expect
+from ._values import Frozen, Record, _brief, _fits, expect
 from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
 from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
@@ -30,8 +30,7 @@ def _odd_generators(algebra: object) -> Tuple[str, ...]:
 
 def _parity_tuple(parities: Sequence[int]) -> Tuple[int, ...]:
     parities = tuple(parities)
-    if any(not isinstance(p, int) or isinstance(p, bool) or p not in (0, 1)
-           for p in parities):
+    if any(not _fits(p, int) or p not in (0, 1) for p in parities):
         raise ValueError("parities must be the integers 0 or 1")
     return parities
 
@@ -180,7 +179,7 @@ class Representation(Record):
         _odd_generators(algebra)  # rejects an unknown tag
         parities = _parity_tuple(parities)
         weights = tuple(weights)
-        if any(not isinstance(m, int) or isinstance(m, bool) for m in weights):
+        if not all(_fits(m, int) for m in weights):
             raise ValueError("weights must be integers")
         if len(parities) != len(weights):
             raise ValueError("parity and weight vectors must have equal length")

@@ -283,11 +283,6 @@ class Matrix(Frozen):
             raise ValueError("matrix is singular")
         return Matrix._of([r[n:] for r in red._rows], n)
 
-    def is_invertible(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return self.rank() == self.nrows
-
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     m = sum(b.ncols for b in blocks)

@@ -126,13 +126,7 @@ def permute(rep: Representation, perm: Sequence[int]) -> Representation:
     """Relabel basis indices: new index k is old index perm[k]."""
     if sorted(perm) != list(range(rep.dim)):
         raise ValueError("not a permutation of the basis indices")
-    odd = {name: mat._submatrix(perm, perm) for name, mat in rep.odd.items()}
-    return Representation(
-        rep.algebra,
-        [rep.parities[k] for k in perm],
-        [rep.weights[k] for k in perm],
-        odd,
-    )
+    return rep.restrict(perm)
 
 
 def random_class_preserving(rep: Representation, rng: random.Random) -> Matrix:
@@ -151,7 +145,7 @@ def random_class_preserving(rep: Representation, rng: random.Random) -> Matrix:
                  for _ in range(k)]
                 for _ in range(k)
             ])
-            if block.is_invertible():
+            if block.rank() == k:
                 break
         for bi, i in enumerate(indices):
             for bj, j in enumerate(indices):

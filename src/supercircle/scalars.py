@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._values import Frozen, _brief, expect
+from ._values import Frozen, _brief, _fits, expect
 
 RationalLike = Union[int, Fraction]
 
@@ -241,7 +241,7 @@ class ExtendedScalar(Frozen):
         # a zero s-part demotes before m is read, whatever m is
         if g1.is_zero():
             return g0
-        if not isinstance(m, int) or isinstance(m, bool) or m == 0:
+        if not _fits(m, int) or m == 0:
             raise ValueError("extension parameter m must be a nonzero integer")
         if _exact_root_neg_im(m) is not None:
             raise ValueError(f"-i*m is a square in Q(i) for m={m}; "

@@ -14,7 +14,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ._values import Record, expect
-from .grassmann import GeneratorSet, GrassmannElement, element_from_json
+from .grassmann import (
+    EVEN,
+    ODD,
+    GeneratorSet,
+    GrassmannElement,
+    _require_parity,
+    element_from_json,
+)
 from .scalars import I, GaussianRational
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1
 
@@ -38,12 +45,10 @@ class GL11Point(Record):
             if x.gens != gens:
                 raise ValueError("entries live over different generator sets")
         for name, x in (("a", a), ("d", d)):
-            if x.parity() != "even":
-                raise ValueError("entry %s must be even" % name)
+            _require_parity("entry " + name, x, EVEN)
             x.invert()  # raises if the even part is not a unit
         for name, x in (("beta", beta), ("gamma", gamma)):
-            if not x.is_zero() and x.parity() != "odd":
-                raise ValueError("entry %s must be odd" % name)
+            _require_parity("entry " + name, x, ODD)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
@@ -186,10 +191,8 @@ def rho_s11(w: GrassmannElement, eta: GrassmannElement,
             ) -> Tuple[GrassmannElement, GrassmannElement]:
     """The defining real structure of the circle supergroup on (w, eta)
     coordinates: (w, eta) -> (star(w)^-1, i*star(w)^-2*star(eta))."""
-    if w.parity() != "even":
-        raise ValueError("w must be even")
-    if not eta.is_zero() and eta.parity() != "odd":
-        raise ValueError("eta must be odd")
+    _require_parity("w", w, EVEN)
+    _require_parity("eta", eta, ODD)
     wbar_inv = w.star().invert()
     return wbar_inv, I * wbar_inv * wbar_inv * eta.star()
 
@@ -244,11 +247,9 @@ class FactorizationTriple(Record):
 
     def __init__(self, t: GrassmannElement, theta: GrassmannElement,
                  eta: GrassmannElement):
-        if t.parity() != "even":
-            raise ValueError("t must be even")
-        for name, x in (("theta", theta), ("eta", eta)):
-            if not x.is_zero() and x.parity() != "odd":
-                raise ValueError("%s must be odd" % name)
+        _require_parity("t", t, EVEN)
+        _require_parity("theta", theta, ODD)
+        _require_parity("eta", eta, ODD)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "eta", eta)
@@ -287,8 +288,7 @@ def defactorize(t: GrassmannElement, theta: GrassmannElement,
     the product of the two odd factors is
     [[1 - theta*eta, theta + i*eta], [-i*theta - eta, 1 + theta*eta]].
     """
-    if t.parity() != "even":
-        raise ValueError("t must be even")
+    _require_parity("t", t, EVEN)
     one = t.gens.one()
     tbar_inv = t.star().invert()
     te = theta * eta

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ._values import Frozen
+from ._values import Frozen, _fits
 from .grassmann import (
     EVEN,
     ODD,
@@ -26,9 +26,8 @@ class SuperMatrix(Frozen):
     __slots__ = ("pdim", "qdim", "rows")
 
     def __init__(self, pdim: int, qdim: int, entries: Sequence[Sequence[GrassmannElement]]):
-        for d in (pdim, qdim):
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise TypeError("block dimensions must be integers")
+        if not (_fits(pdim, int) and _fits(qdim, int)):
+            raise TypeError("block dimensions must be integers")
         if pdim < 0 or qdim < 0 or pdim + qdim == 0:
             raise ValueError("need nonnegative block dimensions, not both zero")
         n = pdim + qdim

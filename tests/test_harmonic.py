@@ -333,6 +333,39 @@ def test_reconstruct_rejects_unknown_labels():
     assert reconstruct({}, "s11").is_zero()
 
 
+# reconstruct takes exactly the labels expand emits: (kind, m) for the
+# group's kind and an int m != 0, ("trivial",) and the group's weight-zero
+# label.  ("pi", 3, "-") must not be read as pi_3^+: entry (0, 1) of pi_3^+
+# has the eta coefficient -i*s, that of pi_3^- has +i*s.
+@pytest.mark.parametrize("group,label", [
+    ("su11", ("pi", 3, "-")),
+    ("su11", ("pi", 3, "+", "x")),
+    ("su11", ("V", 3)),
+    ("s11", ("pi", 3)),
+    ("s11", ("V",)),
+    ("s11", ("V", 2.0)),
+    ("s11", ("V", True)),
+    ("s11", ("V", 0)),
+    ("su11", ("pi", 3, "+")),
+    ("su11", 5),
+], ids=repr)
+def test_reconstruct_rejects_labels_expand_does_not_emit(group, label):
+    with pytest.raises(ValueError, match="^unknown representation label "):
+        reconstruct({(label, (0, 1)): GR(1)}, group)
+
+
+def test_reconstruct_checks_the_group_tag_before_any_label():
+    with pytest.raises(ValueError, match="^unknown group tag 'x'$"):
+        reconstruct({(("trivial",), (0, 0)): 1}, "x")
+
+
+def test_section_from_pairs_sums_equal_keys():
+    half = GR(1) / GR(2)
+    pairs = [((2, 1), half), ((1, 0), half), ((2, 1), half), ((1, 0), -half)]
+    assert Section("s11", pairs) == Section.monomial("s11", 2, ["theta"])
+    assert Section("s11", iter(pairs)) == Section("s11", {(2, 1): 1})
+
+
 # --- differential test against the public coefficient sections --------------
 
 def _reference_expand(f, m, sections, label, entries):

@@ -17,6 +17,7 @@ from supercircle.reps import (
     make_trivial,
     make_V_m,
     make_weight_zero_s11,
+    permute,
     random_direct_sum,
     scramble,
 )
@@ -78,6 +79,16 @@ def test_make_trivial_rejects_an_unknown_algebra_tag():
         make_trivial("x")
     with pytest.raises(ValueError, match="^unknown algebra tag 'x'$"):
         random_direct_sum("x", random.Random(0))
+
+
+def test_permute_is_restrict_to_a_permutation():
+    rep = direct_sum(make_pi_m(2, "+"), make_adjoint_su11(), make_pi_m(-1, "-"))
+    perm = [4, 0, 6, 2, 1, 5, 3]
+    assert permute(rep, perm) == rep.restrict(perm)
+    assert permute(rep, perm).weights == (0, 2, -1, 0, 2, -1, 0)
+    for bad in ([0, 0, 1, 2, 3, 4, 5], [0, 1, 2], list(range(8))):
+        with pytest.raises(ValueError, match="^not a permutation of the basis"):
+            permute(rep, bad)
 
 
 def test_equal_representations_validate_and_decompose_alike():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from supercircle.grassmann import GeneratorSet, element_from_json
 from supercircle.scalars import GaussianRational
 from supercircle.supergroup import (
+    FactorizationTriple,
     GL11Point,
     c11x_ring,
     defactorize,
@@ -223,6 +224,34 @@ def test_point_constructor_rejects_bad_parity():
         GL11Point(p.beta, p.beta, p.gamma, p.d)
     with pytest.raises(ValueError, match="must be odd"):
         GL11Point(p.a, p.a, p.gamma, p.d)
+
+
+def test_parity_checks_name_the_entry_in_a_fixed_order():
+    gens, (p,) = su11_chart_ring("su11")
+    a, b, g, d, zero = p.a, p.beta, p.gamma, p.d, gens.zero()
+    for args, message in (
+        ((b, a, a, b), "entry a must be even"),
+        ((zero, a, a, b), "not invertible"),  # a's unit before d's parity
+        ((a, a, a, b), "entry d must be even"),
+        ((a, a, a, zero), "not invertible"),  # d's unit before beta's parity
+        ((a, a, a, d), "entry beta must be odd"),
+        ((a, b, a, d), "entry gamma must be odd"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            GL11Point(*args)
+    assert GL11Point(a, zero, zero, d).beta.is_zero()  # zero is odd enough
+    tgens, triple = factorization_triple_ring("su11")
+    t, theta, eta = triple.t, triple.theta, triple.eta
+    for call, message in (
+        (lambda: rho_s11(theta, theta), "w must be even"),
+        (lambda: rho_s11(t, t), "eta must be odd"),
+        (lambda: defactorize(theta, theta, eta), "t must be even"),
+        (lambda: FactorizationTriple(theta, theta, eta), "t must be even"),
+        (lambda: FactorizationTriple(t, t, eta), "theta must be odd"),
+        (lambda: FactorizationTriple(t, theta, t), "eta must be odd"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call()
 
 
 def test_point_constructor_rejects_non_invertible():

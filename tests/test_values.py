@@ -1,8 +1,13 @@
-"""Every value class of the package rejects assignment, and the record
-classes compare by type and fields."""
+"""Every value class of the package rejects assignment, the record classes
+compare by type and fields, and the source keeps the rules of ``_values``."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import pytest
 
+import supercircle
 from supercircle import (
     DecompositionReport,
     ExpansionResult,
@@ -24,7 +29,8 @@ from supercircle import (
     sqrt_neg_im,
     su11_chart_ring,
 )
-from supercircle._values import Record
+from supercircle._values import Frozen, Record
+from supercircle.cli import RunConfig
 
 
 def _instances():
@@ -43,6 +49,7 @@ def _instances():
         GL11Point: point,
         FactorizationTriple: factorize(point, "su11"),
         SuperMatrix: point.matrix(),
+        RunConfig: RunConfig(),
     }
 
 
@@ -69,3 +76,64 @@ def test_value_classes_reject_assignment(cls):
 def test_record_repr_lists_fields_in_slot_order():
     p = INSTANCES[GL11Point]
     assert repr(p) == "GL11Point(%r, %r, %r, %r)" % (p.a, p.beta, p.gamma, p.d)
+
+
+# --- the rules of _values, checked over the source ---------------------------
+
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(supercircle.__file__).parent.glob("*.py"))}
+# the private builders, the only code that may call object.__new__
+BUILDERS = {"linalg.Matrix._of", "grassmann.GrassmannElement._of",
+            "grassmann.GeneratorSet.with_star_images", "scalars._gr",
+            "scalars._ext"}
+
+
+def _is_object_new(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def _object_new_calls(module: str, tree: ast.Module) -> list:
+    """The qualified name of the function around each call of object.__new__,
+    made directly or through a module-level alias such as ``_new``."""
+    aliases = {target.id for node in tree.body if isinstance(node, ast.Assign)
+               and _is_object_new(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call) and (
+                    _is_object_new(child.func) or (
+                        isinstance(child.func, ast.Name)
+                        and child.func.id in aliases)):
+                calls.append(".".join([module] + scope))
+            visit(child, inner)
+
+    visit(tree, [])
+    return calls
+
+
+def test_slotted_classes_derive_from_frozen():
+    slotted = [(module, node.name) for module, tree in SOURCES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(isinstance(stmt, ast.Assign)
+                       and any(getattr(t, "id", None) == "__slots__"
+                               for t in stmt.targets) for stmt in node.body)]
+    assert ("scalars", "GaussianRational") in slotted
+    loose = [
+        "%s.%s" % (module, name) for module, name in slotted
+        if not issubclass(getattr(importlib.import_module(
+            "supercircle." + module), name), Frozen)]
+    assert loose == ["scalars.GaussianRational"]
+
+
+def test_only_the_private_builders_call_object_new():
+    calls = [call for module, tree in SOURCES.items()
+             for call in _object_new_calls(module, tree)]
+    assert "linalg.Matrix._of" in calls  # the search finds a direct call
+    assert "scalars._gr" in calls  # and one through an alias
+    assert set(calls) <= BUILDERS, sorted(set(calls) - BUILDERS)
