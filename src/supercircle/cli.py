@@ -479,9 +479,7 @@ def cmd_rep(action: str, path: str) -> Tuple[dict, int]:
 
 
 def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
-    if group_flag == "s11":
-        if action != "involute":
-            raise InputError("--group s11 only makes sense for involute")
+    if group_flag == "s11":  # argparse offers s11 to involute only
         w, eta = rho_s11(*_read(path, _parse_pair))
         return {"w": w.to_json(), "eta": eta.to_json()}, 0
     group = GROUP_TAGS[group_flag]

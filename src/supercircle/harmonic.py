@@ -401,16 +401,23 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
     label that expand does not emit for group raises ValueError."""
     _odd_coords(group)  # rejects an unknown tag
     terms: Dict[TermKey, Scalar] = {}
-    blocks = {}  # label -> (weights, generator products, entries)
-    for (label, entry), c in coefficients.items():
+    blocks = {}  # label -> (weights, generator products)
+    for key, c in coefficients.items():
+        if not (type(key) is tuple and len(key) == 2
+                and type(key[1]) is tuple and len(key[1]) == 2):
+            raise ValueError("coefficient key %s is not a (label, (i, j)) pair"
+                             % _brief(key))
+        label, entry = key
         if label not in blocks:
             rep = _label_rep(label, group)
-            blocks[label] = (rep.weights, _generator_products(rep), {
-                (i, j) for i in range(rep.dim) for j in range(rep.dim)})
-        weights, products, entries = blocks[label]
-        if entry not in entries:
-            raise ValueError("entry %r outside representation %r" % (entry, label))
-        m = weights[entry[0]]
+            blocks[label] = (rep.weights, _generator_products(rep))
+        weights, products = blocks[label]
+        i, j = entry
+        if not (type(i) is int and type(j) is int
+                and 0 <= i < len(weights) and 0 <= j < len(weights)):
+            raise ValueError("coefficient key %s names no entry of its block"
+                             % _brief(key))
+        m = weights[i]
         try:  # the entry's section, as matrix_coefficients builds it, times c
             _add_into(terms, {(m, mask): p[entry] * c
                               for mask, p in enumerate(products)})

@@ -164,7 +164,9 @@ class Representation(Record):
 
     The central even generator acts as diag(i * weights[j]); only the odd
     generator matrices are stored.  Matrices act on column vectors, so column
-    j of ``odd[name]`` is the image of basis vector j.
+    j of ``odd[name]`` is the image of basis vector j.  Construction checks
+    that ``odd`` holds exactly the algebra's odd generators, each a dim x dim
+    Matrix.
     """
 
     __slots__ = ("algebra", "parities", "weights", "odd")
@@ -176,18 +178,27 @@ class Representation(Record):
         weights: Sequence[int],
         odd: Mapping[str, Matrix],
     ):
-        _odd_generators(algebra)  # rejects an unknown tag
+        names = _odd_generators(algebra)
         parities = _parity_tuple(parities)
         weights = tuple(weights)
         if not all(_fits(m, int) for m in weights):
             raise ValueError("weights must be integers")
-        if len(parities) != len(weights):
+        n = len(parities)
+        if n != len(weights):
             raise ValueError("parity and weight vectors must have equal length")
         odd = dict(odd)
-        for name, mat in odd.items():
+        for name in names:
+            if name not in odd:
+                raise ValueError("missing generator matrix %s" % name)
+            mat = odd[name]
             if not isinstance(mat, Matrix):
                 raise TypeError("generator %s must be a Matrix, not %s"
                                 % (name, type(mat).__name__))
+            if mat.shape != (n, n):
+                raise ValueError("generator %s has wrong shape" % name)
+        if len(odd) != len(names):
+            raise ValueError("unknown generator %s" % _brief(
+                next(name for name in odd if name not in names)))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "weights", weights)
@@ -240,13 +251,7 @@ def representation_from_json(obj: object) -> Representation:
     obj = expect(obj, dict, "representation JSON")
     names = _odd_generators(obj.get("algebra"))
     basis = expect(obj.get("basis"), list, "basis", dict)
-    odd = {}
-    for name in names:
-        if name not in obj:
-            raise ValueError("missing generator matrix %s" % name)
-        odd[name] = matrix_from_json(obj[name])
-        if odd[name].shape != (len(basis), len(basis)):
-            raise ValueError("generator %s has wrong shape" % name)
+    odd = {name: matrix_from_json(obj[name]) for name in names if name in obj}
     return Representation(obj["algebra"], [e.get("parity") for e in basis],
                           [e.get("weight") for e in basis], odd)
 
@@ -323,36 +328,24 @@ def _relation_problems(rep: Representation,
 def validate_representation(rep: Representation) -> List[str]:
     """All violated defining relations, as human-readable strings.
 
-    An empty list means the data is a genuine representation.  The checks,
-    in order: matrix shapes, odd parity structure, weight preservation
-    (equivalently, commutation with the central generator), one extension
-    Q(i)[s] per linked set of basis vectors, and the bracket relations
-    including the su11 anticommutator and its diagonal square.  Two basis
-    vectors are linked when some generator has a nonzero entry between them;
-    the relations multiply and add only entries of one linked set, so a
-    direct sum may write equal weights over different extensions.  Only the
-    last step does arithmetic.  It forms the relation products only on the
-    rows the other rows do not imply: even rows, weight-zero rows, and the
-    rows of nonzero-weight blocks whose even and odd parts differ in size.
-    If one of those fails, it checks every row, and the su11 square
-    (U*S)^2, which the other relations imply; so the problem list is the
-    one a check of every row of every relation gives.
+    An empty list means the data is a genuine representation.  The
+    constructor has already checked that each generator is present and has
+    shape dim x dim.  The checks, in order: odd parity structure, weight
+    preservation (equivalently, commutation with the central generator), one
+    extension Q(i)[s] per linked set of basis vectors, and the bracket
+    relations including the su11 anticommutator and its diagonal square.
+    Two basis vectors are linked when some generator has a nonzero entry
+    between them; the relations multiply and add only entries of one linked
+    set, so a direct sum may write equal weights over different extensions.
+    Only the last step does arithmetic.  It forms the relation products only
+    on the rows the other rows do not imply: even rows, weight-zero rows, and
+    the rows of nonzero-weight blocks whose even and odd parts differ in
+    size.  If one of those fails, it checks every row, and the su11 square
+    (U*S)^2, which the other relations imply; so the problem list is the one
+    a check of every row of every relation gives.
     """
     problems: List[str] = []
     n = rep.dim
-    for name in rep.generator_names:
-        mat = rep.odd.get(name)
-        if mat is None:
-            problems.append("missing generator matrix %s" % name)
-            continue
-        if mat.shape != (n, n):
-            problems.append(
-                "generator %s has shape %dx%d, expected %dx%d"
-                % (name, mat.nrows, mat.ncols, n, n)
-            )
-    if problems:
-        return problems
-
     link = list(range(n))  # union-find over basis vectors
 
     def root(k: int) -> int:

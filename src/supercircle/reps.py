@@ -57,15 +57,7 @@ def make_weight_zero_s11(variant: str) -> Representation:
     raise ValueError("variant must be one of W, PiW")
 
 
-def _normalize_sign(sign) -> str:
-    if sign in ("+", 1):
-        return "+"
-    if sign in ("-", -1):
-        return "-"
-    raise ValueError("sign must be + or -")
-
-
-def make_pi_m(m: int, sign) -> Representation:
+def make_pi_m(m: int, sign: str) -> Representation:
     """The 1|1-dimensional weight-m representation of the su11 table.
 
     Both signs share U, the swap scaled by sqrt_neg_im(m); they differ in S
@@ -74,7 +66,8 @@ def make_pi_m(m: int, sign) -> Representation:
     """
     if m == 0:
         raise ValueError("weight must be nonzero")
-    sign = _normalize_sign(sign)
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be + or -")
     s = sqrt_neg_im(m)
     i_s = I * s
     u = Matrix._of([[ZERO, s], [s, ZERO]], 2)

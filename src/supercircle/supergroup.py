@@ -173,11 +173,11 @@ def su11_chart_ring(group: str = "su11", copies: int = 1,
     for k in range(copies):
         a = gens.even_gen("a%d" % k)
         b = gens.odd_gen("b%d" % k)
-        points.append(_member_point(gens, group, a, b))
+        points.append(_member_point(group, a, b))
     return gens, points
 
 
-def _member_point(gens: GeneratorSet, group: str, a: GrassmannElement,
+def _member_point(group: str, a: GrassmannElement,
                   b: GrassmannElement) -> GL11Point:
     """The member point of the chosen group with upper row (a, b)."""
     gamma = _su11_star_sign(group) * b.star() * a * a
@@ -219,16 +219,16 @@ def membership(p: GL11Point, group: str) -> Tuple[bool, str]:
         if berezinian(p.matrix()) == p.a.gens.one():
             return True, "member"
         return False, "berezinian differs from 1"
-    sign = _su11_star_sign(group)
-    gens = p.a.gens
-    expected_gamma = sign * p.beta.star() * p.a * p.a
-    if p.gamma != expected_gamma:
+    expected = _member_point(group, p.a, p.beta)
+    if p.gamma != expected.gamma:
         return False, (
             "lower-left entry is not %si*star(beta)*a^2"
             % ("-" if group == "su11" else "")
         )
-    if p.d != p.a.star().invert():
+    if p.d != expected.d:
         return False, "lower-right entry is not star(a)^-1"
+    gens = p.a.gens
+    sign = _su11_star_sign(group)
     unit = p.a * p.a.star() * (gens.one() - sign * p.beta * p.beta.star())
     if unit != gens.one():
         return False, "defining constraint a*star(a)*(1 %s i*beta*star(beta)) != 1" % (

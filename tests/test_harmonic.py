@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,12 @@ def test_reconstruct_rejects_unknown_labels():
         reconstruct({(("W",), (0, 1)): GR(1)}, "su11")
     with pytest.raises(ValueError):
         reconstruct({(("pi", 2), (0, 5)): GR(1)}, "su11")
+    # an entry must be a pair of in-range ints and a key a (label, entry)
+    # pair: (0, True) is not read as (0, 1)
+    for key in ((("V", 3), (0, True)), (("V", 3), (0, 1.0)), 5):
+        with pytest.raises(ValueError, match="^coefficient key %s " %
+                           re.escape(repr(key))):
+            reconstruct({key: GR(1)}, "s11")
     assert reconstruct({}, "s11").is_zero()
 
 

@@ -111,8 +111,8 @@ def test_validate_flags_violations():
     problems = validate_representation(wrong_weight)
     assert any("connects weights" in p for p in problems)
 
-    missing = Representation("su11", (0, 1), (1, 1), {"U": make_pi_m(1, "+").odd["U"]})
-    assert "missing generator matrix S" in validate_representation(missing)
+    with pytest.raises(ValueError, match="^missing generator matrix S$"):
+        Representation("su11", (0, 1), (1, 1), {"U": make_pi_m(1, "+").odd["U"]})
 
 
 def test_trivial_rep_validates():
@@ -237,6 +237,20 @@ def test_constructor_rejects_generators_that_are_not_matrices():
             Representation("s11", v.parities, v.weights, {"Z": bad})
 
 
+def test_constructor_takes_exactly_the_algebra_generators():
+    # so to_json, direct_sum and find_even_intertwiners find every generator
+    pi = make_pi_m(1, "+")
+    u, s = pi.odd["U"], pi.odd["S"]
+    for odd, error in [
+        ({"S": s}, "^missing generator matrix U$"),
+        ({"U": u, "S": s, "Q": u}, "^unknown generator 'Q'$"),
+        ({"U": u, "S": Matrix.zeros(3, 3)}, "^generator S has wrong shape$"),
+        ({"U": u, "S": Matrix.zeros(2, 3)}, "^generator S has wrong shape$"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            Representation("su11", pi.parities, pi.weights, odd)
+
+
 # --- differential tests against the naive dense validator ---------------------
 
 
@@ -309,7 +323,8 @@ def _corruptions(rep, rng):
     if extended:
         nm, i, j, x = rng.choice(extended)
         yield _replace(rep, nm, (i, j), ExtendedScalar(x.c0, x.c1, x.m + 100))
-    yield _replace(rep, drop=rng.choice(names))
+    with pytest.raises(ValueError, match="^missing generator matrix "):
+        _replace(rep, drop=rng.choice(names))
     # a generator scaled by 2 breaks its square and, on su11, (U*S)^2
     yield Representation(rep.algebra, rep.parities, rep.weights,
                          {**rep.odd, name: rep.odd[name] * 2})

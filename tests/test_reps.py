@@ -51,6 +51,12 @@ def test_make_pi_m_identities():
     assert (us * us)[0, 0] == GR(9)
 
 
+def test_make_pi_m_takes_only_the_sign_strings():
+    for sign in (1, -1, True):
+        with pytest.raises(ValueError, match="^sign must be \\+ or -$"):
+            make_pi_m(1, sign)
+
+
 def test_weight_zero_kernels():
     w = make_weight_zero_s11("W")
     z = w.odd["Z"]
