@@ -54,7 +54,7 @@ from .reps import (
     random_direct_sum,
     scramble,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _gr
 from .supergroup import (
     c11x_ring,
     defactorize,
@@ -391,16 +391,18 @@ def _random_even_invertible(gens: GeneratorSet, rng: random.Random) -> SuperMatr
         masks = masks_odd if odd_entry else masks_even
         terms = {}
         for mask in rng.sample(masks, rng.randint(1, 4)):
-            c = GR(rng.randint(-3, 3), rng.randint(-3, 3))
-            if not c.is_zero():
-                terms[((), mask)] = c
-        return gens.element(terms)
+            re, im = rng.randint(-3, 3), rng.randint(-3, 3)
+            if re or im:
+                terms[((), mask)] = _gr(re, im, 1)
+        return terms
 
-    rows = [[entry(False), entry(True)], [entry(True), entry(False)]]
+    grid = [[entry(False), entry(True)], [entry(True), entry(False)]]
     for i in (0, 1):
-        if rows[i][i].body().is_zero():
-            rows[i][i] = rows[i][i] + gens.scalar(GR(rng.randint(1, 3), 0))
-    return SuperMatrix(1, 1, rows)
+        if ((), 0) not in grid[i][i]:
+            grid[i][i][((), 0)] = _gr(rng.randint(1, 3), 0, 1)
+    return SuperMatrix._of(1, 1, tuple(
+        tuple(GrassmannElement._of(gens, terms) for terms in row)
+        for row in grid))
 
 
 def _check_berezinian(config: RunConfig):

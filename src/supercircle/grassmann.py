@@ -8,7 +8,8 @@ it is an algebra automorphism, not an antiautomorphism.
 
 Every product runs through one private kernel, :func:`_mul_into`, which adds
 each product of a left term and a right term into a term dict the caller
-owns; element products, supermatrix entries, ``invert`` and ``star`` all
+owns, with one fused multiply-add (``scalars._fma``) per pair; element
+products, supermatrix entries, ``invert``, ``star`` and the Berezinian all
 accumulate into such dicts and drop zero sums once, at the end.  Their
 results are wrapped by the private ``GrassmannElement._of``, which neither
 copies nor checks: its dict must hold only nonzero coefficients and must not
@@ -27,6 +28,7 @@ from ._values import Frozen, _brief, _fits, expect
 from .scalars import (
     GaussianRational,
     Scalar,
+    _fma,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -207,12 +209,13 @@ _SIGNS_MAX = 1 << 12
 
 
 def _mul_into(out: Dict[Monomial, Scalar], left: Mapping[Monomial, Scalar],
-              right: Mapping[Monomial, Scalar]) -> None:
-    """Add every product of a left term and a right term into out.
+              right: Mapping[Monomial, Scalar], negate: bool = False) -> None:
+    """Add (or, with negate, subtract) every product of a left term and a
+    right term into out, one :func:`~supercircle.scalars._fma` per pair.
 
     The sums may reach zero; callers drop zeros once with :func:`_nonzero`.
     """
-    signs = _SIGNS
+    signs, fma = _SIGNS, _fma
     for (e1, m1), c1 in left.items():
         for (e2, m2), c2 in right.items():
             if m1 & m2:
@@ -224,12 +227,7 @@ def _mul_into(out: Dict[Monomial, Scalar], left: Mapping[Monomial, Scalar],
                     signs[(m1, m2)] = odd
             # without even generators every exponent tuple is ()
             key = (tuple(map(add, e1, e2)) if e1 else e1, m1 | m2)
-            c = c1 * c2
-            acc = out.get(key)
-            if acc is None:
-                out[key] = -c if odd else c
-            else:
-                out[key] = acc - c if odd else acc + c
+            out[key] = fma(out.get(key), c1, c2, odd ^ negate)
 
 
 def _add_into(out: Dict[Monomial, Scalar], terms: Mapping[Monomial, Scalar],
@@ -256,6 +254,32 @@ def _product(left: Mapping[Monomial, Scalar],
     out: Dict[Monomial, Scalar] = {}
     _mul_into(out, left, right)
     return _nonzero(out)
+
+
+def _inverse_terms(terms: Mapping[Monomial, Scalar],
+                   n_odd: int) -> Dict[Monomial, Scalar]:
+    """The nonzero terms of the inverse of an even element over n_odd odd
+    generators, in a new dict; see :meth:`GrassmannElement.invert`, which
+    checks the parity that this trusts."""
+    unit_terms = {k: c for k, c in terms.items() if k[1] == 0}
+    if len(unit_terms) != 1:
+        # A sum of distinct Laurent monomials has no Laurent-polynomial
+        # inverse; the pure-Grassmann case lands here when the body is 0.
+        raise ValueError("not invertible")
+    ((exps, _mask), coef), = unit_terms.items()
+    u_inv = {(tuple(-e for e in exps), 0): coef.inverse()}
+    v = _product(u_inv, {k: c for k, c in terms.items() if k[1] != 0})
+    # x^-1 = u^-1 (1 - v + v^2 - ...) with power_k = u^-1 v^k, since the
+    # unit u^-1 is central; v is nilpotent of index at most the number of
+    # odd generators plus one.
+    result = dict(u_inv)
+    power = u_inv
+    for k in range(1, n_odd + 1):
+        power = _product(power, v)
+        if not power:
+            break
+        _add_into(result, power, negate=k % 2 == 1)
+    return _nonzero(result)
 
 
 class GrassmannElement(Frozen):
@@ -384,25 +408,8 @@ class GrassmannElement(Frozen):
         p = self.parity()
         if p != EVEN:
             raise ValueError(f"cannot invert element of parity {p}")
-        unit_terms = {k: c for k, c in self.terms.items() if k[1] == 0}
-        if len(unit_terms) != 1:
-            # A sum of distinct Laurent monomials has no Laurent-polynomial
-            # inverse; the pure-Grassmann case lands here when the body is 0.
-            raise ValueError("not invertible")
-        ((exps, _mask), coef), = unit_terms.items()
-        u_inv = {(tuple(-e for e in exps), 0): coef.inverse()}
-        v = _product(u_inv, {k: c for k, c in self.terms.items() if k[1] != 0})
-        # x^-1 = u^-1 (1 - v + v^2 - ...) with power_k = u^-1 v^k, since the
-        # unit u^-1 is central; v is nilpotent of index at most the number of
-        # odd generators plus one.
-        result = dict(u_inv)
-        power = u_inv
-        for k in range(1, len(self.gens.odd) + 1):
-            power = _product(power, v)
-            if not power:
-                break
-            _add_into(result, power, negate=k % 2 == 1)
-        return GrassmannElement._of(self.gens, _nonzero(result))
+        return GrassmannElement._of(self.gens,
+                                    _inverse_terms(self.terms, len(self.gens.odd)))
 
     def star(self) -> "GrassmannElement":
         """Antilinear algebra automorphism.

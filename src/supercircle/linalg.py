@@ -19,6 +19,7 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
+    _fma,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -155,8 +156,8 @@ class Matrix(Frozen):
             if self._ncols != len(other._rows):
                 raise ValueError("shape mismatch")
             # Gustavson's row-wise product over the two nonzero patterns.
-            # Each entry is a sum in ascending k of its nonzero terms, or
-            # ZERO if none.
+            # Each entry is a sum in ascending k of its nonzero terms, one
+            # _fma per term, or ZERO if none.
             right = other._nonzeros()
             ncols = other._ncols
             out = []
@@ -164,8 +165,7 @@ class Matrix(Frozen):
                 acc = [None] * ncols
                 for k, a in row:
                     for j, b in right[k]:
-                        x = acc[j]
-                        acc[j] = a * b if x is None else x + a * b
+                        acc[j] = _fma(acc[j], a, b)
                 out.append([ZERO if x is None else x for x in acc])
             return Matrix._of(out, ncols)
         try:

@@ -13,6 +13,9 @@ has a zero s-part.  Arithmetic results are built by the private builders
 with d > 0, and ``_ext`` takes two GaussianRationals and a parameter m that
 an operand already carries (or its negation), so m is a nonzero integer for
 which -i*m has no root in Q(i).  ``_ext`` also demotes a zero s-part.
+The product kernels of ``grassmann`` and ``linalg``, and the Q(i) products
+inside ``ExtendedScalar.__mul__``, use the one fused multiply-add
+:func:`_fma`, which builds one ``_gr`` per term.
 """
 
 from __future__ import annotations
@@ -202,6 +205,33 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
+def _fma(acc, x, y, negate: bool = False):
+    """acc + x*y, or acc - x*y with negate; acc None stands for 0.
+
+    The one multiply-add of the product kernels.  For two GaussianRationals
+    it works on their ints and builds one result with :func:`_gr` (an acc
+    that is not Gaussian takes that result through its own ``+``); any other
+    factor goes through the operators.
+    """
+    if type(x) is GaussianRational and type(y) is GaussianRational:
+        a1, b1, a2, b2 = x._a, x._b, y._a, y._b
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, x._d * y._d
+        if negate:
+            a, b = -a, -b
+        if acc is None:
+            return _gr(a, b, d)
+        if type(acc) is not GaussianRational:
+            return acc + _gr(a, b, d)
+        d0 = acc._d
+        if d0 == d:
+            return _gr(acc._a + a, acc._b + b, d)
+        return _gr(acc._a * d + a * d0, acc._b * d + b * d0, d0 * d)
+    p = x * y
+    if acc is None:
+        return -p if negate else p
+    return acc - p if negate else acc + p
+
+
 def _coerce_gaussian(x) -> Optional[GaussianRational]:
     if isinstance(x, GaussianRational):
         return x
@@ -308,9 +338,10 @@ class ExtendedScalar(Frozen):
         b0, b1 = parts
         c0, c1, m = self.c0, self.c1, self.m
         if b1.is_zero():
-            return _ext(c0 * b0, c1 * b0, m)
+            return _ext(_fma(None, c0, b0), _fma(None, c1, b0), m)
         # s*s = -i*m
-        return _ext(c0 * b0 + c1 * b1 * _gr(0, -m, 1), c0 * b1 + c1 * b0, m)
+        return _ext(_fma(_fma(None, c0, b0), _fma(None, c1, b1), _gr(0, -m, 1)),
+                    _fma(_fma(None, c0, b1), c1, b0), m)
 
     __rmul__ = __mul__
 

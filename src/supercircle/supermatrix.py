@@ -16,8 +16,10 @@ from .grassmann import (
     ODD,
     GeneratorSet,
     GrassmannElement,
+    _inverse_terms,
     _mul_into,
     _nonzero,
+    _product,
 )
 from .scalars import as_scalar
 
@@ -42,6 +44,15 @@ class SuperMatrix(Frozen):
         object.__setattr__(self, "pdim", pdim)
         object.__setattr__(self, "qdim", qdim)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, pdim: int, qdim: int, rows) -> "SuperMatrix":
+        """Wrap a square grid of row tuples over one generator set, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "pdim", pdim)
+        object.__setattr__(m, "qdim", qdim)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def gens(self) -> GeneratorSet:
@@ -111,8 +122,8 @@ class SuperMatrix(Frozen):
                         # Entry order is preserved; Grassmann products care.
                         _mul_into(acc, a.terms, b.terms)
                     out_row.append(GrassmannElement._of(gens, _nonzero(acc)))
-                out.append(out_row)
-            return SuperMatrix(self.pdim, self.qdim, out)
+                out.append(tuple(out_row))
+            return SuperMatrix._of(self.pdim, self.qdim, tuple(out))
         if isinstance(other, GrassmannElement):
             return SuperMatrix(
                 self.pdim, self.qdim, [[x * other for x in r] for r in self.rows]
@@ -200,10 +211,15 @@ def berezinian(a: SuperMatrix) -> GrassmannElement:
     """Ber of an even (1|1) matrix [[a, beta], [gamma, d]]: d^-1*(a - beta*d^-1*gamma)."""
     if (a.pdim, a.qdim) != (1, 1):
         raise ValueError("berezinian implemented for (1|1) blocks only")
-    if not a.is_even():
-        raise ValueError("berezinian needs an even matrix")
-    d_inv = a.rows[1][1].invert()
-    return d_inv * (a.rows[0][0] - a.rows[0][1] * d_inv * a.rows[1][0])
+    # one parity pass; the inverse and the products trust it and run on terms
+    (x, beta), (gamma, d) = a.rows
+    for entry, parity in ((x, 0), (beta, 1), (gamma, 1), (d, 0)):
+        if any(mask.bit_count() & 1 != parity for _, mask in entry.terms):
+            raise ValueError("berezinian needs an even matrix")
+    d_inv = _inverse_terms(d.terms, len(d.gens.odd))
+    schur = dict(x.terms)
+    _mul_into(schur, _product(beta.terms, d_inv), gamma.terms, negate=True)
+    return GrassmannElement._of(d.gens, _product(d_inv, _nonzero(schur)))
 
 
 def inverse_1_1(g: SuperMatrix) -> SuperMatrix:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassmann_reference as ref
+from supercircle import grassmann
 from supercircle.grassmann import (
     EVEN,
     INHOMOGENEOUS,
@@ -15,7 +16,7 @@ from supercircle.grassmann import (
     GrassmannElement,
     element_from_json,
 )
-from supercircle.scalars import GaussianRational, sqrt_neg_im
+from supercircle.scalars import ExtendedScalar, GaussianRational, sqrt_neg_im
 from supercircle.supergroup import (
     c11x_ring,
     factorization_triple_ring,
@@ -400,20 +401,26 @@ def test_cancelled_sums_leave_no_terms(four):
 
 def test_invert_makes_no_product_against_one(four, monkeypatch):
     # x = 2 + 3ab + 5cd: v = u^-1 soul costs 2 Q(i) products, u^-1 v 2 more,
-    # u^-1 v^2 the 2 disjoint pairs (ab, cd) and (cd, ab), u^-1 v^3 none
-    calls = []
-    original = GaussianRational.__mul__
+    # u^-1 v^2 the 2 disjoint pairs (ab, cd) and (cd, ab), u^-1 v^3 none;
+    # every product is one multiply-add of the kernel
+    calls, operator_products = [], []
+    fma, mul = grassmann._fma, GaussianRational.__mul__
 
-    def counting(self, other):
-        calls.append((self, other))
-        return original(self, other)
+    def counting_fma(acc, p, q, negate=False):
+        calls.append((p, q))
+        return fma(acc, p, q, negate)
+
+    def counting_mul(self, other):
+        operator_products.append(1)
+        return mul(self, other)
 
     a, b, c, d = (four.odd_gen(n) for n in "abcd")
     x = four.scalar(2) + 3 * a * b + 5 * c * d
-    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    monkeypatch.setattr(grassmann, "_fma", counting_fma)
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
     inverse = x.invert()
     monkeypatch.undo()
-    assert len(calls) == 6
+    assert len(calls) == 6 and operator_products == []
     assert all(p != 1 and q != 1 for p, q in calls)
     assert inverse * x == four.one()
 
@@ -426,12 +433,23 @@ def _coefficients():
     return st.builds(GR, small, small).filter(lambda c: not c.is_zero())
 
 
-def _elements(gens, parity=None):
+def _exact_coefficients():
+    """Gaussian integers, Gaussian rationals with small unequal denominators,
+    and Q(i)[s] values for ref.EXT_M, so that one product mixes all three."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gaussian = st.one_of(_coefficients(), st.builds(GR, part, part))
+    extended = st.builds(ExtendedScalar, gaussian, gaussian, st.just(ref.EXT_M))
+    return st.one_of(gaussian, extended).filter(lambda c: not c.is_zero())
+
+
+def _elements(gens, parity=None, coefficients=None):
+    if coefficients is None:
+        coefficients = _coefficients()
     masks = [m for m in range(1 << len(gens.odd))
              if parity is None or bin(m).count("1") % 2 == parity]
     exps = st.tuples(*[st.integers(-2, 2) for _ in gens.even])
     terms = st.dictionaries(st.tuples(exps, st.sampled_from(masks)),
-                            _coefficients(), max_size=5)
+                            coefficients, max_size=5)
     return terms.map(gens.element)
 
 
@@ -498,3 +516,28 @@ def test_invert_is_a_two_sided_inverse(data):
                       **{k: c for k, c in nilpotent.items() if k[1]}})
     assert x * x.invert() == gens.one()
     assert x.invert() * x == gens.one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_over_rationals_and_extensions(data):
+    gens = data.draw(st.sampled_from([LAMBDA4, CHART]))
+    coefs = _exact_coefficients()
+    x, y = (data.draw(_elements(gens, coefficients=coefs)) for _ in range(2))
+    assert (x * y).terms == ref.mul(x.terms, y.terms)
+    # with negate the kernel subtracts, so x*y - x*y cancels in one dict
+    out = {}
+    grassmann._mul_into(out, x.terms, y.terms)
+    grassmann._mul_into(out, x.terms, y.terms, negate=True)
+    assert grassmann._nonzero(out) == {}
+    # odd factors anticommute, so the signs of p*q + q*p cancel every sum
+    p, q = (data.draw(_elements(gens, 1, coefs)) for _ in range(2))
+    out = {}
+    grassmann._mul_into(out, p.terms, q.terms)
+    grassmann._mul_into(out, q.terms, p.terms)
+    assert grassmann._nonzero(out) == {}
+    nilpotent = data.draw(_elements(gens, 0, coefs)).terms
+    exps = data.draw(st.tuples(*[st.integers(-2, 2) for _ in gens.even]))
+    ut = {(exps, 0): data.draw(coefs),
+          **{k: c for k, c in nilpotent.items() if k[1]}}
+    assert gens.element(ut).invert().terms == ref.invert(gens, ut)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercircle import linalg
 from supercircle.linalg import Matrix, block_diagonal, from_columns
@@ -188,25 +190,56 @@ def test_product_tests_each_entry_at_most_once(monkeypatch):
     a = block_diagonal([block() for _ in range(3)])
     b = block_diagonal([block() for _ in range(3)])
     expected = Matrix(_naive_product(a.rows, b.rows))
-    tests, products = [], []
-    is_zero, mul = GaussianRational.is_zero, GaussianRational.__mul__
+    tests, products, operator_products = [], [], []
+    is_zero, fma = GaussianRational.is_zero, linalg._fma
+    mul = GaussianRational.__mul__
 
     def counting_is_zero(self):
         tests.append(1)
         return is_zero(self)
 
-    def counting_mul(self, other):
+    def counting_fma(acc, x, y, negate=False):
         products.append(1)
+        return fma(acc, x, y, negate)
+
+    def counting_mul(self, other):
+        operator_products.append(1)
         return mul(self, other)
 
     monkeypatch.setattr(GaussianRational, "is_zero", counting_is_zero)
+    monkeypatch.setattr(linalg, "_fma", counting_fma)
     monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
     product = a * b
     monkeypatch.undo()
     assert len(tests) <= 24 * 24 + 24 * 24
-    # only products of two nonzero entries: one per (i, k, j) inside a block
-    assert len(products) == 3 * 8 ** 3
+    # only products of two nonzero entries: one multiply-add per (i, k, j)
+    # inside a block, and none through the operators
+    assert len(products) == 3 * 8 ** 3 and operator_products == []
     assert product == expected
+
+
+def _exact_entries():
+    # zeros, rationals with small unequal denominators, and Q(i)[s] values
+    part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    gaussian = st.builds(GR, part, part)
+    return st.one_of(st.just(GR(0)), gaussian,
+                     st.builds(ExtendedScalar, gaussian, gaussian, st.just(3)))
+
+
+def _grid(nrows, ncols):
+    row = st.lists(_exact_entries(), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_matches_naive_over_rationals_and_extensions(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(_grid(n, k)), data.draw(_grid(k, m))
+    assert Matrix(a) * Matrix(b) == Matrix(_naive_product(a, b))
+    # [a | a] times [b; -b] cancels every sum to the Gaussian zero
+    cancelled = Matrix([r + r for r in a]) * Matrix(b + [[-x for x in r] for r in b])
+    assert all(type(x) is GR and x == GR(0) for r in cancelled.rows for x in r)
 
 
 def test_matrices_without_rows_keep_their_column_count():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercircle import scalars
 from supercircle.scalars import (
     ExtendedScalar,
     ExtensionMismatchError,
@@ -463,7 +464,7 @@ def test_extended_matches_pair_reference(m, a0, a1, b0, b1, g):
 
 def test_extended_times_gaussian_costs_two_gaussian_products(monkeypatch):
     x, g = sqrt_neg_im(3) + GR(1, 2), GR(2, -1)
-    counts = {"mul": 0, "init": 0}
+    counts = {"mul": 0, "fma": 0, "init": 0}
 
     def counting(key, fn):
         # g * x first tries GaussianRational.__mul__, which declines
@@ -476,8 +477,32 @@ def test_extended_times_gaussian_costs_two_gaussian_products(monkeypatch):
     monkeypatch.setattr(GR, "__mul__", counting("mul", GR.__mul__))
     monkeypatch.setattr(GR, "__rmul__", counting("mul", GR.__rmul__))
     monkeypatch.setattr(GR, "__init__", counting("init", GR.__init__))
+    monkeypatch.setattr(scalars, "_fma", counting("fma", scalars._fma))
     for multiply in (lambda: x * g, lambda: g * x):
-        counts.update(mul=0, init=0)
+        counts.update(mul=0, fma=0, init=0)
         product = multiply()
-        assert counts == {"mul": 2, "init": 0}
+        # both Q(i) products are multiply-adds onto nothing
+        assert counts == {"mul": 0, "fma": 2, "init": 0}
         assert product == ExtendedScalar(GR(4, 3), GR(2, -1), 3)
+
+
+def _fma_operands():
+    # Gaussian integers and rationals with small, wide and unequal
+    # denominators, and Q(i)[s] values for m = 3, mixed in one draw
+    gaussian = st.one_of(small_gaussians(),
+                         st.builds(GR, wide_fractions(), wide_fractions()))
+    return st.one_of(gaussian,
+                     st.builds(ExtendedScalar, gaussian, gaussian, st.just(3)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.none(), _fma_operands()), _fma_operands(), _fma_operands(),
+       st.booleans())
+def test_fma_matches_the_operators(acc, x, y, negate):
+    p = x * y
+    term = -p if negate else p
+    assert scalars._fma(acc, x, y, negate) == (term if acc is None else acc + term)
+    # a sum that cancels is the Gaussian zero, in canonical form
+    for cancelled in (scalars._fma(-p, x, y), scalars._fma(p, x, y, True)):
+        assert type(cancelled) is GR and (cancelled._a, cancelled._b,
+                                          cancelled._d) == (0, 0, 1)

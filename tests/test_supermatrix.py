@@ -157,12 +157,24 @@ def test_berezinian_precondition_errors(four):
     one = four.one()
     z = four.zero()
     th = four.odd_gen("t1")
+    not_even = "^berezinian needs an even matrix$"
     odd = SuperMatrix(1, 1, [[th, one], [one, th]])
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match=not_even):
         berezinian(odd)
     body_zero = SuperMatrix(1, 1, [[one, z], [z, th * four.odd_gen("t2")]])
-    with pytest.raises(ValueError, match="not invertible"):
+    with pytest.raises(ValueError, match="^not invertible$"):
         berezinian(body_zero)
+    # the shape is checked first, then the parity, then invertibility
+    inhomogeneous = SuperMatrix(1, 1, [[one + th, z], [z, one]])
+    with pytest.raises(ValueError, match=not_even):
+        berezinian(inhomogeneous)
+    two_one = SuperMatrix(2, 1, [[th, z, z], [z, z, z], [z, z, z]])
+    with pytest.raises(ValueError, match=r"^berezinian implemented for \(1\|1\) "
+                                         "blocks only$"):
+        berezinian(two_one)
+    odd_zero_d = SuperMatrix(1, 1, [[th, one], [one, z]])
+    with pytest.raises(ValueError, match=not_even):
+        berezinian(odd_zero_d)
 
 
 def _random_even_invertible(gens, rng):

@@ -85,7 +85,7 @@ SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 # the private builders, the only code that may call object.__new__
 BUILDERS = {"linalg.Matrix._of", "grassmann.GrassmannElement._of",
             "grassmann.GeneratorSet.with_star_images", "scalars._gr",
-            "scalars._ext"}
+            "scalars._ext", "supermatrix.SuperMatrix._of"}
 
 
 def _is_object_new(node) -> bool:
