@@ -13,13 +13,22 @@ All input and output is JSON.  Exit codes: 0 success, 1 mathematical
 failure, 2 I/O or parse failure.  Reports are rendered with sorted keys and
 a trailing newline, so identical configuration and inputs give byte-identical
 output.
+
+``verify`` runs its checks, which share no state, on every CPU the process
+may use: it forks one worker per extra CPU, and each process claims the next
+check index from one shared pipe; the workers send their results back with
+``marshal``.  With one CPU, without ``os.fork`` or while a second thread is
+alive it runs them one after another.  The report is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import random
+import signal
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -440,15 +449,95 @@ _VERIFY_CHECKS = [
 ]
 
 
+def _run_check(fn, config: RunConfig) -> Tuple[str, dict]:
+    try:
+        return fn(config)
+    except Exception as exc:  # a crashed check is a failed check
+        return "fail", {"error": "%s: %s" % (type(exc).__name__, exc)}
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_checks_forked(config: RunConfig, workers: int) -> list:
+    """(status, detail) of every verify check, in report order, from this
+    process and up to workers - 1 forked ones.
+
+    Each process claims the next check index with a 1-byte read from one
+    shared pipe; a worker sends its results back on its own pipe with
+    marshal and leaves through os._exit.  A check whose result never
+    arrives (its worker died) is run here.  No worker outlives the call.
+    """
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(_VERIFY_CHECKS))))
+    os.close(feed)
+    results: Dict[int, Tuple[str, dict]] = {}
+    children: Dict[int, int] = {}  # pid -> read end of its result pipe
+
+    def claim_and_run() -> list:
+        done = []
+        while True:
+            index = os.read(claims, 1)
+            if not index:
+                return done
+            i = index[0]
+            done.append((i, *_run_check(_VERIFY_CHECKS[i][1], config)))
+
+    try:
+        for _ in range(workers - 1):
+            inbox, outbox = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the others run their share
+                os.close(inbox)
+                os.close(outbox)
+                break
+            if pid == 0:
+                try:
+                    os.close(inbox)
+                    with os.fdopen(outbox, "wb") as fh:
+                        marshal.dump(claim_and_run(), fh)
+                finally:
+                    os._exit(0)
+            os.close(outbox)
+            children[pid] = inbox
+        for i, status, detail in claim_and_run():
+            results[i] = status, detail
+        for pid, inbox in list(children.items()):
+            with open(inbox, "rb", closefd=False) as fh:
+                sent = fh.read()
+            os.waitpid(pid, 0)
+            del children[pid]
+            os.close(inbox)
+            try:
+                for i, status, detail in marshal.loads(sent):
+                    results[i] = status, detail
+            except (EOFError, ValueError):
+                pass  # the worker died; its checks are run below
+    finally:
+        os.close(claims)
+        for pid, inbox in children.items():
+            os.close(inbox)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] if i in results else _run_check(fn, config)
+            for i, (name, fn) in enumerate(_VERIFY_CHECKS)]
+
+
 def cmd_verify(config: RunConfig) -> Tuple[dict, int]:
-    checks = []
-    for name, fn in _VERIFY_CHECKS:
-        try:
-            status, detail = fn(config)
-        except Exception as exc:  # a crashed check is a failed check
-            status = "fail"
-            detail = {"error": "%s: %s" % (type(exc).__name__, exc)}
-        checks.append({"name": name, "status": status, "detail": detail})
+    threading = sys.modules.get("threading")
+    workers = min(_usable_cpus(), len(_VERIFY_CHECKS))
+    if (workers > 1 and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1)):
+        results = _run_checks_forked(config, workers)
+    else:
+        results = [_run_check(fn, config) for name, fn in _VERIFY_CHECKS]
+    checks = [{"name": name, "status": status, "detail": detail}
+              for (name, fn), (status, detail) in zip(_VERIFY_CHECKS, results)]
     failures = sorted(c["name"] for c in checks if c["status"] == "fail")
     report = {
         "command": "verify",

@@ -218,7 +218,7 @@ class Matrix(Frozen):
                 if r == piv_r or f.is_zero():
                     continue
                 for j, y in nz:
-                    row[j] = row[j] - f * y
+                    row[j] = _fma(row[j], f, y, negate=True)
             pivots.append(col)
             piv_r += 1
             if piv_r == nrows:

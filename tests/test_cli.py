@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -88,16 +91,146 @@ def test_verify_deterministic(capsys, tmp_path):
 
 
 def test_verify_reports_a_rejected_bracket_table(capsys, monkeypatch):
-    def corrupt_table(tag):
-        return LieSuperAlgebra(("C", "Z"), (0, 1),
-                               {(1, 1): (-2, 0), (0, 1): (0, 1)})
-
     monkeypatch.setattr(cli, "builtin_algebra", corrupt_table)
     code, out = run(capsys, "verify", "--weights", "1")
     assert code == 1
     report = json.loads(out)
     assert report["status"] == "fail"
     assert report["failing"] == ["structure-constants"]
+
+
+def corrupt_table(tag):
+    return LieSuperAlgebra(("C", "Z"), (0, 1),
+                           {(1, 1): (-2, 0), (0, 1): (0, 1)})
+
+
+def serial_verify(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: 1)
+        return cli.cmd_verify(cli.RunConfig(weights=1))
+
+
+def wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+class ParentInterrupted(BaseException):
+    pass
+
+
+def worker_claims_first(monkeypatch, tmp_path, in_worker=None,
+                        in_parent=None):
+    """Run verify with one worker that claims the first check: os.fork
+    returns in the parent only once the worker has started a check.  Every
+    check a worker starts leaves a file named after it in tmp_path/checks,
+    and os._exit(code) a file named code in tmp_path/exits; then in_worker,
+    or in the parent in_parent, runs before the check."""
+    parent = os.getpid()
+    checks, exits = tmp_path / "checks", tmp_path / "exits"
+    checks.mkdir()
+    exits.mkdir()
+    real_fork, real_exit = os.fork, os._exit
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            wait_for(lambda: any(checks.iterdir()))
+        return pid
+
+    def leave(code):
+        (exits / str(code)).touch()
+        real_exit(code)
+
+    def traced(name, fn):
+        def run(config):
+            if os.getpid() != parent:
+                (checks / name).touch()
+                if in_worker:
+                    in_worker()
+            elif in_parent:
+                in_parent()
+            return fn(config)
+        return run
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "_exit", leave)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_VERIFY_CHECKS", [
+        (name, traced(name, fn)) for name, fn in cli._VERIFY_CHECKS])
+    return cli.cmd_verify(cli.RunConfig(weights=1))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", ["raises", "fails"])
+def test_verify_reports_a_check_of_a_worker_as_serially(monkeypatch,
+                                                        tmp_path, fault):
+    if fault == "raises":
+        monkeypatch.setattr(cli, "builtin_algebra", corrupt_table)
+    else:
+        monkeypatch.setattr(cli, "supercommutator", lambda a, b: a * 2)
+    serial = serial_verify(monkeypatch)
+    assert serial[0]["failing"] == ["structure-constants"]
+    assert (serial[0]["checks"][0]["detail"]["error"].startswith(
+        "ValueError: ")) == (fault == "raises")
+    assert worker_claims_first(monkeypatch, tmp_path) == serial
+    assert (tmp_path / "checks" / "structure-constants").exists()
+    assert [p.name for p in (tmp_path / "exits").iterdir()] == ["0"]
+    assert_no_child_left()
+
+
+def test_verify_reruns_the_check_of_a_worker_that_died(monkeypatch,
+                                                       tmp_path):
+    serial = serial_verify(monkeypatch)
+    assert serial[1] == 0
+    report = worker_claims_first(monkeypatch, tmp_path,
+                                 in_worker=lambda: os._exit(3))
+    assert report == serial
+    assert [p.name for p in (tmp_path / "checks").iterdir()] == [
+        "structure-constants"]
+    assert [p.name for p in (tmp_path / "exits").iterdir()] == ["3"]
+    assert_no_child_left()
+
+
+def test_verify_leaves_no_worker_when_the_parent_raises(monkeypatch,
+                                                        tmp_path):
+    def interrupt():
+        raise ParentInterrupted
+
+    start = time.monotonic()
+    with pytest.raises(ParentInterrupted):
+        worker_claims_first(monkeypatch, tmp_path,
+                            in_worker=lambda: time.sleep(60),
+                            in_parent=interrupt)
+    assert_no_child_left()
+    assert time.monotonic() - start < 30  # the sleeping worker was killed
+
+
+def test_verify_does_not_fork_without_fork_or_beside_a_thread(monkeypatch):
+    serial = serial_verify(monkeypatch)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with pytest.raises(AssertionError, match="^forked$"):
+        cli.cmd_verify(cli.RunConfig(weights=1))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
+    finally:
+        stop.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
 
 
 @pytest.mark.parametrize("weights", ["0", "-2"])

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from supercircle import cli
 from supercircle.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +68,16 @@ def test_cli_output_is_unchanged(name):
     code, out = run_case(name)
     assert code == codes[name]
     assert out == (GOLDEN / ("%s.out" % name)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if n.startswith("verify_")))
+def test_verify_output_does_not_depend_on_the_cpu_count(name, cpus,
+                                                        monkeypatch):
+    # one CPU runs the checks serially, three in this process and two workers
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    test_cli_output_is_unchanged(name)
 
 
 if __name__ == "__main__":
