@@ -498,7 +498,6 @@ def _run_checks_forked(config: RunConfig, workers: int) -> list:
                 break
             if pid == 0:
                 try:
-                    os.close(inbox)
                     with os.fdopen(outbox, "wb") as fh:
                         marshal.dump(claim_and_run(), fh)
                 finally:
@@ -516,7 +515,7 @@ def _run_checks_forked(config: RunConfig, workers: int) -> list:
             try:
                 for i, status, detail in marshal.loads(sent):
                     results[i] = status, detail
-            except (EOFError, ValueError):
+            except EOFError:
                 pass  # the worker died; its checks are run below
     finally:
         os.close(claims)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -167,6 +168,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
 @pytest.mark.parametrize("fault", ["raises", "fails"])
 def test_verify_reports_a_check_of_a_worker_as_serially(monkeypatch,
                                                         tmp_path, fault):
@@ -178,7 +183,9 @@ def test_verify_reports_a_check_of_a_worker_as_serially(monkeypatch,
     assert serial[0]["failing"] == ["structure-constants"]
     assert (serial[0]["checks"][0]["detail"]["error"].startswith(
         "ValueError: ")) == (fault == "raises")
+    fds = open_fds()
     assert worker_claims_first(monkeypatch, tmp_path) == serial
+    assert open_fds() == fds
     assert (tmp_path / "checks" / "structure-constants").exists()
     assert [p.name for p in (tmp_path / "exits").iterdir()] == ["0"]
     assert_no_child_left()
@@ -209,6 +216,19 @@ def test_verify_leaves_no_worker_when_the_parent_raises(monkeypatch,
                             in_parent=interrupt)
     assert_no_child_left()
     assert time.monotonic() - start < 30  # the sleeping worker was killed
+
+
+def test_verify_runs_serially_when_fork_fails(monkeypatch):
+    serial = serial_verify(monkeypatch)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "cannot fork")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    fds = open_fds()
+    assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
+    assert open_fds() == fds
 
 
 def test_verify_does_not_fork_without_fork_or_beside_a_thread(monkeypatch):
