@@ -392,12 +392,14 @@ def _check_pw_residual(config: RunConfig):
     }
 
 
-def _random_even_invertible(gens: GeneratorSet, rng: random.Random) -> SuperMatrix:
-    masks_even = [m for m in range(16) if bin(m).count("1") % 2 == 0]
-    masks_odd = [m for m in range(16) if bin(m).count("1") % 2 == 1]
+# the even and odd monomials over four odd generators, by parity
+_MASKS = tuple(tuple(m for m in range(16) if bin(m).count("1") % 2 == p)
+               for p in (0, 1))
 
+
+def _random_even_invertible(gens: GeneratorSet, rng: random.Random) -> SuperMatrix:
     def entry(odd_entry):
-        masks = masks_odd if odd_entry else masks_even
+        masks = _MASKS[odd_entry]
         terms = {}
         for mask in rng.sample(masks, rng.randint(1, 4)):
             re, im = rng.randint(-3, 3), rng.randint(-3, 3)

@@ -13,10 +13,8 @@ from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
-from .grassmann import GeneratorSet
 from .linalg import Matrix, matrix_from_json, matrix_to_json
 from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
-from .supermatrix import SuperMatrix
 
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
 
@@ -130,6 +128,10 @@ class LieSuperAlgebra(Frozen):
 
 
 def _su11_defining() -> Dict[str, SuperMatrix]:
+    # imported here, so that importing liealg or reps loads neither layer
+    from .grassmann import GeneratorSet
+    from .supermatrix import SuperMatrix
+
     gens = GeneratorSet([])
     grid = lambda rows: SuperMatrix.from_scalar_grid(gens, 1, 1, rows)
     return {

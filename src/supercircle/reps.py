@@ -305,7 +305,10 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
         block = make_V_m(m)
         for f_idx in indices:
             if rep.parities[f_idx] == 0:
-                partner = [z[i, f_idx] * s_inv for i in range(n)]
+                # Z keeps weights (require_valid), so its column is zero
+                # outside this block
+                partner = _embed([z[i, f_idx] * s_inv for i in indices],
+                                 indices, n)
                 columns.extend([_embed([ONE], [f_idx], n), partner])
                 blocks.append((("V", m), block))
 
@@ -363,7 +366,8 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
             for vec in eig:
                 f = _embed(vec, evens, n)
                 uf = (u * Matrix.column(f)).col(0)
-                columns.extend([f, [x * s_inv for x in uf]])
+                columns.extend(
+                    [f, [ZERO if x.is_zero() else x * s_inv for x in uf]])
                 blocks.append((("pi", m, sign), block))
 
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]

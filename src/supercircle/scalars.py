@@ -428,12 +428,14 @@ def sqrt_neg_im(m: int) -> Scalar:
     extension would degenerate and is avoided, so that all arithmetic stays
     inside a field), and the formal ExtendedScalar generator otherwise.
     """
+    if not _fits(m, int):
+        raise ValueError("extension parameter m must be a nonzero integer")
     if m == 0:
         raise ValueError("degenerate weight")
     root = _exact_root_neg_im(m)
     if root is not None:
         return root
-    return ExtendedScalar(ZERO, ONE, m)
+    return _ext(ZERO, ONE, m)
 
 
 def scalar_to_json(x) -> dict:

@@ -100,6 +100,21 @@ def test_sqrt_neg_im_degenerate_weight():
         sqrt_neg_im(0)
 
 
+@pytest.mark.parametrize("m", [True, False, 3.0, 0.0, "3", None])
+def test_sqrt_neg_im_rejects_a_non_integer_parameter(m):
+    with pytest.raises(ValueError,
+                       match="extension parameter m must be a nonzero integer"):
+        sqrt_neg_im(m)
+
+
+def test_sqrt_neg_im_generator_equals_the_checked_constructor():
+    for m in (1, -1, 3, -5, 7, 9, -9):
+        s = sqrt_neg_im(m)
+        assert type(s) is ExtendedScalar
+        assert (s.c0, s.c1, s.m) == (GR(0), GR(1), m)
+        assert s == ExtendedScalar(0, 1, m) and s * s == GR(0, -m)
+
+
 def test_extended_reduction_never_stores_s_squared():
     s = sqrt_neg_im(3)
     x = s * s * s
