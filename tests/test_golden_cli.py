@@ -46,9 +46,9 @@ CASES = {
     **{"point_%s_%s" % (action, group): [
         "point", action, "point_%s.json" % group.replace("-", "_"),
         "--group", group]
-       for group in ("su11", "su11-minus") for action in ("check", "factorize")},
-    "point_involute_su11": ["point", "involute", "point_su11.json",
-                            "--group", "su11"],
+       for group in ("sl11", "su11", "su11-minus")
+       for action in ("check", "factorize", "involute")
+       if (action, group) != ("factorize", "sl11")},
     "point_involute_s11": ["point", "involute", "circle_s11.json",
                            "--group", "s11"],
 }
