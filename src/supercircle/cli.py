@@ -312,10 +312,10 @@ def _check_factorization(config: RunConfig):
 
 
 def _check_isomer_convention(config: RunConfig):
-    # A single literal formula triple cannot serve both isomers: writing
-    # beta for the upper-right entry, the shared candidate below matches the
-    # shipped factorization only componentwise, differently per group.  Each
-    # group therefore ships its own triple, pinned by the round-trip checks.
+    # The shipped triple is one formula in the star sign sigma of the group,
+    # pinned by the round-trip checks.  The shared candidate below is the
+    # literal formula with no sigma (beta is the upper-right entry); it
+    # matches the shipped triple only componentwise, differently per group.
     expected = {
         "su11": {"t": False, "theta": True, "eta": False},
         "su11-minus": {"t": True, "theta": False, "eta": False},
@@ -532,11 +532,10 @@ def _run_checks_forked(config: RunConfig, workers: int) -> list:
 def cmd_verify(config: RunConfig) -> Tuple[dict, int]:
     threading = sys.modules.get("threading")
     workers = min(_usable_cpus(), len(_VERIFY_CHECKS))
-    if (workers > 1 and hasattr(os, "fork")
-            and (threading is None or threading.active_count() == 1)):
-        results = _run_checks_forked(config, workers)
-    else:
-        results = [_run_check(fn, config) for name, fn in _VERIFY_CHECKS]
+    if not hasattr(os, "fork") or (threading is not None
+                                   and threading.active_count() > 1):
+        workers = 1  # forking beside a running thread is unsafe
+    results = _run_checks_forked(config, workers)
     checks = [{"name": name, "status": status, "detail": detail}
               for (name, fn), (status, detail) in zip(_VERIFY_CHECKS, results)]
     failures = sorted(c["name"] for c in checks if c["status"] == "fail")
@@ -665,16 +664,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="group point tools")
     point_sub = p_point.add_subparsers(dest="point_action", required=True)
-    for name, blurb in (("check", "membership test with diagnostic"),
-                        ("factorize", "factorization coordinates (t, theta, "
-                                      "eta)"),
-                        ("involute", "apply the real-structure involution")):
+    for name, blurb, groups in (
+            ("check", "membership test with diagnostic",
+             "sl11 su11 su11-minus"),
+            ("factorize", "factorization coordinates (t, theta, eta)",
+             "su11 su11-minus"),
+            ("involute", "apply the real-structure involution",
+             "sl11 su11 su11-minus s11")):
         p = point_sub.add_parser(name, help=blurb)
         p.add_argument("file", help="point JSON file")
-        groups = ["sl11", "su11", "su11-minus"]
-        if name == "involute":
-            groups.append("s11")
-        p.add_argument("--group", choices=groups, required=True)
+        p.add_argument("--group", choices=groups.split(), required=True)
         _add_out(p)
 
     p_pw = sub.add_parser("pw", help="matrix coefficients and expansion")

@@ -58,9 +58,12 @@ class LieSuperAlgebra(Frozen):
         n = len(names)
         table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         for (i, j), vec in brackets.items():
-            if not (0 <= i < n and 0 <= j < n):
+            if not (_fits(i, int) and _fits(j, int)
+                    and 0 <= i < n and 0 <= j < n):
                 raise ValueError("bracket index out of range")
-            vec = tuple(int(c) for c in vec)
+            vec = tuple(vec)
+            if not all(_fits(c, int) for c in vec):
+                raise ValueError("structure constants must be integers")
             if len(vec) != n:
                 raise ValueError("bracket coefficient vector has wrong length")
             if any(vec):

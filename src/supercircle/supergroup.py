@@ -161,8 +161,8 @@ def su11_chart_ring(group: str = "su11", copies: int = 1,
     for k in range(copies):
         b = base.odd_gen("b%d" % k)
         bbar = base.odd_gen("b%dbar" % k)
-        # star(a) = a^-1 (1 + sign * i^2 ... ) written directly:
-        # plus group: a^-1 (1 - i b bbar); minus group: a^-1 (1 + i b bbar)
+        # star(a) = a^-1*(1 + sign*b*bbar) follows from
+        # a*star(a)*(1 - sign*b*bbar) = 1, as (b*bbar)^2 = 0
         even_images.append(base.even_gen("a%d" % k, -1) * (base.one() + sign * b * bbar))
     gens = base.with_star_images(
         [base.odd_gen(odd_names[i ^ 1]) for i in range(2 * copies)],
@@ -219,6 +219,8 @@ def membership(p: GL11Point, group: str) -> Tuple[bool, str]:
         if berezinian(p.matrix()) == p.a.gens.one():
             return True, "member"
         return False, "berezinian differs from 1"
+    if group not in ("su11", "su11_minus"):
+        raise ValueError("group must be sl11, su11 or su11_minus")
     expected = _member_point(group, p.a, p.beta)
     if p.gamma != expected.gamma:
         return False, (
@@ -259,25 +261,22 @@ def factorize(p: GL11Point, group: str = "su11") -> FactorizationTriple:
     """Coordinates (t, theta, eta) with p = diag(t, star(t)^-1) *
     (1 + theta*U) * (1 + eta*S).
 
-    Each unitary group gets its own derived formulas; in both cases theta
-    and eta have a definite reality type (star-real for su11, star-imaginary
-    for the isomer), which is recorded in the verify report rather than
-    asserted here.
+    One formula in the star sign sigma of the group (-i for su11, +i for
+    the isomer): with P = i*sigma*star(beta)*a and Q = beta*star(a),
+    t = a*(1 - (sigma/2)*beta*star(beta)), theta = (P + Q)/2 and
+    eta = (i/2)*(P - Q).  Then star(x) = i*sigma*x for x = theta, eta
+    (star-real for su11, star-imaginary for the isomer), which the verify
+    report records rather than this function asserting it.
     """
+    sign = _su11_star_sign(group)
     ok, diag = membership(p, group)
     if not ok:
         raise ValueError("not a member of %s: %s" % (group, diag))
     a, b = p.a, p.beta
-    abar, bbar = a.star(), b.star()
-    if group == "su11":
-        t = a * (b.gens.one() + HALF * I * b * bbar)
-        theta = HALF * (bbar * a + b * abar)
-        eta = I * HALF * (bbar * a - b * abar)
-    else:
-        t = a * (b.gens.one() - HALF * I * b * bbar)
-        theta = HALF * (b * abar - bbar * a)
-        eta = -I * HALF * (bbar * a + b * abar)
-    return FactorizationTriple(t, theta, eta)
+    P = I * sign * b.star() * a
+    Q = b * a.star()
+    return FactorizationTriple(a * (b.gens.one() - HALF * sign * b * b.star()),
+                               HALF * (P + Q), I * HALF * (P - Q))
 
 
 def defactorize(t: GrassmannElement, theta: GrassmannElement,
@@ -308,8 +307,8 @@ def factorization_triple_ring(group: str = "su11",
     base = GeneratorSet(["theta", "eta"], even=["t"])
     theta = base.odd_gen("theta")
     eta = base.odd_gen("eta")
-    _su11_star_sign(group)  # rejects any other group
-    odd_images = [theta, eta] if group == "su11" else [-theta, -eta]
-    gens = base.with_star_images(odd_images, [base.even_gen("t", -1)])
+    real = I * _su11_star_sign(group)
+    gens = base.with_star_images([real * theta, real * eta],
+                                 [base.even_gen("t", -1)])
     return gens, FactorizationTriple(
         gens.even_gen("t"), gens.odd_gen("theta"), gens.odd_gen("eta"))

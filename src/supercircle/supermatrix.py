@@ -124,26 +124,20 @@ class SuperMatrix(Frozen):
                     out_row.append(GrassmannElement._of(gens, _nonzero(acc)))
                 out.append(tuple(out_row))
             return SuperMatrix._of(self.pdim, self.qdim, tuple(out))
-        if isinstance(other, GrassmannElement):
-            return SuperMatrix(
-                self.pdim, self.qdim, [[x * other for x in r] for r in self.rows]
-            )
-        try:
-            s = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return SuperMatrix(self.pdim, self.qdim, [[x * s for x in r] for r in self.rows])
+        if not isinstance(other, GrassmannElement):
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        return SuperMatrix(self.pdim, self.qdim, [[x * other for x in r] for r in self.rows])
 
     def __rmul__(self, other):
-        if isinstance(other, GrassmannElement):
-            return SuperMatrix(
-                self.pdim, self.qdim, [[other * x for x in r] for r in self.rows]
-            )
-        try:
-            s = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return SuperMatrix(self.pdim, self.qdim, [[s * x for x in r] for r in self.rows])
+        if not isinstance(other, GrassmannElement):
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        return SuperMatrix(self.pdim, self.qdim, [[other * x for x in r] for r in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -172,13 +166,9 @@ class SuperMatrix(Frozen):
         return self._matches_parity(ODD)
 
     def parity(self) -> Optional[str]:
-        even = self.is_even()
-        odd = self.is_odd()
-        if even and odd:
-            return EVEN  # the zero matrix
-        if even:
+        if self.is_even():  # the zero matrix included
             return EVEN
-        if odd:
+        if self.is_odd():
             return ODD
         return None
 

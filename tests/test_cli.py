@@ -403,6 +403,14 @@ def test_point_group_s11_only_for_involute(capsys, tmp_path):
     assert code == 2
 
 
+def test_point_factorize_offers_only_the_unitary_groups(capsys, tmp_path):
+    gens, p = sl11_generic_ring()
+    path = write(tmp_path, "sl11.json", p.to_json())
+    code, out = run(capsys, "point", "factorize", path, "--group", "sl11")
+    assert code == 2
+    assert out == ""
+
+
 def test_pw_coeffs(capsys):
     code, out = run(capsys, "pw", "coeffs", "--m", "1", "--sign", "+")
     assert code == 0

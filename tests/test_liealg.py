@@ -73,6 +73,15 @@ def test_bad_structure_constants_rejected():
         )
 
 
+def test_non_integer_structure_constants_and_indices_rejected():
+    for constant in (-2.5, "-2", True):
+        with pytest.raises(ValueError,
+                           match="^structure constants must be integers$"):
+            LieSuperAlgebra(("C", "Z"), (0, 1), {(1, 1): (constant, 0)})
+    with pytest.raises(ValueError, match="^bracket index out of range$"):
+        LieSuperAlgebra(("C", "Z"), (0, 1), {(0.5, 1): (0, 1)})
+
+
 def test_validate_constructors():
     for m in range(-10, 11):
         if m == 0:

@@ -90,6 +90,13 @@ def test_membership_reduced_point():
     assert ok, diag
 
 
+def test_membership_names_every_group_it_accepts():
+    gens, p = sl11_generic_ring()
+    with pytest.raises(ValueError,
+                       match="^group must be sl11, su11 or su11_minus$"):
+        membership(p, "bogus")
+
+
 def test_membership_wrong_sign_diagnostic():
     gens, (p,) = su11_chart_ring("su11")
     wrong = GL11Point(p.a, p.beta, -p.gamma, p.d)
@@ -200,6 +207,15 @@ def test_factorize_rejects_non_members():
     wrong = GL11Point(p.a, p.beta, -p.gamma, p.d)
     with pytest.raises(ValueError, match="not a member"):
         factorize(wrong, "su11")
+
+
+def test_factorize_accepts_only_the_unitary_groups():
+    # a member of sl11 is rejected before its membership is tested
+    gens, p = sl11_generic_ring()
+    for group in ("sl11", "bogus"):
+        with pytest.raises(ValueError,
+                           match="^group must be su11 or su11_minus$"):
+            factorize(p, group)
 
 
 def test_point_json_round_trip():

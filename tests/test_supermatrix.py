@@ -76,6 +76,23 @@ def test_parity_predicates(four):
     assert SuperMatrix(1, 1, [[z, z], [z, z]]).parity() == "even"
 
 
+def test_entrywise_factors_keep_their_side(four):
+    th, tb = four.odd_gen("t1"), four.odd_gen("t2")
+    one = four.one()
+    m = SuperMatrix(1, 1, [[one + th * tb, th], [tb, one]])
+    assert m.parity() == "even" and (th * m).parity() == "odd"
+    for factor in (th, one + th * tb, 3, I):
+        assert m * factor == SuperMatrix(
+            1, 1, [[x * factor for x in row] for row in m.rows])
+        assert factor * m == SuperMatrix(
+            1, 1, [[factor * x for x in row] for row in m.rows])
+    assert m * th != th * m  # odd factors anticommute with odd entries
+    with pytest.raises(TypeError):
+        m * "2"
+    with pytest.raises(TypeError):
+        "2" * m
+
+
 def test_supercommutator_rejects_inhomogeneous(four):
     one = four.one()
     th = four.odd_gen("t1")
