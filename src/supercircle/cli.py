@@ -508,18 +508,15 @@ def _run_checks_forked(config: RunConfig, workers: int) -> list:
             children[pid] = inbox
         for i, status, detail in claim_and_run():
             results[i] = status, detail
-        for pid, inbox in list(children.items()):
+        for inbox in children.values():
             with open(inbox, "rb", closefd=False) as fh:
                 sent = fh.read()
-            os.waitpid(pid, 0)
-            del children[pid]
-            os.close(inbox)
             try:
                 for i, status, detail in marshal.loads(sent):
                     results[i] = status, detail
             except EOFError:
                 pass  # the worker died; its checks are run below
-    finally:
+    finally:  # a worker that has exited is a zombie, so the kill is harmless
         os.close(claims)
         for pid, inbox in children.items():
             os.close(inbox)

@@ -339,23 +339,21 @@ class GrassmannElement(Frozen):
 
     # --- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, negate: bool):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _add_into(out, other.terms, negate)
         return GrassmannElement._of(self.gens, _nonzero(out))
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        _add_into(out, other.terms, negate=True)
-        return GrassmannElement._of(self.gens, _nonzero(out))
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)

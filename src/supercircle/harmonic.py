@@ -26,7 +26,7 @@ from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
-from .grassmann import GeneratorSet, GrassmannElement, _add_into, _nonzero
+from .grassmann import _add_into, _nonzero, _product
 from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
@@ -50,11 +50,6 @@ from .scalars import (
 )
 
 ODD_COORDS = {"s11": ("theta",), "su11": ("theta", "eta")}
-
-# the Grassmann algebra each group's sections live in: the odd chart
-# coordinates plus the circle coordinate t as an invertible even generator
-_RINGS = {group: GeneratorSet(coords, even=("t",))
-          for group, coords in ODD_COORDS.items()}
 
 TermKey = Tuple[int, int]  # (weight, odd-coordinate bitmask)
 Label = Tuple  # ("V", m) | ("pi", m) | ("trivial",) | ("adjoint",) | ("W",)
@@ -136,12 +131,6 @@ class Section(Record):
     def weights(self) -> List[int]:
         return sorted({m for m, _ in self.terms})
 
-    def _as_grassmann(self) -> GrassmannElement:
-        return GrassmannElement._of(
-            _RINGS[self.group],
-            {((m,), mask): c for (m, mask), c in self.terms.items()},
-        )
-
     def _combine(self, other, negate: bool):
         if not isinstance(other, Section):
             return NotImplemented
@@ -164,10 +153,12 @@ class Section(Record):
         if isinstance(other, Section):
             if other.group != self.group:
                 raise ValueError("sections live on different groups")
-            product = self._as_grassmann() * other._as_grassmann()
+            # t^m is the Laurent monomial of one even generator t, so the
+            # Grassmann term kernel multiplies the terms lifted to ((m,), mask)
+            product = _product(*({((m,), mask): c for (m, mask), c
+                                  in f.terms.items()} for f in (self, other)))
             return Section(self.group, {
-                (exps[0], mask): c for (exps, mask), c in product.terms.items()
-            })
+                (exps[0], mask): c for (exps, mask), c in product.items()})
         try:
             c = as_scalar(other)
         except TypeError:

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from ._values import Frozen
+from ._values import Frozen, _brief, _fits
 from .liealg import Representation, _odd_generators, require_valid
 from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
 from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
@@ -21,6 +21,9 @@ from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
 
 def make_trivial(algebra: str, even: int = 1, odd: int = 0) -> Representation:
     """even + odd copies of the one-dimensional trivial representation."""
+    if not all(_fits(k, int) and k >= 0 for k in (even, odd)):
+        raise ValueError("trivial counts must be nonnegative integers, not "
+                         "%s and %s" % (_brief(even), _brief(odd)))
     n = even + odd
     zeros = Matrix.zeros(n, n)
     return Representation(
@@ -48,13 +51,11 @@ def make_weight_zero_s11(variant: str) -> Representation:
     maps the odd one onto it), and "PiW" is its parity reverse.  The trivial
     weight-zero pieces come from :func:`make_trivial`.
     """
-    if variant == "W":
-        z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
-        return Representation("s11", (0, 1), (0, 0), {"Z": z})
-    if variant == "PiW":
-        z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
-        return Representation("s11", (1, 0), (0, 0), {"Z": z})
-    raise ValueError("variant must be one of W, PiW")
+    if variant not in ("W", "PiW"):
+        raise ValueError("variant must be one of W, PiW")
+    z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
+    parities = (0, 1) if variant == "W" else (1, 0)
+    return Representation("s11", parities, (0, 0), {"Z": z})
 
 
 def make_pi_m(m: int, sign: str) -> Representation:
@@ -69,12 +70,9 @@ def make_pi_m(m: int, sign: str) -> Representation:
     if sign not in ("+", "-"):
         raise ValueError("sign must be + or -")
     s = sqrt_neg_im(m)
-    i_s = I * s
+    i_s = (I if sign == "+" else -I) * s
     u = Matrix._of([[ZERO, s], [s, ZERO]], 2)
-    if sign == "+":
-        smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
-    else:
-        smat = Matrix._of([[ZERO, i_s], [-i_s, ZERO]], 2)
+    smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
     return Representation("su11", (0, 1), (m, m), {"U": u, "S": smat})
 
 
@@ -218,11 +216,11 @@ class DecompositionReport(Frozen):
         return tuple(label for label, _ in self.blocks)
 
     def model(self) -> Representation:
-        """The block-diagonal model the basis change points at."""
-        blocks = [rep for _, rep in self.blocks if rep.dim]
-        if not blocks:
-            raise ValueError("empty report has no model")
-        return direct_sum(*blocks)
+        """The block-diagonal model the basis change points at: the direct
+        sum of the blocks, or the 0-dimensional representation if none."""
+        if not self.blocks:
+            return make_trivial(self.algebra, 0, 0)
+        return direct_sum(*(rep for _, rep in self.blocks))
 
     def verify(self, rep: Representation) -> bool:
         """Exact check that X_input * B = B * X_model for every generator."""

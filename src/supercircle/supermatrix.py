@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ._values import Frozen, _fits
+from ._values import Record, _fits
 from .grassmann import (
     EVEN,
     ODD,
@@ -24,7 +24,10 @@ from .grassmann import (
 from .scalars import as_scalar
 
 
-class SuperMatrix(Frozen):
+class SuperMatrix(Record):
+    """A (pdim|qdim) matrix of GrassmannElements over one generator set;
+    equal to another by its block dimensions and entries."""
+
     __slots__ = ("pdim", "qdim", "rows")
 
     def __init__(self, pdim: int, qdim: int, entries: Sequence[Sequence[GrassmannElement]]):
@@ -139,15 +142,6 @@ class SuperMatrix(Frozen):
                 return NotImplemented
         return SuperMatrix(self.pdim, self.qdim, [[other * x for x in r] for r in self.rows])
 
-    def __eq__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        if (self.pdim, self.qdim) != (other.pdim, other.qdim):
-            return False
-        return all(a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
-
-    __hash__ = None
-
     def _matches_parity(self, diagonal_parity: str) -> bool:
         other = ODD if diagonal_parity == EVEN else EVEN
         for i, row in enumerate(self.rows):
@@ -181,10 +175,6 @@ class SuperMatrix(Frozen):
             "qdim": self.qdim,
             "entries": [[x.to_json() for x in r] for r in self.rows],
         }
-
-    def __repr__(self):
-        body = "; ".join(", ".join(repr(x) for x in r) for r in self.rows)
-        return f"SuperMatrix({self.pdim}|{self.qdim}: [{body}])"
 
 
 def supercommutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

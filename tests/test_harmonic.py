@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercircle import harmonic, liealg
+from supercircle.grassmann import GeneratorSet
 from supercircle.harmonic import (
     ODD_COORDS,
     Section,
@@ -104,6 +105,35 @@ def test_section_arithmetic():
     assert (th * th).is_zero()
     with pytest.raises(ValueError):
         th + Section.monomial("s11", 2, ["theta"])
+
+
+@st.composite
+def section_pairs(draw):
+    """Two sections of one group over one Q(i)[s], with weights close
+    enough that products collide and cancel."""
+    group = draw(st.sampled_from(sorted(ODD_COORDS)))
+    root = sqrt_neg_im(draw(st.integers(-6, 6).filter(bool)))
+    terms = st.dictionaries(
+        st.tuples(st.integers(-4, 4),
+                  st.integers(0, (1 << len(ODD_COORDS[group])) - 1)),
+        st.builds(lambda c0, c1: c0 + c1 * root, GAUSSIAN, GAUSSIAN),
+        max_size=6)
+    return group, Section(group, draw(terms)), Section(group, draw(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(section_pairs())
+def test_section_product_matches_the_grassmann_ring(pair):
+    # the reference ring: the odd chart coordinates and t as an invertible
+    # even generator
+    group, f, g = pair
+    ring = GeneratorSet(ODD_COORDS[group], even=("t",))
+
+    def lift(h):
+        return ring.element({((m,), mask): c
+                             for (m, mask), c in h.terms.items()})
+
+    assert lift(f * g) == lift(f) * lift(g)
 
 
 def test_section_json_round_trip():

@@ -87,6 +87,23 @@ def test_make_trivial_rejects_an_unknown_algebra_tag():
         random_direct_sum("x", random.Random(0))
 
 
+@pytest.mark.parametrize("counts", [(-3, 0), (2, -1), (1.5, 0), (True, 0),
+                                    (0, True)])
+def test_make_trivial_takes_only_nonnegative_int_counts(counts):
+    with pytest.raises(ValueError, match="^trivial counts must be "
+                       "nonnegative integers, not "):
+        make_trivial("s11", *counts)
+
+
+@pytest.mark.parametrize("algebra,decompose", [("s11", decompose_s11),
+                                               ("su11", decompose_su11)])
+def test_an_empty_decomposition_certifies(algebra, decompose):
+    rep = make_trivial(algebra, 0, 0)
+    report = decompose(rep)
+    assert report.model().dim == 0
+    assert report.verify(rep) is True
+
+
 def test_permute_is_restrict_to_a_permutation():
     rep = direct_sum(make_pi_m(2, "+"), make_adjoint_su11(), make_pi_m(-1, "-"))
     perm = [4, 0, 6, 2, 1, 5, 3]

@@ -355,3 +355,11 @@ EVEN_INVERTIBLE = st.builds(
 @given(EVEN_INVERTIBLE, EVEN_INVERTIBLE)
 def test_berezinian_is_multiplicative(a, b):
     assert berezinian(a * b) == berezinian(a) * berezinian(b)
+
+
+def test_equal_grids_of_other_block_shapes_differ(trivial):
+    grid = [[1, 0], [0, 1]]
+    even = SuperMatrix.from_scalar_grid(trivial, 2, 0, grid)
+    assert even == SuperMatrix.from_scalar_grid(trivial, 2, 0, grid)
+    assert even.rows == SuperMatrix.from_scalar_grid(trivial, 1, 1, grid).rows
+    assert even != SuperMatrix.from_scalar_grid(trivial, 1, 1, grid)

@@ -54,7 +54,8 @@ def _instances():
 
 
 INSTANCES = _instances()
-RECORDS = [GL11Point, FactorizationTriple, Representation, Section]
+RECORDS = [GL11Point, FactorizationTriple, Representation, Section,
+           SuperMatrix]
 
 
 @pytest.mark.parametrize("cls", list(INSTANCES), ids=lambda c: c.__name__)
