@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from supercircle import cli
+from supercircle import cli, supermatrix
 from supercircle.cli import main
 from supercircle.grassmann import element_from_json
 from supercircle.harmonic import Section
@@ -57,9 +57,7 @@ def test_verify_passes(capsys):
     report = json.loads(out)
     assert report["status"] == "pass"
     assert report["failing"] == []
-    # fixed values: every computation is exact
-    assert report["config"] == {"scalar": "exact", "tol": None,
-                                "weights": 3, "seed": 0}
+    assert report["config"] == {"weights": 3, "seed": 0}
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses.pop("peter-weyl-weight-zero-residual") == "expected-discrepancy"
@@ -89,6 +87,45 @@ def test_verify_deterministic(capsys, tmp_path):
                       "--out", str(target))
     assert code3 == 0 and out3 == ""
     assert target.read_text() == out1
+
+
+def test_only_the_decomposition_oracle_reads_the_seed():
+    reports = []
+    for seed in (0, 1):
+        report, code = cli.cmd_verify(cli.RunConfig(weights=1, seed=seed))
+        assert code == 0
+        assert report["config"].pop("seed") == seed
+        oracle = report["checks"][CHECK_NAMES.index("decomposition-oracle")]
+        assert oracle["detail"].pop("seed") == seed
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def schur_plus_berezinian(m):
+    """Ber with the Schur complement's sign flipped."""
+    (a, beta), (gamma, d) = m.rows
+    d_inv = d.invert()
+    return d_inv * (a + beta * d_inv * gamma)
+
+
+def test_berezinian_check_fails_with_a_flipped_schur_complement(monkeypatch):
+    monkeypatch.setattr(cli, "berezinian", schur_plus_berezinian)
+    status, detail = cli._check_berezinian(cli.RunConfig())
+    assert status == "fail"
+    assert detail["identity"] == "Ber(XY) = Ber(X)*Ber(Y)"
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_berezinian_check_fails_with_the_inverse_series_cut(monkeypatch,
+                                                            order):
+    # keep the series up to its v**order term; both cuts are exact on the
+    # bare pair [[a, b], [g, d]], where v**2 = 0
+    full = supermatrix._inverse_terms
+    monkeypatch.setattr(supermatrix, "_inverse_terms",
+                        lambda terms, n_odd: full(terms, min(n_odd, order)))
+    status, detail = cli._check_berezinian(cli.RunConfig())
+    assert status == "fail"
+    assert detail["error"] == "identity fails on the universal pair"
 
 
 def test_verify_reports_a_rejected_bracket_table(capsys, monkeypatch):
