@@ -15,8 +15,8 @@ a trailing newline, so identical configuration and inputs give byte-identical
 output.
 
 ``verify`` runs its checks, which share no state, on every CPU the process
-may use: it forks one worker per extra CPU, and each process claims the next
-check index from one shared pipe; the workers send their results back with
+may use: it forks one worker per extra CPU, and each process claims its next
+check, largest first, from one shared pipe; workers return results with
 ``marshal``.  With one CPU, without ``os.fork`` or while a second thread is
 alive it runs them one after another.  The report is the same either way.
 """
@@ -445,6 +445,17 @@ _VERIFY_CHECKS = [
     ("berezinian", _check_berezinian),
 ]
 
+# Claim order: largest check first, as timed cold at --weights 40 by
+# tools/check_costs.py, except that the 1 ms structure-constants check
+# leads, so a worker's first claim is the report's first check.
+_CLAIM_ORDER = (
+    "structure-constants", "peter-weyl-span-su11", "intertwiner-spaces",
+    "representation-identities", "decomposition-oracle",
+    "peter-weyl-span-s11", "factorization-round-trip", "involution-sigma",
+    "berezinian", "isomer-convention", "involution-rho",
+    "peter-weyl-weight-zero-residual",
+)
+
 
 def _run_check(fn, config: RunConfig) -> Tuple[str, dict]:
     try:
@@ -464,13 +475,15 @@ def _run_checks_forked(config: RunConfig, workers: int) -> list:
     """(status, detail) of every verify check, in report order, from this
     process and up to workers - 1 forked ones.
 
-    Each process claims the next check index with a 1-byte read from one
-    shared pipe; a worker sends its results back on its own pipe with
-    marshal and leaves through os._exit.  A check whose result never
-    arrives (its worker died) is run here.  No worker outlives the call.
+    Each process claims its next check index, in the fixed, measured order
+    of _CLAIM_ORDER (largest first), with a 1-byte read from one shared
+    pipe; a worker sends its results back on its own pipe with marshal and
+    leaves through os._exit.  A check whose result never arrives (its
+    worker died) is run here.  No worker outlives the call.
     """
+    index = {name: i for i, (name, fn) in enumerate(_VERIFY_CHECKS)}
     claims, feed = os.pipe()
-    os.write(feed, bytes(range(len(_VERIFY_CHECKS))))
+    os.write(feed, bytes(index[name] for name in _CLAIM_ORDER))
     os.close(feed)
     results: Dict[int, Tuple[str, dict]] = {}
     children: Dict[int, int] = {}  # pid -> read end of its result pipe
@@ -697,6 +710,10 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, int]:
     return cmd_pw(args)
 
 
+def _render(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -709,17 +726,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         report, code = {"error": str(exc)}, 2
     except ValueError as exc:
         report, code = {"error": str(exc)}, 1
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(_render(report))
+            return code
         except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc),
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+            report, code = {"error": "cannot write %s: %s" % (
+                args.out, exc.strerror or exc)}, 2
+    sys.stdout.write(_render(report))
     return code
 
 

@@ -255,6 +255,14 @@ def test_verify_leaves_no_worker_when_the_parent_raises(monkeypatch,
     assert time.monotonic() - start < 30  # the sleeping worker was killed
 
 
+def test_claim_order_names_every_check_once():
+    names = [name for name, fn in cli._VERIFY_CHECKS]
+    assert sorted(cli._CLAIM_ORDER) == sorted(names)
+    # worker_claims_first relies on a worker's first claim being the first
+    # check of the report
+    assert cli._CLAIM_ORDER[0] == names[0]
+
+
 def test_verify_runs_serially_when_fork_fails(monkeypatch):
     serial = serial_verify(monkeypatch)
 
@@ -718,6 +726,17 @@ def test_rep_and_pw_write_to_out(capsys, tmp_path):
     code, out = run(capsys, "pw", "coeffs", "--adjoint", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "pw-coeffs"
+
+
+def test_an_unwritable_out_file_is_a_json_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["pw", "coeffs", "--adjoint", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = {"error": "cannot write %s: No such file or directory" % target}
+    assert captured.out == json.dumps(error, sort_keys=True, indent=2) + "\n"
+    assert captured.err == ""
+    assert not target.parent.exists()
 
 
 NUMERIC_SCALAR = {"re": 0.5, "im": 0.0}
