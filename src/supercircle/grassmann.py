@@ -201,9 +201,9 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return sign
 
 
-# _merge_sign by (left mask, right mask).  It is a pure function of the two
-# masks, so one memo serves every generator set; it stops growing once it
-# holds every pair of masks over six generators.
+# _merge_sign by (left mask, right mask), a pure function of the two masks,
+# so one memo serves every generator set.  _mul_into looks up only disjoint
+# pairs, 3^n of them over n odd generators, so the cap can bind from n = 8.
 _SIGNS: Dict[Tuple[int, int], int] = {}
 _SIGNS_MAX = 1 << 12
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from supercircle import cli, supermatrix
+from supercircle import _checks, cli, supermatrix
 from supercircle.cli import main
 from supercircle.grassmann import element_from_json
 from supercircle.harmonic import Section
@@ -16,6 +16,7 @@ from supercircle.linalg import Matrix
 from supercircle.reps import direct_sum, make_pi_m, make_V_m, scramble
 from supercircle.scalars import ExtendedScalar, I
 from supercircle.supergroup import (
+    FactorizationTriple,
     c11x_ring,
     defactorize,
     point_from_json,
@@ -109,8 +110,8 @@ def schur_plus_berezinian(m):
 
 
 def test_berezinian_check_fails_with_a_flipped_schur_complement(monkeypatch):
-    monkeypatch.setattr(cli, "berezinian", schur_plus_berezinian)
-    status, detail = cli._check_berezinian(cli.RunConfig())
+    monkeypatch.setattr(_checks, "berezinian", schur_plus_berezinian)
+    status, detail = _checks._check_berezinian(cli.RunConfig())
     assert status == "fail"
     assert detail["identity"] == "Ber(XY) = Ber(X)*Ber(Y)"
 
@@ -123,13 +124,28 @@ def test_berezinian_check_fails_with_the_inverse_series_cut(monkeypatch,
     full = supermatrix._inverse_terms
     monkeypatch.setattr(supermatrix, "_inverse_terms",
                         lambda terms, n_odd: full(terms, min(n_odd, order)))
-    status, detail = cli._check_berezinian(cli.RunConfig())
+    status, detail = _checks._check_berezinian(cli.RunConfig())
     assert status == "fail"
     assert detail["error"] == "identity fails on the universal pair"
 
 
+def test_factorization_check_names_a_failing_isomer_as_reports_do(
+        monkeypatch):
+    real = _checks.factorize
+
+    def factorize(p, group):  # wrong for the isomer only
+        triple = real(p, group)
+        if group == "su11_minus":
+            return FactorizationTriple(triple.t, -triple.theta, triple.eta)
+        return triple
+
+    monkeypatch.setattr(_checks, "factorize", factorize)
+    assert _checks._check_factorization(cli.RunConfig()) == ("fail", {
+        "error": "defactorize(factorize(p)) != p", "group": "su11-minus"})
+
+
 def test_verify_reports_a_rejected_bracket_table(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "builtin_algebra", corrupt_table)
+    monkeypatch.setattr(_checks, "builtin_algebra", corrupt_table)
     code, out = run(capsys, "verify", "--weights", "1")
     assert code == 1
     report = json.loads(out)
@@ -144,7 +160,7 @@ def corrupt_table(tag):
 
 def serial_verify(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: 1)
+        m.setattr(_checks, "_usable_cpus", lambda: 1)
         return cli.cmd_verify(cli.RunConfig(weights=1))
 
 
@@ -194,9 +210,9 @@ def worker_claims_first(monkeypatch, tmp_path, in_worker=None,
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "_exit", leave)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_VERIFY_CHECKS", [
-        (name, traced(name, fn)) for name, fn in cli._VERIFY_CHECKS])
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_checks, "_VERIFY_CHECKS", [
+        (name, traced(name, fn)) for name, fn in _checks._VERIFY_CHECKS])
     return cli.cmd_verify(cli.RunConfig(weights=1))
 
 
@@ -213,9 +229,9 @@ def open_fds():
 def test_verify_reports_a_check_of_a_worker_as_serially(monkeypatch,
                                                         tmp_path, fault):
     if fault == "raises":
-        monkeypatch.setattr(cli, "builtin_algebra", corrupt_table)
+        monkeypatch.setattr(_checks, "builtin_algebra", corrupt_table)
     else:
-        monkeypatch.setattr(cli, "supercommutator", lambda a, b: a * 2)
+        monkeypatch.setattr(_checks, "supercommutator", lambda a, b: a * 2)
     serial = serial_verify(monkeypatch)
     assert serial[0]["failing"] == ["structure-constants"]
     assert (serial[0]["checks"][0]["detail"]["error"].startswith(
@@ -256,11 +272,11 @@ def test_verify_leaves_no_worker_when_the_parent_raises(monkeypatch,
 
 
 def test_claim_order_names_every_check_once():
-    names = [name for name, fn in cli._VERIFY_CHECKS]
-    assert sorted(cli._CLAIM_ORDER) == sorted(names)
+    names = [name for name, fn in _checks._VERIFY_CHECKS]
+    assert sorted(_checks._CLAIM_ORDER) == sorted(names)
     # worker_claims_first relies on a worker's first claim being the first
     # check of the report
-    assert cli._CLAIM_ORDER[0] == names[0]
+    assert _checks._CLAIM_ORDER[0] == names[0]
 
 
 def test_verify_runs_serially_when_fork_fails(monkeypatch):
@@ -270,7 +286,7 @@ def test_verify_runs_serially_when_fork_fails(monkeypatch):
         raise BlockingIOError(errno.EAGAIN, "cannot fork")
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: 3)
     fds = open_fds()
     assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
     assert open_fds() == fds
@@ -283,7 +299,7 @@ def test_verify_does_not_fork_without_fork_or_beside_a_thread(monkeypatch):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: 2)
     with pytest.raises(AssertionError, match="^forked$"):
         cli.cmd_verify(cli.RunConfig(weights=1))
     stop = threading.Event()

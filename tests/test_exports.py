@@ -51,6 +51,14 @@ def test_reps_loads_neither_grassmann_nor_the_layers_above_it():
         "supercircle.harmonic", "supercircle.supergroup", "supercircle.cli"})
 
 
+def test_cli_loads_every_layer_and_the_check_suite():
+    # perfbench/tracer.py imports supercircle.cli, then wraps each layer it
+    # finds in sys.modules
+    loaded = loaded_after("import supercircle.cli")
+    assert {"supercircle." + layer for layer in LAYERS} <= loaded
+    assert "supercircle._checks" in loaded
+
+
 def test_bare_import_resolves_every_layer_as_an_attribute():
     code = "import supercircle; " + "; ".join(
         "supercircle.%s.__name__" % layer for layer in LAYERS)

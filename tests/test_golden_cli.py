@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from supercircle import cli
+from supercircle import _checks
 from supercircle.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,7 +77,7 @@ def test_verify_output_does_not_depend_on_the_cpu_count(name, cpus,
                                                         monkeypatch):
     # one CPU runs the checks serially; two or three run them in this process
     # and one or two workers
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: cpus)
     test_cli_output_is_unchanged(name)
 
 

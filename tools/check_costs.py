@@ -1,12 +1,13 @@
 """Time each `supercircle verify` check and compare with its claim order.
 
 Each check runs cold, as the first check in a fresh interpreter that has
-only imported `supercircle.cli`, at --weights 40 and --seed 0; its cost is
-the min of 3 such runs.  The script prints one JSON object: the check that
-`cli._CLAIM_ORDER` keeps first, then the others in descending cost, beside
-`_CLAIM_ORDER`, position by position, with `differs` set where the two
-name different checks.  A new check gets its place in `_CLAIM_ORDER` from
-this list.  Run it from anywhere, with the standard library alone:
+only imported `supercircle.cli` (and with it every layer and the check suite,
+`supercircle._checks`), at --weights 40 and --seed 0; its cost is the min of
+3 such runs.  The script prints one JSON object: the check that
+`_checks._CLAIM_ORDER` keeps first, then the others in descending cost,
+beside `_CLAIM_ORDER`, position by position, with `differs` set where the
+two name different checks.  A new check gets its place in `_CLAIM_ORDER`
+from this list.  Run it from anywhere, with the standard library alone:
 
     python3 tools/check_costs.py
 """
@@ -25,8 +26,8 @@ WEIGHTS, SEED, REPEATS = 40, 0, 3
 # its detail when it fails.
 CHILD = """
 import sys, time
-from supercircle import cli
-check = dict(cli._VERIFY_CHECKS)[sys.argv[1]]
+from supercircle import _checks, cli
+check = dict(_checks._VERIFY_CHECKS)[sys.argv[1]]
 config = cli.RunConfig(weights=int(sys.argv[2]), seed=int(sys.argv[3]))
 start = time.perf_counter()
 status, detail = check(config)
@@ -47,18 +48,18 @@ def cold_seconds(name: str) -> float:
 
 def main() -> int:
     sys.path.insert(0, SRC)
-    from supercircle import cli
+    from supercircle import _checks
 
-    names = [name for name, check in cli._VERIFY_CHECKS]
+    names = [name for name, check in _checks._VERIFY_CHECKS]
     ms = {name: 1000 * min(cold_seconds(name) for _ in range(REPEATS))
           for name in names}
-    lead = cli._CLAIM_ORDER[0]
+    lead = _checks._CLAIM_ORDER[0]
     by_cost = [lead] + sorted((name for name in names if name != lead),
                               key=ms.get, reverse=True)
     rows = [{"by_cost": cost, "ms": round(ms[cost], 2) if cost else None,
              "claim_order": claim, "differs": cost != claim}
             for cost, claim in itertools.zip_longest(by_cost,
-                                                     cli._CLAIM_ORDER)]
+                                                     _checks._CLAIM_ORDER)]
     print(json.dumps({"weights": WEIGHTS, "seed": SEED, "repeats": REPEATS,
                       "checks": rows}, indent=2))
     return 0
