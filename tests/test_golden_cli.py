@@ -51,6 +51,14 @@ CASES = {
        if (action, group) != ("factorize", "sl11")},
     "point_involute_s11": ["point", "involute", "circle_s11.json",
                            "--group", "s11"],
+    # files over no package chart ring: a point over its own generator
+    # names, which has no star, and a pair over the circle's chart names
+    "point_check_own_gens_sl11": ["point", "check", "point_own_gens.json",
+                                  "--group", "sl11"],
+    "point_involute_own_gens_su11": ["point", "involute",
+                                     "point_own_gens.json", "--group", "su11"],
+    "point_involute_chart_s11": ["point", "involute", "chart_s11.json",
+                                 "--group", "s11"],
 }
 
 
