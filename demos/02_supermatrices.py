@@ -1,8 +1,9 @@
 """Supermatrices, the defining 2x2 matrices, and the Berezinian.
 
-The su11 algebra is realized by three concrete 2x2 supermatrices; the
-supercommutator reproduces its bracket table exactly, and the Berezinian
-is multiplicative on even invertible matrices.
+The su11 algebra is realized by three concrete 2x2 supermatrices, which the
+group layer supplies as defining_matrices(); the supercommutator reproduces
+its bracket table exactly, and the Berezinian is multiplicative on even
+invertible matrices.
 """
 
 import random
@@ -13,6 +14,7 @@ from supercircle import (
     SuperMatrix,
     berezinian,
     builtin_algebra,
+    defining_matrices,
     supercommutator,
 )
 
@@ -21,10 +23,11 @@ GR = GaussianRational
 
 def main():
     su = builtin_algebra("su11")
-    C, U, S = (su.defining[name] for name in su.names)
+    defining = defining_matrices()
+    C, U, S = (defining[name] for name in su.names)
     print("== defining matrices ==")
     for name in su.names:
-        print(name, "=", su.defining[name])
+        print(name, "=", defining[name])
 
     print()
     print("== bracket table, recomputed ==")

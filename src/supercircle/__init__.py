@@ -29,8 +29,9 @@ _EXPORTS = {
              "make_pi_m", "make_trivial", "make_weight_zero_s11", "permute",
              "random_direct_sum", "scramble"),
     "supergroup": ("FactorizationTriple", "GL11Point", "c11x_ring",
-                   "defactorize", "factorization_triple_ring", "factorize",
-                   "membership", "point_from_json", "rho_s11",
+                   "defactorize", "defining_matrices",
+                   "factorization_triple_ring", "factorize", "membership",
+                   "pair_from_json", "point_from_json", "rho_s11",
                    "s11_chart_ring", "sigma_su", "sl11_generic_ring",
                    "su11_chart_ring"),
     "harmonic": ("ExpansionResult", "Section", "expand",

@@ -29,8 +29,10 @@ from .reps import (
 )
 from .scalars import GaussianRational as GR
 from .supergroup import (
+    GROUP_NAMES,
     c11x_ring,
     defactorize,
+    defining_matrices,
     factorization_triple_ring,
     factorize,
     membership,
@@ -43,20 +45,19 @@ from .supergroup import (
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1, supercommutator
 
 # The two isomers of SU(1|1): each one's tag in the layers and name in reports.
-_ISOMERS = (("su11", "su11"), ("su11_minus", "su11-minus"))
+_ISOMERS = tuple((tag, name) for tag, name in GROUP_NAMES.items()
+                 if tag != "sl11")
 
 
 def _check_structure_constants(config):
-    for tag in ("s11", "su11"):
-        builtin_algebra(tag)  # constructor re-validates the table
+    builtin_algebra("s11")  # each constructor re-validates its table
     su = builtin_algebra("su11")
-    mats = [su.defining[name] for name in su.names]
+    defining = defining_matrices()
+    mats = [defining[name] for name in su.names]
     for i in range(len(mats)):
         for j in range(len(mats)):
-            expected = None
-            for k, c in enumerate(su.bracket(i, j)):
-                term = c * mats[k]
-                expected = term if expected is None else expected + term
+            terms = [c * mat for c, mat in zip(su.bracket(i, j), mats)]
+            expected = sum(terms[1:], terms[0])
             if supercommutator(mats[i], mats[j]) != expected:
                 return "fail", {"error": "defining matrices disagree with the "
                                          "bracket table at (%d, %d)" % (i, j)}

@@ -14,9 +14,11 @@ failure, 2 I/O or parse failure.  Reports are rendered with sorted keys and
 a trailing newline, so identical configuration and inputs give byte-identical
 output.
 
-``verify`` reports the checks of :mod:`supercircle._checks`.  Importing this
-module loads that one and with it every layer, which the benchmark's tracer
-relies on: it wraps the layers loaded by ``import supercircle.cli``.
+``verify`` reports the checks of :mod:`supercircle._checks`, and
+:mod:`supercircle.supergroup` decodes the point files and names the groups;
+this module keeps only the command line.  Importing it loads ``_checks``
+and with it every layer, which the benchmark's tracer relies on: it wraps
+the layers loaded by ``import supercircle.cli``.
 """
 
 from __future__ import annotations
@@ -28,28 +30,18 @@ from typing import Callable, List, Optional, Tuple
 
 from . import _checks
 from ._values import Frozen
-from .grassmann import (
-    GeneratorSet,
-    GrassmannElement,
-    _gens_from_json,
-    element_from_json,
-)
 from .harmonic import expand, matrix_coefficients, section_from_json
 from .liealg import representation_from_json, validate_representation
 from .reps import decompose_s11, decompose_su11, make_adjoint_su11, make_pi_m
 from .supergroup import (
-    c11x_ring,
+    GROUP_NAMES,
     factorize,
     membership,
+    pair_from_json,
     point_from_json,
     rho_s11,
-    s11_chart_ring,
     sigma_su,
-    sl11_generic_ring,
-    su11_chart_ring,
 )
-
-GROUP_TAGS = {"sl11": "sl11", "su11": "su11", "su11-minus": "su11_minus"}
 
 
 class InputError(Exception):
@@ -77,8 +69,9 @@ class RunConfig(Frozen):
 
 
 def _json_int(literal: str) -> int:
-    # int() refuses a literal over the digit limit with advice to raise it
-    limit = sys.get_int_max_str_digits()
+    # int() refuses a literal over the digit limit with advice to raise it;
+    # Python before 3.10.7 has no limit and no get_int_max_str_digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if len(literal.lstrip("-")) > limit > 0:
         raise ValueError("a JSON integer has more than %d digits" % limit)
     return int(literal)
@@ -102,38 +95,6 @@ def _read(path: str, decode: Callable[[object], object]):
         raise InputError("the JSON in %s is nested too deeply" % path)
     except ValueError as exc:
         raise InputError(str(exc))
-
-
-def _chart_gens(group: str, obj, first: str) -> Optional[GeneratorSet]:
-    """The ring to decode a point or pair against: the package-defined chart
-    ring with the generator set that the element obj[first] declares, or
-    else that set; None if obj has no entry first.
-
-    Star images are not serialized, so symbolic points are attached to the
-    ring that carries the group's constraints; star-free operations still
-    work on a file with its own generator names.
-    """
-    if not isinstance(obj, dict) or first not in obj:
-        return None  # left for the decoder to report
-    decoded = _gens_from_json(obj[first])
-    if group == "sl11":
-        candidates = [sl11_generic_ring()[0]]
-    elif group in ("su11", "su11_minus"):
-        candidates = [su11_chart_ring(group)[0]]
-    else:
-        candidates = [c11x_ring()[0], s11_chart_ring()[0]]
-    for gens in candidates:
-        if gens.signature() == decoded.signature():
-            return gens
-    return decoded
-
-
-def _parse_pair(obj) -> Tuple[GrassmannElement, GrassmannElement]:
-    """An invertible 1|1 coordinate pair {w, eta} for the circle involution."""
-    if not isinstance(obj, dict) or "w" not in obj or "eta" not in obj:
-        raise ValueError("expected an object with entries 'w' and 'eta'")
-    gens = _chart_gens("s11", obj, "w")
-    return element_from_json(obj["w"], gens), element_from_json(obj["eta"], gens)
 
 
 # --- commands --------------------------------------------------------------
@@ -172,10 +133,10 @@ def cmd_rep(action: str, path: str) -> Tuple[dict, int]:
 
 def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
     if group_flag == "s11":  # argparse offers s11 to involute only
-        w, eta = rho_s11(*_read(path, _parse_pair))
+        w, eta = rho_s11(*_read(path, pair_from_json))
         return {"w": w.to_json(), "eta": eta.to_json()}, 0
-    group = GROUP_TAGS[group_flag]
-    p = _read(path, lambda o: point_from_json(o, _chart_gens(group, o, "a")))
+    group = {name: tag for tag, name in GROUP_NAMES.items()}[group_flag]
+    p = _read(path, lambda o: point_from_json(o, group))
     if action == "involute":
         return sigma_su(p).to_json(), 0
     if action == "check":

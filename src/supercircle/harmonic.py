@@ -37,6 +37,7 @@ from .reps import (
     make_weight_zero_s11,
 )
 from .scalars import (
+    HALF,
     I,
     ZERO,
     ExtendedScalar,
@@ -291,9 +292,6 @@ def _label_rep(label: object, group: str) -> Representation:
     raise ValueError("unknown representation label %s" % _brief(label))
 
 
-_HALF = GaussianRational(2).inverse()
-
-
 def expand(f: Section) -> ExpansionResult:
     """Exact coefficients of f over the spanning matrix coefficients.
 
@@ -344,8 +342,8 @@ def _weight_solution(group: str, m: int, root: Scalar,
         return (((0, 0), r[0]), ((0, 1), r[1] * s_inv))
     a, b = r[1] * s_inv, I * r[2] * s_inv
     c = r[3] * GaussianRational(m).inverse()
-    return (((0, 0), (r[0] + c) * _HALF), ((0, 1), (a + b) * _HALF),
-            ((1, 0), (a - b) * _HALF), ((1, 1), (r[0] - c) * _HALF))
+    return (((0, 0), (r[0] + c) * HALF), ((0, 1), (a + b) * HALF),
+            ((1, 0), (a - b) * HALF), ((1, 1), (r[0] - c) * HALF))
 
 
 def _extension_mismatch(f: Section, m: int,

@@ -4,7 +4,10 @@ machinery that checks a proposed representation against them.
 The even generator acts diagonally with purely imaginary integer eigenvalues,
 so a representation never stores its matrix: the integer weight vector is the
 matrix.  Everything else (the odd generators) is stored explicitly and checked
-against the bracket table.
+against the bracket table.  The algebras are given by their tables alone:
+su11's defining 2x2 supermatrices belong to the group layer, in
+``supergroup.defining_matrices``, so this layer and ``reps`` above it load
+neither ``grassmann`` nor ``supermatrix``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
 from .linalg import Matrix, matrix_from_json, matrix_to_json
-from .scalars import I, ZERO, ExtendedScalar, GaussianRational, Scalar
+from .scalars import ZERO, ExtendedScalar, GaussianRational, Scalar
 
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
 
@@ -42,14 +45,13 @@ class LieSuperAlgebra(Frozen):
     successfully built instance is always a genuine Lie superalgebra.
     """
 
-    __slots__ = ("names", "parities", "brackets", "defining")
+    __slots__ = ("names", "parities", "brackets")
 
     def __init__(
         self,
         names: Sequence[str],
         parities: Sequence[int],
         brackets: Mapping[Tuple[int, int], Sequence[int]],
-        defining: Optional[Mapping[str, SuperMatrix]] = None,
     ):
         names = tuple(names)
         parities = _parity_tuple(parities)
@@ -71,7 +73,6 @@ class LieSuperAlgebra(Frozen):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "brackets", table)
-        object.__setattr__(self, "defining", dict(defining) if defining else None)
         self._check_antisymmetry()
         self._check_jacobi()
 
@@ -130,26 +131,12 @@ class LieSuperAlgebra(Frozen):
         return "LieSuperAlgebra(%r)" % (self.names,)
 
 
-def _su11_defining() -> Dict[str, SuperMatrix]:
-    # imported here, so that importing liealg or reps loads neither layer
-    from .grassmann import GeneratorSet
-    from .supermatrix import SuperMatrix
-
-    gens = GeneratorSet([])
-    grid = lambda rows: SuperMatrix.from_scalar_grid(gens, 1, 1, rows)
-    return {
-        "C": grid([[I, 0], [0, I]]),
-        "U": grid([[0, 1], [-I, 0]]),
-        "S": grid([[0, I], [-1, 0]]),
-    }
-
-
 def builtin_algebra(tag: str) -> LieSuperAlgebra:
     """The two built-in tables, keyed by the group they differentiate.
 
     ``s11``: basis (C, Z), C even and central, [Z, Z] = -2C.
-    ``su11``: basis (C, U, S), C central, [U, U] = [S, S] = -2C, [U, S] = 0,
-    with the defining 2x2 matrices attached.
+    ``su11``: basis (C, U, S), C central, [U, U] = [S, S] = -2C, [U, S] = 0;
+    its defining 2x2 matrices are ``supergroup.defining_matrices()``.
     """
     _odd_generators(tag)  # rejects an unknown tag
     if tag == "s11":
@@ -160,7 +147,6 @@ def builtin_algebra(tag: str) -> LieSuperAlgebra:
         ("C", "U", "S"),
         (0, 1, 1),
         {(1, 1): (-2, 0, 0), (2, 2): (-2, 0, 0)},
-        defining=_su11_defining(),
     )
 
 

@@ -244,6 +244,7 @@ def _coerce_gaussian(x) -> Optional[GaussianRational]:
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
+HALF = GaussianRational(Fraction(1, 2), 0)
 I = GaussianRational(0, 1)
 
 

@@ -1,6 +1,7 @@
-"""T-points of the 1|1 matrix supergroups: defining involutions, membership
-predicates, generic symbolic points, and the unique factorization of a
-unitary point into a circle factor and two odd exponential factors.
+"""The 1|1 matrix supergroups, described once: tags and report names, su11's
+defining matrices, coordinate rings and the file decoders that use them,
+defining involutions, membership predicates, and the unique factorization
+of a unitary point into a circle factor and two odd exponential factors.
 
 Every identity here is decided by normal-form comparison in an explicit
 coordinate ring.  The constrained rings eliminate the conjugate variables
@@ -10,22 +11,36 @@ identically rather than modulo an ideal.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ._values import Record, expect
+from ._values import Record, _brief, expect
 from .grassmann import (
     EVEN,
     ODD,
     GeneratorSet,
     GrassmannElement,
+    _gens_from_json,
     _require_parity,
     element_from_json,
 )
-from .scalars import I, GaussianRational
+from .scalars import HALF, I, GaussianRational
 from .supermatrix import SuperMatrix, berezinian, inverse_1_1
 
-HALF = GaussianRational(Fraction(1, 2), 0)
+# Each group's tag in the layers and its name in reports and on the command
+# line; the groups other than sl11 are the two isomers of SU(1|1).
+GROUP_NAMES = {"sl11": "sl11", "su11": "su11", "su11_minus": "su11-minus"}
+
+
+def defining_matrices() -> Dict[str, SuperMatrix]:
+    """su11's basis (C, U, S) as 2x2 supermatrices; verify checks that they
+    realize the bracket table of builtin_algebra("su11")."""
+    gens = GeneratorSet([])
+    grid = lambda rows: SuperMatrix.from_scalar_grid(gens, 1, 1, rows)
+    return {
+        "C": grid([[I, 0], [0, I]]),
+        "U": grid([[0, 1], [-I, 0]]),
+        "S": grid([[0, I], [-1, 0]]),
+    }
 
 
 class GL11Point(Record):
@@ -73,18 +88,6 @@ class GL11Point(Record):
 
     def inverse(self) -> "GL11Point":
         return GL11Point.from_matrix(inverse_1_1(self.matrix()))
-
-
-def point_from_json(obj: object, gens: Optional[GeneratorSet] = None) -> GL11Point:
-    """Decode a point over gens, or else over the generator set of entry a."""
-    obj = expect(obj, dict, "point JSON")
-    entries = []
-    for name in ("a", "beta", "gamma", "d"):
-        if name not in obj:
-            raise ValueError("point JSON is missing entry %r" % name)
-        entries.append(element_from_json(obj[name], gens))
-        gens = entries[0].gens
-    return GL11Point(*entries)
 
 
 # --- coordinate rings -----------------------------------------------------
@@ -182,6 +185,52 @@ def _member_point(group: str, a: GrassmannElement,
     """The member point of the chosen group with upper row (a, b)."""
     gamma = _su11_star_sign(group) * b.star() * a * a
     return GL11Point(a, b, gamma, a.star().invert())
+
+
+# --- decoding ------------------------------------------------------------
+
+
+def _chart_gens(candidates: List[GeneratorSet], entry) -> GeneratorSet:
+    """The first of candidates with the names and pairing that the element
+    JSON entry declares, or else the declared set.  Star images are not
+    serialized, so a file is attached to the chart ring that carries its
+    group's constraints; star-free operations work on its own names too."""
+    decoded = _gens_from_json(entry)
+    for gens in candidates:
+        if gens.signature() == decoded.signature():
+            return gens
+    return decoded
+
+
+def point_from_json(obj: object, group: Optional[str] = None) -> GL11Point:
+    """Decode a point over the chart ring of group (sl11, su11 or
+    su11_minus) when its names match, or else over the generator set of
+    entry a."""
+    if group is None:
+        candidates = []
+    elif group == "sl11":
+        candidates = [sl11_generic_ring()[0]]
+    elif group in ("su11", "su11_minus"):
+        candidates = [su11_chart_ring(group)[0]]
+    else:
+        raise ValueError("unknown group tag %s" % _brief(group))
+    obj = expect(obj, dict, "point JSON")
+    entries = []
+    for name in ("a", "beta", "gamma", "d"):
+        if name not in obj:
+            raise ValueError("point JSON is missing entry %r" % name)
+        gens = entries[0].gens if entries else _chart_gens(candidates, obj[name])
+        entries.append(element_from_json(obj[name], gens))
+    return GL11Point(*entries)
+
+
+def pair_from_json(obj: object) -> Tuple[GrassmannElement, GrassmannElement]:
+    """An invertible 1|1 coordinate pair {w, eta} for the circle involution,
+    over c11x_ring or s11_chart_ring when its names match one."""
+    if not isinstance(obj, dict) or "w" not in obj or "eta" not in obj:
+        raise ValueError("expected an object with entries 'w' and 'eta'")
+    gens = _chart_gens([c11x_ring()[0], s11_chart_ring()[0]], obj["w"])
+    return element_from_json(obj["w"], gens), element_from_json(obj["eta"], gens)
 
 
 # --- involutions ----------------------------------------------------------
@@ -283,8 +332,8 @@ def defactorize(t: GrassmannElement, theta: GrassmannElement,
                 eta: GrassmannElement) -> GL11Point:
     """diag(t, star(t)^-1) * (1 + theta*U) * (1 + eta*S), expanded exactly.
 
-    U and S are the defining odd matrices [[0,1],[-i,0]] and [[0,i],[-1,0]];
-    the product of the two odd factors is
+    U and S are the odd matrices of defining_matrices(); the product of
+    the two odd factors is
     [[1 - theta*eta, theta + i*eta], [-i*theta - eta, 1 + theta*eta]].
     """
     _require_parity("t", t, EVEN)

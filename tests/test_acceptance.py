@@ -22,6 +22,7 @@ from supercircle.scalars import GaussianRational
 from supercircle.supergroup import (
     c11x_ring,
     defactorize,
+    defining_matrices,
     factorization_triple_ring,
     factorize,
     membership,
@@ -60,7 +61,8 @@ def _run(capsys, number, label, limit, body):
 def test_criterion_01_structure_constants(capsys):
     def body():
         su = builtin_algebra("su11")
-        mats = [su.defining[name] for name in su.names]
+        defining = defining_matrices()
+        mats = [defining[name] for name in su.names]
         for i in range(3):
             for j in range(3):
                 expected = None

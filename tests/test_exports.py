@@ -51,6 +51,15 @@ def test_reps_loads_neither_grassmann_nor_the_layers_above_it():
         "supercircle.harmonic", "supercircle.supergroup", "supercircle.cli"})
 
 
+def test_the_su11_table_loads_no_group_layer():
+    # su11's defining matrices live in supergroup, not in the algebra
+    loaded = loaded_after("from supercircle.liealg import builtin_algebra; "
+                          "builtin_algebra('su11')")
+    assert "supercircle.liealg" in loaded
+    assert loaded.isdisjoint({"supercircle.grassmann",
+                              "supercircle.supermatrix"})
+
+
 def test_cli_loads_every_layer_and_the_check_suite():
     # perfbench/tracer.py imports supercircle.cli, then wraps each layer it
     # finds in sys.modules

@@ -16,6 +16,7 @@ and review the diff.
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,12 @@ def test_verify_output_does_not_depend_on_the_cpu_count(name, cpus,
     # and one or two workers
     monkeypatch.setattr(_checks, "_usable_cpus", lambda: cpus)
     test_cli_output_is_unchanged(name)
+
+
+def test_files_read_the_same_without_an_integer_digit_limit(monkeypatch):
+    # sys.get_int_max_str_digits is new in Python 3.10.7
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    test_cli_output_is_unchanged("rep_validate_su11_mixed")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from supercircle.reps import (
     scramble,
 )
 from supercircle.scalars import ExtendedScalar, GaussianRational, sqrt_neg_im
+from supercircle.supergroup import defining_matrices
 from supercircle.supermatrix import supercommutator
 
 GR = GaussianRational
@@ -48,7 +49,8 @@ def test_builtin_tables_validate():
 
 def test_defining_matrices_realize_the_table():
     su11 = builtin_algebra("su11")
-    mats = [su11.defining[name] for name in su11.names]
+    defining = defining_matrices()
+    mats = [defining[name] for name in su11.names]
     for i in range(3):
         for j in range(3):
             expected = None

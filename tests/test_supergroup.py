@@ -12,6 +12,7 @@ from supercircle.supergroup import (
     factorization_triple_ring,
     factorize,
     membership,
+    pair_from_json,
     point_from_json,
     rho_s11,
     s11_chart_ring,
@@ -225,6 +226,46 @@ def test_point_json_round_trip():
     # the parsed point lives over a structurally equal generator set
     assert back.a.to_json() == p.a.to_json()
     assert back.gamma.to_json() == p.gamma.to_json()
+
+
+@pytest.mark.parametrize("group", ["sl11", "su11", "su11_minus"])
+def test_point_json_over_chart_names_decodes_onto_the_chart_ring(group):
+    if group == "sl11":
+        gens, p = sl11_generic_ring()
+    else:
+        gens, (p,) = su11_chart_ring(group)
+    back = point_from_json(p.to_json(), group)
+    assert back == p and back.a.gens == gens  # with its star images
+
+
+def test_point_json_over_other_names_keeps_its_own_generators():
+    gens, (p,) = su11_chart_ring("su11")
+    back = point_from_json(p.to_json(), "sl11")
+    assert back.a.gens.signature() == gens.signature()
+    assert back.a.gens != gens  # no star images
+
+
+@pytest.mark.parametrize("group", ["gl11", "s11", "su11-minus"])
+def test_point_from_json_rejects_an_unknown_group_tag_by_name(group):
+    _, (p,) = su11_chart_ring("su11")
+    with pytest.raises(ValueError, match="^unknown group tag '%s'$" % group):
+        point_from_json(p.to_json(), group)
+
+
+@pytest.mark.parametrize("ring", [c11x_ring, s11_chart_ring])
+def test_pair_json_decodes_onto_either_circle_chart(ring):
+    gens, w, eta = ring()
+    back = pair_from_json({"w": w.to_json(), "eta": eta.to_json()})
+    assert back == (w, eta) and back[0].gens == gens
+
+
+def test_pair_from_json_rejects_a_point_by_its_entries():
+    # the circle has one tag, so the pair carries none; a point file, which
+    # names its group on the command line, lacks the pair's entries
+    _, (p,) = su11_chart_ring("su11")
+    with pytest.raises(ValueError,
+                       match="^expected an object with entries 'w' and 'eta'$"):
+        pair_from_json(p.to_json())
 
 
 def test_triple_json_round_trip():
