@@ -40,7 +40,8 @@ def package_imports(module):
     return found
 
 
-def test_the_walk_finds_relative_and_nested_imports():
+def test_the_walk_finds_both_forms_of_relative_import():
+    # "from . import _checks" and "from .supergroup import ..."
     assert {"_checks", "supergroup"} <= package_imports("cli")
     assert package_imports("scalars") == {"_values"}
 
