@@ -136,7 +136,9 @@ def cmd_point(action: str, path: str, group_flag: str) -> Tuple[dict, int]:
         w, eta = rho_s11(*_read(path, pair_from_json))
         return {"w": w.to_json(), "eta": eta.to_json()}, 0
     group = {name: tag for tag, name in GROUP_NAMES.items()}[group_flag]
-    p = _read(path, lambda o: point_from_json(o, group))
+    # every action but the sl11 membership test reads star images
+    star = action != "check" or group != "sl11"
+    p = _read(path, lambda o: point_from_json(o, group, star=star))
     if action == "involute":
         return sigma_su(p).to_json(), 0
     if action == "check":

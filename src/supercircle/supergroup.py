@@ -190,22 +190,31 @@ def _member_point(group: str, a: GrassmannElement,
 # --- decoding ------------------------------------------------------------
 
 
-def _chart_gens(candidates: List[GeneratorSet], entry) -> GeneratorSet:
+def _chart_gens(candidates: List[GeneratorSet], entry,
+                star: bool) -> GeneratorSet:
     """The first of candidates with the names and pairing that the element
-    JSON entry declares, or else the declared set.  Star images are not
-    serialized, so a file is attached to the chart ring that carries its
-    group's constraints; star-free operations work on its own names too."""
+    JSON entry declares.  Star images are not serialized, so a file is
+    attached to the chart ring that carries its group's constraints.  When
+    none matches, star-free operations work on the declared set; with star
+    that is an input fault, reported with the names the file must use."""
     decoded = _gens_from_json(entry)
     for gens in candidates:
         if gens.signature() == decoded.signature():
             return gens
+    if star:
+        raise ValueError(
+            "the generator names match no chart ring, and star images are "
+            "not serialized: the file must use %s"
+            % " or ".join(", ".join(g.odd + g.even) for g in candidates))
     return decoded
 
 
-def point_from_json(obj: object, group: Optional[str] = None) -> GL11Point:
+def point_from_json(obj: object, group: Optional[str] = None, *,
+                    star: bool = False) -> GL11Point:
     """Decode a point over the chart ring of group (sl11, su11 or
     su11_minus) when its names match, or else over the generator set of
-    entry a."""
+    entry a.  With star, for an operation that reads star images, a point
+    over other names raises ValueError naming the chart ring's generators."""
     if group is None:
         candidates = []
     elif group == "sl11":
@@ -219,17 +228,19 @@ def point_from_json(obj: object, group: Optional[str] = None) -> GL11Point:
     for name in ("a", "beta", "gamma", "d"):
         if name not in obj:
             raise ValueError("point JSON is missing entry %r" % name)
-        gens = entries[0].gens if entries else _chart_gens(candidates, obj[name])
+        gens = (entries[0].gens if entries
+                else _chart_gens(candidates, obj[name], star))
         entries.append(element_from_json(obj[name], gens))
     return GL11Point(*entries)
 
 
 def pair_from_json(obj: object) -> Tuple[GrassmannElement, GrassmannElement]:
     """An invertible 1|1 coordinate pair {w, eta} for the circle involution,
-    over c11x_ring or s11_chart_ring when its names match one."""
+    over c11x_ring or s11_chart_ring, whose names it must use: the
+    involution reads star images."""
     if not isinstance(obj, dict) or "w" not in obj or "eta" not in obj:
         raise ValueError("expected an object with entries 'w' and 'eta'")
-    gens = _chart_gens([c11x_ring()[0], s11_chart_ring()[0]], obj["w"])
+    gens = _chart_gens([c11x_ring()[0], s11_chart_ring()[0]], obj["w"], True)
     return element_from_json(obj["w"], gens), element_from_json(obj["eta"], gens)
 
 

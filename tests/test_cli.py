@@ -9,7 +9,7 @@ import pytest
 
 from supercircle import _checks, cli, supermatrix
 from supercircle.cli import main
-from supercircle.grassmann import element_from_json
+from supercircle.grassmann import GeneratorSet, element_from_json
 from supercircle.harmonic import Section
 from supercircle.liealg import LieSuperAlgebra, Representation
 from supercircle.linalg import Matrix
@@ -17,6 +17,7 @@ from supercircle.reps import direct_sum, make_pi_m, make_V_m, scramble
 from supercircle.scalars import ExtendedScalar, I
 from supercircle.supergroup import (
     FactorizationTriple,
+    GL11Point,
     c11x_ring,
     defactorize,
     point_from_json,
@@ -462,6 +463,38 @@ def test_point_group_s11_only_for_involute(capsys, tmp_path):
                  {"w": w.to_json(), "eta": eta.to_json()})
     code, out = run(capsys, "point", "check", path, "--group", "s11")
     assert code == 2
+
+
+@pytest.mark.parametrize("action, group, names", [
+    ("involute", "sl11", "beta, betabar, gamma, gammabar, a, abar"),
+    ("involute", "su11", "b0, b0bar, a0"),
+    ("involute", "su11-minus", "b0, b0bar, a0"),
+    ("check", "su11", "b0, b0bar, a0"),
+    ("factorize", "su11-minus", "b0, b0bar, a0"),
+])
+def test_point_over_other_names_is_an_input_error_where_star_is_read(
+        capsys, tmp_path, action, group, names):
+    # a file carries no star images, so an action that reads them needs the
+    # names of the group's chart ring
+    base = GeneratorSet(["u", "v"], even=["y"])
+    p = GL11Point.identity(base)
+    path = write(tmp_path, "own.json", p.to_json())
+    code, out = run(capsys, "point", action, path, "--group", group)
+    assert code == 2
+    assert json.loads(out)["error"].endswith("the file must use " + names)
+    # the sl11 membership test reads no star, so the file's names serve
+    code, out = run(capsys, "point", "check", path, "--group", "sl11")
+    assert code == 0 and json.loads(out)["member"] is True
+
+
+def test_pair_over_other_names_is_an_input_error(capsys, tmp_path):
+    base = GeneratorSet(["u"], even=["y"])
+    path = write(tmp_path, "own.json", {"w": base.even_gen("y").to_json(),
+                                        "eta": base.odd_gen("u").to_json()})
+    code, out = run(capsys, "point", "involute", path, "--group", "s11")
+    assert code == 2
+    assert json.loads(out)["error"].endswith(
+        "the file must use eta, etabar, w, wbar or eta, w")
 
 
 def test_point_factorize_offers_only_the_unitary_groups(capsys, tmp_path):
