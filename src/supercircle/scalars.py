@@ -8,14 +8,16 @@ take part in the same arithmetic (that is an error, not a coercion).
 
 ``GaussianRational(...)`` and ``ExtendedScalar(...)`` check their input;
 ``ExtendedScalar(c0, 0, m)`` is the GaussianRational c0, so no ExtendedScalar
-has a zero s-part.  Arithmetic results are built by the private builders
-:func:`_gr` and :func:`_ext`, which skip those checks: ``_gr`` takes ints
-with d > 0, and ``_ext`` takes two GaussianRationals and a parameter m that
+has a zero s-part.  A GaussianRational is three ints (a + b*i)/d and an
+ExtendedScalar five, ((a0 + b0*i) + (a1 + b1*i)*s)/d, each over one
+denominator d > 0 in lowest terms.  Arithmetic results are built by the
+private builders :func:`_gr` and :func:`_ext`, which normalise with one gcd
+and skip the checks: ``_gr(a, b, d)`` takes ints with d > 0, and
+``_ext(a0, b0, a1, b1, d, m)`` takes ints with d > 0 and a parameter m that
 an operand already carries (or its negation), so m is a nonzero integer for
-which -i*m has no root in Q(i).  ``_ext`` also demotes a zero s-part.
-The product kernels of ``grassmann`` and ``linalg``, and the Q(i) products
-inside ``ExtendedScalar.__mul__``, use the one fused multiply-add
-:func:`_fma`, which builds one ``_gr`` per term.
+which -i*m has no root in Q(i).  ``_ext`` demotes a zero s-part to ``_gr``.
+The product kernels of ``grassmann`` and ``linalg`` use the one fused
+multiply-add :func:`_fma`, which builds one ``_gr`` per term.
 """
 
 from __future__ import annotations
@@ -251,6 +253,12 @@ I = GaussianRational(0, 1)
 class ExtendedScalar(Frozen):
     """c0 + c1*s over Q(i), where the formal generator s satisfies s*s = -i*m.
 
+    Stored as five ints ((a0 + b0*i) + (a1 + b1*i)*s)/d with d > 0 and
+    gcd(a0, b0, a1, b1, d) = 1, so the form is canonical and equality is
+    structural.  Arithmetic works on the ints and builds every result
+    through :func:`_ext`, which normalises with one gcd.  ``c0`` and ``c1``
+    are read-only GaussianRational views.
+
     For |m| = 2k^2 the element -i*m already has a square root in Q(i), so the
     quotient ring Q(i)[s]/(s^2 + i*m) would have zero divisors; construction
     rejects such m, and sqrt_neg_im returns the Gaussian root instead.  Every
@@ -262,7 +270,7 @@ class ExtendedScalar(Frozen):
     cross-extension arithmetic.
     """
 
-    __slots__ = ("c0", "c1", "m")
+    __slots__ = ("_v", "m")
 
     def __new__(cls, c0, c1, m: int):
         g0 = _coerce_gaussian(c0)
@@ -277,19 +285,31 @@ class ExtendedScalar(Frozen):
         if _exact_root_neg_im(m) is not None:
             raise ValueError(f"-i*m is a square in Q(i) for m={m}; "
                              "the extension would not be a field")
-        return _ext(g0, g1, m)
+        d0, d1 = g0._d, g1._d
+        return _ext(g0._a * d1, g0._b * d1, g1._a * d0, g1._b * d0, d0 * d1, m)
 
-    def _components(self, other) -> Optional[tuple]:
+    @property
+    def c0(self) -> GaussianRational:
+        a0, b0, _, _, d = self._v
+        return _gr(a0, b0, d)
+
+    @property
+    def c1(self) -> GaussianRational:
+        _, _, a1, b1, d = self._v
+        return _gr(a1, b1, d)
+
+    def _parts(self, other) -> Optional[tuple]:
+        """The five ints of other, lifted to this extension, or None."""
         if isinstance(other, ExtendedScalar):
             if other.m != self.m:
                 raise ExtensionMismatchError(
                     f"cannot mix extensions with parameters m={self.m} and m={other.m}"
                 )
-            return other.c0, other.c1
+            return other._v
         g = _coerce_gaussian(other)
         if g is None:
             return None
-        return g, ZERO
+        return g._a, g._b, 0, 0, g._d
 
     def is_zero(self) -> bool:
         return False  # the s-part is never 0
@@ -300,68 +320,60 @@ class ExtendedScalar(Frozen):
         Under the principal branch the conjugate of sqrt(-i*m) is exactly
         sqrt(+i*m) = sqrt(-i*(-m)), so the result lives at parameter -m.
         """
-        return _ext(self.c0.conjugate(), self.c1.conjugate(), -self.m)
+        a0, b0, a1, b1, d = self._v
+        return _ext(a0, -b0, a1, -b1, d, -self.m)
 
     def inverse(self):
-        # (c0 + c1 s)(c0 - c1 s) = c0^2 + i*m*c1^2, which is Gaussian rational.
-        # It is not 0: c1 is not 0 and -i*m is not a square in Q(i).
-        c0, c1, m = self.c0, self.c1, self.m
-        den = c0 * c0 + _gr(0, m, 1) * c1 * c1
-        return _ext(c0 / den, -(c1 / den), m)
+        return _ext(*_inverse_parts(self._v, self.m), self.m)
 
     def __add__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        return _ext(self.c0 + b0, self.c1 + b1, self.m)
+        a0, b0, a1, b1, d = self._v
+        e0, f0, e1, f1, e = v
+        if d == e:
+            return _ext(a0 + e0, b0 + f0, a1 + e1, b1 + f1, d, self.m)
+        return _ext(a0 * e + e0 * d, b0 * e + f0 * d, a1 * e + e1 * d,
+                    b1 * e + f1 * d, d * e, self.m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        return _ext(self.c0 - b0, self.c1 - b1, self.m)
+        return _difference(self._v, v, self.m)
 
     def __rsub__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        return _ext(b0 - self.c0, b1 - self.c1, self.m)
+        return _difference(v, self._v, self.m)
 
     def __mul__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        c0, c1, m = self.c0, self.c1, self.m
-        if b1.is_zero():
-            return _ext(_fma(None, c0, b0), _fma(None, c1, b0), m)
-        # s*s = -i*m
-        return _ext(_fma(_fma(None, c0, b0), _fma(None, c1, b1), _gr(0, -m, 1)),
-                    _fma(_fma(None, c0, b1), c1, b0), m)
+        return _product(self._v, v, self.m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        return self * _ext(b0, b1, self.m).inverse()
+        return _product(self._v, _inverse_parts(v, self.m), self.m)
 
     def __rtruediv__(self, other):
-        parts = self._components(other)
-        if parts is None:
+        v = self._parts(other)
+        if v is None:
             return NotImplemented
-        b0, b1 = parts
-        return _ext(b0, b1, self.m) * self.inverse()
+        return _product(v, _inverse_parts(self._v, self.m), self.m)
 
     def __neg__(self):
-        return _ext(-self.c0, -self.c1, self.m)
+        a0, b0, a1, b1, d = self._v
+        return _ext(-a0, -b0, -a1, -b1, d, self.m)
 
     def __pos__(self):
         return self
@@ -369,17 +381,18 @@ class ExtendedScalar(Frozen):
     def __eq__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented  # no Gaussian value has a nonzero s-part
-        return (self.c0 == other.c0 and self.c1 == other.c1
-                and self.m == other.m)
+        return self._v == other._v and self.m == other.m
 
     def __hash__(self):
         return hash((self.c0, self.c1, self.m))
 
     def to_complex(self) -> complex:
-        # s under the principal branch: sqrt(|m|/2) * (1 - i*sign(m))
+        # s under the principal branch: sqrt(|m|/2) * (1 - i*sign(m)); int /
+        # int is correctly rounded, so a0 / d equals float(self.c0.re) etc.
+        a0, b0, a1, b1, d = self._v
         q = math.sqrt(abs(self.m) / 2.0)
         root = complex(q, -q * _sign(self.m))
-        return self.c0.to_complex() + self.c1.to_complex() * root
+        return complex(a0 / d, b0 / d) + complex(a1 / d, b1 / d) * root
 
     def __repr__(self):
         return f"ExtendedScalar({self.c0!r}, {self.c1!r}, {self.m})"
@@ -393,20 +406,66 @@ Scalar = Union[GaussianRational, ExtendedScalar]
 _set = object.__setattr__
 
 
-def _ext(c0: GaussianRational, c1: GaussianRational, m: int) -> Scalar:
-    """c0 + c1*s for an arithmetic result, demoted to c0 when c1 = 0.
+def _ext(a0: int, b0: int, a1: int, b1: int, d: int, m: int) -> Scalar:
+    """((a0 + b0*i) + (a1 + b1*i)*s)/d in canonical form, for d > 0, or the
+    GaussianRational (a0 + b0*i)/d when a1 = b1 = 0.
 
-    c0 and c1 are GaussianRationals and m (or -m) is the parameter of an
-    existing ExtendedScalar, so the checks of ``ExtendedScalar(...)`` would
-    only repeat.
+    m (or -m) is the parameter of an existing ExtendedScalar, so the checks
+    of ``ExtendedScalar(...)`` would only repeat.
     """
-    if c1.is_zero():
-        return c0
+    if a1 == 0 and b1 == 0:
+        return _gr(a0, b0, d)
+    if d != 1:
+        g = math.gcd(a0, b0, a1, b1, d)
+        if g != 1:
+            a0 //= g
+            b0 //= g
+            a1 //= g
+            b1 //= g
+            d //= g
     x = _new(ExtendedScalar)
-    _set(x, "c0", c0)
-    _set(x, "c1", c1)
+    _set(x, "_v", (a0, b0, a1, b1, d))
     _set(x, "m", m)
     return x
+
+
+def _difference(u: tuple, v: tuple, m: int) -> Scalar:
+    """u - v for the five ints of two values at parameter m."""
+    a0, b0, a1, b1, d = u
+    e0, f0, e1, f1, e = v
+    if d == e:
+        return _ext(a0 - e0, b0 - f0, a1 - e1, b1 - f1, d, m)
+    return _ext(a0 * e - e0 * d, b0 * e - f0 * d, a1 * e - e1 * d,
+                b1 * e - f1 * d, d * e, m)
+
+
+def _product(u: tuple, v: tuple, m: int) -> Scalar:
+    """u * v for the five ints of two values at parameter m."""
+    a0, b0, a1, b1, d = u
+    e0, f0, e1, f1, e = v
+    # the s*s term: (a1 + b1*i)(e1 + f1*i) = p + q*i, times s*s = -i*m
+    p = a1 * e1 - b1 * f1
+    q = a1 * f1 + b1 * e1
+    return _ext(a0 * e0 - b0 * f0 + m * q, a0 * f0 + b0 * e0 - m * p,
+                a0 * e1 - b0 * f1 + a1 * e0 - b1 * f0,
+                a0 * f1 + b0 * e1 + a1 * f0 + b1 * e0, d * e, m)
+
+
+def _inverse_parts(v: tuple, m: int) -> tuple:
+    """The five ints, not normalised, of the inverse of the value v at m.
+
+    With X = a0 + b0*i and Y = a1 + b1*i, (X + Y*s)(X - Y*s) = G is the
+    Gaussian integer X^2 + i*m*Y^2, so d/(X + Y*s) = d*(X - Y*s)*conj(G)/|G|^2.
+    G is 0 only for X = Y = 0: with Y != 0, -i*m would be a square in Q(i).
+    """
+    a0, b0, a1, b1, d = v
+    gr = a0 * a0 - b0 * b0 - 2 * m * a1 * b1
+    gi = 2 * a0 * b0 + m * (a1 * a1 - b1 * b1)
+    n = gr * gr + gi * gi
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    return (d * (a0 * gr + b0 * gi), d * (b0 * gr - a0 * gi),
+            -d * (a1 * gr + b1 * gi), d * (a1 * gi - b1 * gr), n)
 
 
 def _exact_root_neg_im(m: int) -> Optional[GaussianRational]:
@@ -436,7 +495,7 @@ def sqrt_neg_im(m: int) -> Scalar:
     root = _exact_root_neg_im(m)
     if root is not None:
         return root
-    return _ext(ZERO, ONE, m)
+    return _ext(0, 0, 1, 0, 1, m)
 
 
 def scalar_to_json(x) -> dict:

@@ -457,6 +457,13 @@ def small_gaussians():
     return st.one_of(st.builds(GR, parts, parts), gaussians())
 
 
+def _pair_inverse(x, m):
+    # (c0 + c1*s)(c0 - c1*s) = c0^2 + i*m*c1^2
+    c0, c1 = x
+    den = c0 * c0 + GR(0, m) * c1 * c1
+    return (c0 / den, -c1 / den)
+
+
 @settings(max_examples=300)
 @given(st.sampled_from([1, 3, -3, 5, -6, 7]),
        small_gaussians(), small_gaussians(), small_gaussians(),
@@ -468,37 +475,82 @@ def test_extended_matches_pair_reference(m, a0, a1, b0, b1, g):
         _check_pair(u + v, (ru[0] + rv[0], ru[1] + rv[1]), m)
         _check_pair(u - v, (ru[0] - rv[0], ru[1] - rv[1]), m)
         _check_pair(u * v, _pair_mul(ru, rv, m), m)
+        if rv == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                u / v
+        else:
+            _check_pair(u / v, _pair_mul(ru, _pair_inverse(rv, m), m), m)
+    # the reflected difference, also from an int
+    _check_pair(x.__rsub__(g), (g - a0, -a1), m)
+    _check_pair(2 - x, (2 - a0, -a1), m)
     _check_pair(-x, (-a0, -a1), m)
-    den = a0 * a0 + GR(0, m) * a1 * a1
-    if den.is_zero():
+    _check_pair(x.conjugate(), (a0.conjugate(), a1.conjugate()), -m)
+    if rx == (0, 0):
         with pytest.raises(ZeroDivisionError):
             x.inverse()
     else:
-        _check_pair(x.inverse(), (a0 / den, -a1 / den), m)
+        _check_pair(x.inverse(), _pair_inverse(rx, m), m)
 
 
-def test_extended_times_gaussian_costs_two_gaussian_products(monkeypatch):
-    x, g = sqrt_neg_im(3) + GR(1, 2), GR(2, -1)
-    counts = {"mul": 0, "fma": 0, "init": 0}
+@settings(max_examples=200)
+@given(st.builds(GR, wide_fractions(), wide_fractions()),
+       st.builds(GR, wide_fractions(), wide_fractions()).filter(
+           lambda c1: not c1.is_zero()),
+       _field_parameters(),
+       st.builds(GR, small_fractions(), small_fractions()).filter(
+           lambda k: not k.is_zero()))
+def test_extended_routes_to_one_value_are_equal_and_hash_equal(c0, c1, m, k):
+    x = ExtendedScalar(c0, c1, m)
+    s = sqrt_neg_im(m)
+    routes = [c0 + c1 * s, s * c1 + c0, (x * k) / k, (x + k) - k, k * x / k,
+              -(-x), x.conjugate().conjugate(), x.inverse().inverse(),
+              ExtendedScalar(c0 * k, c1 * k, m) / k,
+              scalar_from_json(scalar_to_json(x)),
+              ExtendedScalar(x.c0, x.c1, x.m)]
+    for y in routes:
+        assert type(y) is ExtendedScalar
+        assert y == x and hash(y) == hash(x)
+        assert (y.c0, y.c1, y.m) == (c0, c1, m)
+    # the stored form is canonical: one denominator, in lowest terms
+    a0, b0, a1, b1, d = x._v
+    assert d > 0 and math.gcd(a0, b0, a1, b1, d) == 1
+
+
+OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+             "__rmul__", "__truediv__", "__rtruediv__"]
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_every_operator_rejects_another_extension(name):
+    x, y = sqrt_neg_im(3) + 1, sqrt_neg_im(5) + GR(0, 2)
+    for u, v in ((x, y), (y, x)):
+        with pytest.raises(ExtensionMismatchError,
+                           match="parameters m=%d and m=%d" % (u.m, v.m)):
+            getattr(u, name)(v)
+
+
+def test_extended_product_builds_one_result_through_ext(monkeypatch):
+    x, y, g = sqrt_neg_im(3) + GR(1, 2), sqrt_neg_im(3) * 2 + 1, GR(2, -1)
+    built = []
 
     def counting(key, fn):
-        # g * x first tries GaussianRational.__mul__, which declines
         def wrapper(*args):
-            out = fn(*args)
-            counts[key] += out is not NotImplemented
-            return out
+            built.append(key)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(GR, "__mul__", counting("mul", GR.__mul__))
-    monkeypatch.setattr(GR, "__rmul__", counting("mul", GR.__rmul__))
-    monkeypatch.setattr(GR, "__init__", counting("init", GR.__init__))
-    monkeypatch.setattr(scalars, "_fma", counting("fma", scalars._fma))
-    for multiply in (lambda: x * g, lambda: g * x):
-        counts.update(mul=0, fma=0, init=0)
+    monkeypatch.setattr(scalars, "_ext", counting("_ext", scalars._ext))
+    monkeypatch.setattr(scalars, "_gr", counting("_gr", scalars._gr))
+    monkeypatch.setattr(GR, "__init__", counting("GR", GR.__init__))
+    xy = ExtendedScalar(GR(1, -4), GR(3, 4), 3)
+    xg = ExtendedScalar(GR(4, 3), GR(2, -1), 3)
+    for multiply, expected in ((lambda: x * y, xy), (lambda: x * g, xg),
+                               (lambda: g * x, xg)):
+        built.clear()
         product = multiply()
-        # both Q(i) products are multiply-adds onto nothing
-        assert counts == {"mul": 0, "fma": 2, "init": 0}
-        assert product == ExtendedScalar(GR(4, 3), GR(2, -1), 3)
+        # one Q(i)[s] result, normalised once, and no Q(i) result on the way
+        assert built == ["_ext"]
+        assert product == expected
 
 
 def _fma_operands():
