@@ -243,6 +243,10 @@ def test_point_json_over_other_names_keeps_its_own_generators():
     back = point_from_json(p.to_json(), "sl11")
     assert back.a.gens.signature() == gens.signature()
     assert back.a.gens != gens  # no star images
+    # an operation that reads star images needs the chart ring's names
+    with pytest.raises(ValueError, match="the file must use beta, betabar, "
+                                         "gamma, gammabar, a, abar$"):
+        point_from_json(p.to_json(), "sl11", star=True)
 
 
 @pytest.mark.parametrize("group", ["gl11", "s11", "su11-minus"])
