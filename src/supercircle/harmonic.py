@@ -7,13 +7,15 @@ coordinates (theta for the circle group, theta and eta for the unitary one).
 Expansion inverts each nonzero weight's block of coefficient sections in
 closed form, from the explicit matrix elements of V_m and pi_m^+, and reports
 whatever falls outside the coefficient span as an exact residual instead of
-forcing it to zero.
+forcing it to zero.  Reconstruction is the forward direction: it reads each
+weight-m entry's section off the block's generators, with no matrix product.
 
 :func:`matrix_coefficients` validates the representation it is given.
 :func:`expand` builds no block.  :func:`reconstruct` builds its blocks itself
-(``make_V_m``, ``make_pi_m`` and the weight-zero blocks) and does not
-re-validate them; the ``representation-identities`` check of ``verify`` and
-the tests validate those constructors.  It takes exactly the labels that
+(``make_V_m``, ``make_pi_m`` and the weight-zero blocks), once per label and
+call, and does not re-validate them; the ``representation-identities`` check
+of ``verify`` and the tests validate those constructors.  Only the weight-zero
+blocks still form generator products.  It takes exactly the labels that
 :func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and ``("W",)``;
 on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m is an int
 other than 0.  Any other label raises ValueError.
@@ -21,7 +23,7 @@ other than 0.  Any other label raises ValueError.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,6 +41,7 @@ from .reps import (
 from .scalars import (
     HALF,
     I,
+    ONE,
     ZERO,
     ExtendedScalar,
     ExtensionMismatchError,
@@ -387,10 +390,15 @@ def _expand_weight_zero(f: Section, coefficients, residual_terms) -> None:
 def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                 group: str) -> Section:
     """The linear combination of matrix-coefficient sections; exact.  Any
-    label that expand does not emit for group raises ValueError."""
+    label that expand does not emit for group raises ValueError.
+
+    A weight-m entry's section is read off its block's generators by
+    :func:`_weight_entry`; a weight-zero entry's from the block's generator
+    products, as :func:`matrix_coefficients` forms them.
+    """
     _odd_coords(group)  # rejects an unknown tag
     terms: Dict[TermKey, Scalar] = {}
-    blocks = {}  # label -> (weights, generator products)
+    blocks = {}  # label -> (weights, entry reader)
     for key, c in coefficients.items():
         if not (type(key) is tuple and len(key) == 2
                 and type(key[1]) is tuple and len(key[1]) == 2):
@@ -399,8 +407,13 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
         label, entry = key
         if label not in blocks:
             rep = _label_rep(label, group)
-            blocks[label] = (rep.weights, _generator_products(rep))
-        weights, products = blocks[label]
+            if len(label) == 2:  # a weight-m block: read off its generators
+                read = partial(_weight_entry,
+                               [rep.odd[name] for name in rep.generator_names])
+            else:
+                read = partial(_product_entry, _generator_products(rep))
+            blocks[label] = (rep.weights, read)
+        weights, read = blocks[label]
         i, j = entry
         if not (type(i) is int and type(j) is int
                 and 0 <= i < len(weights) and 0 <= j < len(weights)):
@@ -408,10 +421,36 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                              % _brief(key))
         m = weights[i]
         try:  # the entry's section, as matrix_coefficients builds it, times c
-            _add_into(terms, {(m, mask): p[entry] * c
-                              for mask, p in enumerate(products)})
+            _add_into(terms, {(m, mask): x * c for mask, x in read(i, j)})
         except ExtensionMismatchError as exc:
             raise ExtensionMismatchError(
                 "the coefficient of entry %r of %r: %s" % (entry, label, exc)
             ) from None
     return Section(group, terms)
+
+
+def _weight_entry(odd: Sequence[Matrix], i: int,
+                  j: int) -> List[Tuple[int, Scalar]]:
+    """The nonzero (mask, value) pairs of entry (i, j) of a 1|1 weight-m
+    block's mask products, read off its generators odd (in the factorization
+    order) with no matrix product: the forward twin of :func:`_weight_solution`.
+
+    Mask 0 is the identity and a one-generator mask is that generator.  Odd
+    generators swap the even and the odd basis vector, so su11's U*S is
+    diagonal, with (U*S)_ii = U[i, 1-i] * S[1-i, i].
+    """
+    pairs = [(0, ONE)] if i == j else []
+    for k, g in enumerate(odd):
+        x = g[i, j]
+        if not x.is_zero():
+            pairs.append((1 << k, x))
+    if i == j and len(odd) == 2:
+        u, s = odd
+        pairs.append((3, u[i, 1 - i] * s[1 - i, i]))
+    return pairs
+
+
+def _product_entry(products: Sequence[Matrix], i: int,
+                   j: int) -> List[Tuple[int, Scalar]]:
+    """The (mask, value) pairs of entry (i, j) of the generator products."""
+    return [(mask, p[i, j]) for mask, p in enumerate(products)]

@@ -45,6 +45,9 @@ def test_generator_set_validation():
         GeneratorSet(["x", "y"], pairing=[[0, 2]])
     g = GeneratorSet(["x", "y", "z"], pairing=[[0, 1]])
     assert g.pairing == (1, 0, 2)
+    # overlapping pairs would leave (1, 2, 1), which is no involution
+    with pytest.raises(ValueError, match="involution"):
+        GeneratorSet(["x", "y", "z"], pairing=[[0, 1], [1, 2]])
 
 
 def test_basic_products(paired):
@@ -83,6 +86,23 @@ def test_associativity_on_random_triples(four):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+
+
+def test_coefficient_of_a_missing_monomial_is_zero(paired):
+    x = 3 * paired.odd_gen("theta") + paired.one()
+    assert x.coefficient(((), 0b01)) == GR(3)
+    assert x.coefficient(((), 0b00)) == GR(1)
+    assert x.coefficient(((), 0b10)) == GR(0)
+    assert x.coefficient(((), 0b11)) == GR(0)
+
+
+def test_zeroth_power_is_one_without_an_inverse(paired):
+    # x ** 0 multiplies nothing, so it needs no inverse of x
+    th = paired.odd_gen("theta")
+    assert th ** 0 == paired.one()
+    assert (th * paired.odd_gen("thetabar")) ** 0 == paired.one()
+    assert th ** 1 == th
+    assert (th ** 2).is_zero()
 
 
 def test_parity(paired, four):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,13 @@ from supercircle.harmonic import (
     section_from_json,
 )
 from supercircle.linalg import Matrix
-from supercircle.reps import make_V_m, make_adjoint_su11, make_pi_m, make_trivial
+from supercircle.reps import (
+    make_V_m,
+    make_adjoint_su11,
+    make_pi_m,
+    make_trivial,
+    make_weight_zero_s11,
+)
 from supercircle.scalars import (
     ExtendedScalar,
     ExtensionMismatchError,
@@ -496,3 +503,59 @@ def test_expand_solves_nonzero_weights_without_elimination(monkeypatch):
         assert reconstruct(res.coefficients, group) == f
         assert calls.count(block) == len(weights)
         calls.clear()
+
+
+# --- reconstruct against the public coefficient sections ---------------------
+
+def _emitted_blocks(group):
+    """Every label that expand emits on group with |m| <= 40, with its block
+    and the Q(i)[s] root of its weight (that of weight 3 at weight zero)."""
+    kind, rep_of = {"s11": ("V", make_V_m),
+                    "su11": ("pi", lambda m: make_pi_m(m, "+"))}[group]
+    for m in range(-40, 41):
+        if m:
+            yield (kind, m), rep_of(m), sqrt_neg_im(m)
+    yield ("trivial",), make_trivial(group, 1, 0), sqrt_neg_im(3)
+    if group == "s11":
+        yield ("W",), make_weight_zero_s11("W"), sqrt_neg_im(3)
+    else:
+        yield ("adjoint",), make_adjoint_su11(), sqrt_neg_im(3)
+
+
+@pytest.mark.parametrize("group", ["s11", "su11"])
+def test_reconstruct_matches_matrix_coefficients_entry_by_entry(group):
+    # one coefficient at a time, over Q(i) and over the weight's Q(i)[s]: the
+    # entry's public section times the coefficient
+    labels = 0
+    for label, rep, root in _emitted_blocks(group):
+        sections = matrix_coefficients(rep)
+        for c in (GR(Fraction(2, 3), -5),
+                  GR(1, -2) + GR(Fraction(3, 4), 1) * root):
+            for entry, section in sections.items():
+                assert reconstruct({(label, entry): c}, group) == section * c
+        labels += 1
+    assert labels == 82
+
+
+def test_reconstruct_reads_weight_blocks_without_matrix_products(monkeypatch):
+    # the weight-m entries are read off the block's generators; only the
+    # weight-zero labels still form generator products
+    products = []
+    original = Matrix.__mul__
+
+    def counting(self, other):
+        products.append((self.shape, other.shape))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    for group in ("s11", "su11"):
+        f = Section(group, {(m, mask): GR(m, 1) + mask * sqrt_neg_im(m)
+                            for m in (-40, -3, 1, 2, 8, 18)
+                            for mask in range(1 << len(ODD_COORDS[group]))})
+        res = expand(f)
+        assert reconstruct(res.coefficients, group) == f
+    assert products == []
+    # su11's weight-zero blocks keep U*S as a matrix product
+    f = Section("su11", {(0, 0b01): GR(2), (0, 0b00): GR(1)})
+    assert reconstruct(expand(f).coefficients, "su11") == f
+    assert sorted(products) == [((1, 1), (1, 1)), ((3, 3), (3, 3))]

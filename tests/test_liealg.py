@@ -75,6 +75,19 @@ def test_bad_structure_constants_rejected():
         )
 
 
+def test_gl11_table_is_accepted():
+    # basis (E, N, psi+, psi-): [N, psi+-] = +-psi+- and [psi+, psi-] = E,
+    # each bracket given in both orders; every Jacobi sign matters at
+    # (N, N, psi+), where the three terms differ
+    gl11 = LieSuperAlgebra(("E", "N", "psi+", "psi-"), (0, 0, 1, 1), {
+        (1, 2): (0, 0, 1, 0), (2, 1): (0, 0, -1, 0),
+        (1, 3): (0, 0, 0, -1), (3, 1): (0, 0, 0, 1),
+        (2, 3): (1, 0, 0, 0), (3, 2): (1, 0, 0, 0),
+    })
+    assert gl11.bracket(2, 3) == gl11.bracket(3, 2) == (1, 0, 0, 0)
+    assert gl11.bracket(0, 2) == (0, 0, 0, 0)
+
+
 def test_non_integer_structure_constants_and_indices_rejected():
     for constant in (-2.5, "-2", True):
         with pytest.raises(ValueError,
