@@ -77,8 +77,9 @@ def test_bad_structure_constants_rejected():
 
 def test_gl11_table_is_accepted():
     # basis (E, N, psi+, psi-): [N, psi+-] = +-psi+- and [psi+, psi-] = E,
-    # each bracket given in both orders; every Jacobi sign matters at
-    # (N, N, psi+), where the three terms differ
+    # each bracket given in both orders; at (N, N, psi+) the Jacobi sum
+    # vanishes only because [N, [N, psi+]] and [N, [psi+, N]] cancel, so a
+    # wrong sign or factor on either term rejects the table
     gl11 = LieSuperAlgebra(("E", "N", "psi+", "psi-"), (0, 0, 1, 1), {
         (1, 2): (0, 0, 1, 0), (2, 1): (0, 0, -1, 0),
         (1, 3): (0, 0, 0, -1), (3, 1): (0, 0, 0, 1),
