@@ -317,8 +317,8 @@ _VERIFY_CHECKS = [
 _CLAIM_ORDER = (
     "structure-constants", "peter-weyl-span-su11", "intertwiner-spaces",
     "representation-identities", "decomposition-oracle",
-    "peter-weyl-span-s11", "factorization-round-trip", "involution-sigma",
-    "berezinian", "isomer-convention", "involution-rho",
+    "peter-weyl-span-s11", "factorization-round-trip", "berezinian",
+    "involution-sigma", "isomer-convention", "involution-rho",
     "peter-weyl-weight-zero-residual",
 )
 
@@ -345,9 +345,11 @@ def _run_checks_forked(config) -> list:
 
     Each process claims its next check index, in the fixed, measured order
     of _CLAIM_ORDER (largest first), with a 1-byte read from one shared
-    pipe; a worker sends its results back on its own pipe with marshal and
-    leaves through os._exit.  A check whose result never arrives (its
-    worker died) is run here.  No worker outlives the call.
+    pipe; a worker writes its results in full to its own pipe with marshal
+    and leaves through os._exit with the pipe still open, so the end of a
+    worker's results means the worker has exited.  A check whose result
+    never arrives (its worker died) is run here.  No worker outlives the
+    call.
     """
     threading = sys.modules.get("threading")
     workers = min(_usable_cpus(), len(_VERIFY_CHECKS))
@@ -379,9 +381,10 @@ def _run_checks_forked(config) -> list:
                 os.close(outbox)
                 break
             if pid == 0:
-                try:
-                    with os.fdopen(outbox, "wb") as fh:
-                        marshal.dump(claim_and_run(), fh)
+                try:  # the pipe stays open until the process has exited
+                    sent = memoryview(marshal.dumps(claim_and_run()))
+                    while sent:
+                        sent = sent[os.write(outbox, sent):]
                 finally:
                     os._exit(0)
             os.close(outbox)

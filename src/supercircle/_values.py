@@ -7,7 +7,8 @@ constructor or an unchecked builder, through ``object.__setattr__``.
 
 Each value class has one checked public constructor and at most one
 unchecked private builder, for results whose inputs are known to be valid.
-``Section`` has no builder: its decoder, too, calls its constructor.
+``Section._of`` builds the sections that ``harmonic`` computes; its decoder
+calls its constructor.
 
 A ``*_from_json`` decoder checks with :func:`expect` only the shapes it reads
 itself and leaves every check of a value to the constructor it calls.  A

@@ -11,11 +11,17 @@ forcing it to zero.  Reconstruction is the forward direction: it reads each
 weight-m entry's section off the block's generators, with no matrix product.
 
 :func:`matrix_coefficients` validates the representation it is given.
-:func:`expand` builds no block.  :func:`reconstruct` builds its blocks itself
+:func:`expand` builds no block.  It computes each weight's constants (the
+root s = sqrt_neg_im(m), 1/s, i/s and 1/m) once per process, in
+:func:`_weight_constants`, since the same weights recur across calls; they
+are immutable scalars.  :func:`reconstruct` builds its blocks itself
 (``make_V_m``, ``make_pi_m`` and the weight-zero blocks), once per label and
 call, and does not re-validate them; the ``representation-identities`` check
-of ``verify`` and the tests validate those constructors.  Only the weight-zero
-blocks still form generator products.  It takes exactly the labels that
+of ``verify`` and the tests validate those constructors.  Its blocks are not
+kept across calls.  Per-weight read-off tables were faster, but the benchmark
+runner keeps a record per op, so their extra ops pushed its peak memory past
+its bound; they wait on that runner fix (ROADMAP item 2).  Only the
+weight-zero blocks still form generator products.  It takes exactly the labels that
 :func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and ``("W",)``;
 on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m is an int
 other than 0.  Any other label raises ValueError.
@@ -23,7 +29,7 @@ other than 0.  Any other label raises ValueError.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -111,6 +117,16 @@ class Section(Record):
             sums[key] = sums[key] + c if key in sums else c
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "terms", _nonzero(sums))
+
+    @classmethod
+    def _of(cls, group: str, terms: Dict[TermKey, Scalar]) -> "Section":
+        """Wrap terms, a dict of valid (weight, mask) keys and scalars that
+        the new section owns, dropping its zero coefficients; nothing is
+        checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "group", group)
+        object.__setattr__(f, "terms", _nonzero(terms))
+        return f
 
     @classmethod
     def zero(cls, group: str) -> "Section":
@@ -315,36 +331,52 @@ def expand(f: Section) -> ExpansionResult:
         if m == 0:
             _expand_weight_zero(f, coefficients, residual_terms)
             continue
-        root = sqrt_neg_im(m)
+        constants = _weight_constants(m)
         rhs = [f.coefficient(m, mask) for mask in masks]
         try:
-            solution = _weight_solution(group, m, root, rhs)
+            solution = _weight_solution(group, constants, rhs)
         except ExtensionMismatchError:
-            raise _extension_mismatch(f, m, root) from None
+            raise _extension_mismatch(f, m, constants[0]) from None
         for entry, x in solution:
             if not x.is_zero():
                 coefficients[((kind, m), entry)] = x
 
-    return ExpansionResult(group, coefficients, Section(group, residual_terms))
+    return ExpansionResult(group, coefficients,
+                           Section._of(group, residual_terms))
 
 
-def _weight_solution(group: str, m: int, root: Scalar,
+# the weights whose constants a process keeps; a workload meets a few hundred
+_WEIGHT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _weight_constants(m: int) -> Tuple[Scalar, Scalar, Scalar,
+                                       GaussianRational]:
+    """s = sqrt_neg_im(m), 1/s, i/s and 1/m for a nonzero weight m; each is
+    an immutable scalar, so every caller may share them."""
+    root = sqrt_neg_im(m)
+    s_inv = root.inverse()
+    return root, s_inv, s_inv * I, GaussianRational(m).inverse()
+
+
+def _weight_solution(group: str, constants: tuple,
                      r: Sequence[Scalar]) -> tuple:
     """The (entry, coefficient) pairs of the weight-m block for the mask
-    coefficients r, where root = s = sqrt_neg_im(m): the block's system,
-    inverted in closed form.
+    coefficients r, where constants = _weight_constants(m): the block's
+    system, inverted in closed form.
 
     V_m's mask products are I and Z = s*swap; pi_m^+'s are I, U = s*swap,
     S = i*s*[[0, -1], [1, 0]] and U*S = diag(m, -m).  Each odd coefficient
     is divided by s before odd coefficients mix, so a term over a foreign
     Q(i)[s] raises ExtensionMismatchError on exactly the inputs where
-    elimination of the system raises it.
+    elimination of the system raises it.  The Q(i)[s] constant is the left
+    operand, so its own method does the product.
     """
-    s_inv = root.inverse()
+    _, s_inv, i_s_inv, m_inv = constants
     if group == "s11":
-        return (((0, 0), r[0]), ((0, 1), r[1] * s_inv))
-    a, b = r[1] * s_inv, I * r[2] * s_inv
-    c = r[3] * GaussianRational(m).inverse()
+        return (((0, 0), r[0]), ((0, 1), s_inv * r[1]))
+    a, b = s_inv * r[1], i_s_inv * r[2]
+    c = r[3] * m_inv
     return (((0, 0), (r[0] + c) * HALF), ((0, 1), (a + b) * HALF),
             ((1, 0), (a - b) * HALF), ((1, 1), (r[0] - c) * HALF))
 
@@ -426,7 +458,7 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
             raise ExtensionMismatchError(
                 "the coefficient of entry %r of %r: %s" % (entry, label, exc)
             ) from None
-    return Section(group, terms)
+    return Section._of(group, terms)
 
 
 def _weight_entry(odd: Sequence[Matrix], i: int,

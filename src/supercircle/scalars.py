@@ -235,8 +235,12 @@ def _fma(acc, x, y, negate: bool = False):
 
 
 def _coerce_gaussian(x) -> Optional[GaussianRational]:
+    """x as a GaussianRational, or None.  A Q(i)[s] value is the second
+    test, so a Q(i) operator hands it to its reflected method at once."""
     if isinstance(x, GaussianRational):
         return x
+    if isinstance(x, ExtendedScalar):
+        return None
     if isinstance(x, bool):
         return None
     if isinstance(x, (int, Fraction)):

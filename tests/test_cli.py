@@ -176,12 +176,13 @@ class ParentInterrupted(BaseException):
 
 
 def worker_claims_first(monkeypatch, tmp_path, in_worker=None,
-                        in_parent=None):
+                        in_parent=None, exit_delay=0.0):
     """Run verify with one worker that claims the first check: os.fork
     returns in the parent only once the worker has started a check.  Every
     check a worker starts leaves a file named after it in tmp_path/checks,
-    and os._exit(code) a file named code in tmp_path/exits; then in_worker,
-    or in the parent in_parent, runs before the check."""
+    and os._exit(code) a file named code in tmp_path/exits, exit_delay
+    seconds after it is called; in_worker, or in the parent in_parent, runs
+    before the check."""
     parent = os.getpid()
     checks, exits = tmp_path / "checks", tmp_path / "exits"
     checks.mkdir()
@@ -195,6 +196,7 @@ def worker_claims_first(monkeypatch, tmp_path, in_worker=None,
         return pid
 
     def leave(code):
+        time.sleep(exit_delay)
         (exits / str(code)).touch()
         real_exit(code)
 
@@ -241,6 +243,14 @@ def test_verify_reports_a_check_of_a_worker_as_serially(monkeypatch,
     assert worker_claims_first(monkeypatch, tmp_path) == serial
     assert open_fds() == fds
     assert (tmp_path / "checks" / "structure-constants").exists()
+    assert [p.name for p in (tmp_path / "exits").iterdir()] == ["0"]
+    assert_no_child_left()
+
+
+def test_verify_waits_for_a_worker_to_exit(monkeypatch, tmp_path):
+    # the end of a worker's results is its exit, so a slow exit is not cut
+    assert worker_claims_first(monkeypatch, tmp_path,
+                               exit_delay=0.2) == serial_verify(monkeypatch)
     assert [p.name for p in (tmp_path / "exits").iterdir()] == ["0"]
     assert_no_child_left()
 

@@ -505,6 +505,46 @@ def test_expand_solves_nonzero_weights_without_elimination(monkeypatch):
         calls.clear()
 
 
+def test_expand_computes_each_weights_constants_once(monkeypatch):
+    # a second expand over weights it has seen calls neither sqrt_neg_im nor
+    # any inverse, and gives what the cold call gave, error texts included
+    weights = (-40, -3, 1, 2, 8, 18)
+    sections = [Section(group, {(m, mask): GR(m, 1) + mask * sqrt_neg_im(m)
+                                for m in weights
+                                for mask in range(1 << len(ODD_COORDS[group]))})
+                for group in ("s11", "su11")]
+    sections.append(Section("su11", {(3, 0b01): ExtendedScalar(1, 1, 5)}))
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in ((harmonic, "sqrt_neg_im"), (GR, "inverse"),
+                        (ExtendedScalar, "inverse")):
+        count(owner, name)
+
+    def outcome(f):
+        try:
+            return expand(f).to_json()
+        except ExtensionMismatchError as exc:
+            return str(exc)
+
+    harmonic._weight_constants.cache_clear()
+    cold = [outcome(f) for f in sections]
+    assert calls.count("sqrt_neg_im") == len(weights) + 1  # and weight 3
+    calls.clear()
+    assert [outcome(f) for f in sections] == cold
+    assert calls == []
+    assert cold[-1] == (
+        "the coefficient of t^3*theta (weight 3) lies in Q(i)[s] with m=5, "
+        "but the weight-3 matrix coefficients lie in Q(i)[s] with m=3")
+
+
 # --- reconstruct against the public coefficient sections ---------------------
 
 def _emitted_blocks(group):

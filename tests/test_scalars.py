@@ -529,6 +529,28 @@ def test_every_operator_rejects_another_extension(name):
             getattr(u, name)(v)
 
 
+@settings(max_examples=100)
+@given(st.builds(GR, wide_fractions(), wide_fractions()),
+       st.builds(ExtendedScalar, gaussians(),
+                 gaussians().filter(lambda c1: not c1.is_zero()),
+                 _field_parameters()))
+def test_gaussian_and_extended_operands_commute(g, x):
+    # a Q(i) operator hands a Q(i)[s] operand straight to its reflected
+    # method, and either order gives the same value
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+        assert getattr(GR, name)(g, x) is NotImplemented
+    assert g + x == x + g
+    assert g - x == -(x - g)
+    assert g * x == x * g
+    if g.is_zero():
+        assert g / x == GR(0)
+        with pytest.raises(ZeroDivisionError):
+            x / g
+    else:
+        assert g / x == (x / g).inverse()
+    assert (g == x) is (x == g) is False
+
+
 def test_extended_product_builds_one_result_through_ext(monkeypatch):
     x, y, g = sqrt_neg_im(3) + GR(1, 2), sqrt_neg_im(3) * 2 + 1, GR(2, -1)
     built = []

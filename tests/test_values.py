@@ -6,6 +6,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supercircle
 from supercircle import (
@@ -13,6 +15,7 @@ from supercircle import (
     ExpansionResult,
     ExtendedScalar,
     FactorizationTriple,
+    GaussianRational,
     GeneratorSet,
     GL11Point,
     GrassmannElement,
@@ -30,6 +33,7 @@ from supercircle import (
     su11_chart_ring,
 )
 from supercircle._values import Frozen, Record
+from supercircle.harmonic import ODD_COORDS
 from supercircle.cli import RunConfig
 
 
@@ -74,6 +78,30 @@ def test_value_classes_reject_assignment(cls):
             hash(x)
 
 
+@st.composite
+def _section_terms(draw):
+    """A group and distinct (weight, mask) keys with valid coefficients, a
+    zero among them in most draws."""
+    group = draw(st.sampled_from(["s11", "su11"]))
+    keys = st.tuples(st.integers(-40, 40),
+                     st.integers(0, (1 << len(ODD_COORDS[group])) - 1))
+    coefficients = st.one_of(
+        st.just(GaussianRational(0)), st.just(sqrt_neg_im(3)),
+        st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)))
+    return group, draw(st.lists(st.tuples(keys, coefficients), max_size=8,
+                                unique_by=lambda item: item[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_section_terms())
+def test_section_builder_agrees_with_the_constructor(drawn):
+    group, terms = drawn
+    built = Section._of(group, dict(terms))
+    assert type(built) is Section
+    assert built == Section(group, terms)
+    assert not any(c.is_zero() for c in built.terms.values())
+
+
 def test_record_repr_lists_fields_in_slot_order():
     p = INSTANCES[GL11Point]
     assert repr(p) == "GL11Point(%r, %r, %r, %r)" % (p.a, p.beta, p.gamma, p.d)
@@ -86,7 +114,8 @@ SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 # the private builders, the only code that may call object.__new__
 BUILDERS = {"linalg.Matrix._of", "grassmann.GrassmannElement._of",
             "grassmann.GeneratorSet.with_star_images", "scalars._gr",
-            "scalars._ext", "supermatrix.SuperMatrix._of"}
+            "scalars._ext", "supermatrix.SuperMatrix._of",
+            "harmonic.Section._of"}
 
 
 def _is_object_new(node) -> bool:
