@@ -17,14 +17,13 @@ root s = sqrt_neg_im(m), 1/s, i/s and 1/m) once per process, in
 are immutable scalars.  :func:`reconstruct` builds its blocks itself
 (``make_V_m``, ``make_pi_m`` and the weight-zero blocks), once per label and
 call, and does not re-validate them; the ``representation-identities`` check
-of ``verify`` and the tests validate those constructors.  Its blocks are not
-kept across calls.  Per-weight read-off tables were faster, but the benchmark
-runner keeps a record per op, so their extra ops pushed its peak memory past
-its bound; they wait on that runner fix (ROADMAP item 2).  Only the
-weight-zero blocks still form generator products.  It takes exactly the labels that
-:func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and ``("W",)``;
-on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m is an int
-other than 0.  Any other label raises ValueError.
+of ``verify`` and the tests validate those constructors.  It keeps no block
+across calls: per-weight tables were faster, but they wait on a leaner
+benchmark runner, whose memory bound they broke (ROADMAP item 2).  Only the
+weight-zero blocks still form generator products.  It takes exactly the
+labels that :func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and
+``("W",)``; on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m
+is an int other than 0.  Any other label raises ValueError.
 """
 
 from __future__ import annotations
@@ -345,7 +344,7 @@ def expand(f: Section) -> ExpansionResult:
                            Section._of(group, residual_terms))
 
 
-# the weights whose constants a process keeps; a workload meets a few hundred
+# how many weights' constants a process keeps
 _WEIGHT_CACHE_SIZE = 1024
 
 

@@ -33,8 +33,8 @@ from supercircle import (
     su11_chart_ring,
 )
 from supercircle._values import Frozen, Record
-from supercircle.harmonic import ODD_COORDS
 from supercircle.cli import RunConfig
+from supercircle.harmonic import ODD_COORDS
 
 
 def _instances():
