@@ -6,9 +6,12 @@ constructor or an unchecked builder, through ``object.__setattr__``.
 ``GaussianRational`` does not use these bases; its docstring says why.
 
 Each value class has one checked public constructor and at most one
-unchecked private builder, for results whose inputs are known to be valid.
-``Section._of`` builds the sections that ``harmonic`` computes; its decoder
-calls its constructor.
+unchecked private builder, for results whose inputs are known to be valid:
+``Matrix._of``, ``GrassmannElement._of``, ``SuperMatrix._of``,
+``Representation._of`` (the blocks, direct sums, restrictions and
+conjugates of ``reps``) and ``Section._of`` (the sections that ``harmonic``
+computes and Section arithmetic returns); scalars come from ``scalars._gr``
+and ``scalars._ext``.  The decoders call constructors, never builders.
 
 A ``*_from_json`` decoder checks with :func:`expect` only the shapes it reads
 itself and leaves every check of a value to the constructor it calls.  A

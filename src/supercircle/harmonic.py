@@ -157,7 +157,7 @@ class Section(Record):
             raise ValueError("sections live on different groups")
         terms = dict(self.terms)
         _add_into(terms, other.terms, negate)
-        return Section(self.group, terms)
+        return Section._of(self.group, terms)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -166,7 +166,7 @@ class Section(Record):
         return self._combine(other, True)
 
     def __neg__(self):
-        return Section(self.group, {k: -c for k, c in self.terms.items()})
+        return Section._of(self.group, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Section):
@@ -176,13 +176,14 @@ class Section(Record):
             # Grassmann term kernel multiplies the terms lifted to ((m,), mask)
             product = _product(*({((m,), mask): c for (m, mask), c
                                   in f.terms.items()} for f in (self, other)))
-            return Section(self.group, {
+            return Section._of(self.group, {
                 (exps[0], mask): c for (exps, mask), c in product.items()})
         try:
             c = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Section(self.group, {k: x * c for k, x in self.terms.items()})
+        return Section._of(self.group,
+                           {k: x * c for k, x in self.terms.items()})
 
     __rmul__ = __mul__
 

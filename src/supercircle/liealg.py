@@ -195,6 +195,21 @@ class Representation(Record):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "odd", odd)
 
+    @classmethod
+    def _of(cls, algebra: str, parities: Tuple[int, ...],
+            weights: Tuple[int, ...],
+            odd: Dict[str, Matrix]) -> "Representation":
+        """Wrap fields that are valid by construction, without checking or
+        copying them: a built-in algebra tag, tuples of 0/1 parities and of
+        integer weights of one length n, and a dict the new representation
+        owns of exactly the algebra's odd generators, each an n x n Matrix."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "algebra", algebra)
+        object.__setattr__(rep, "parities", parities)
+        object.__setattr__(rep, "weights", weights)
+        object.__setattr__(rep, "odd", odd)
+        return rep
+
     @property
     def dim(self) -> int:
         return len(self.parities)
@@ -211,10 +226,10 @@ class Representation(Record):
         """
         idx = tuple(indices)
         odd = {name: m._submatrix(idx, idx) for name, m in self.odd.items()}
-        return Representation(
+        return Representation._of(
             self.algebra,
-            [self.parities[i] for i in idx],
-            [self.weights[i] for i in idx],
+            tuple(self.parities[i] for i in idx),
+            tuple(self.weights[i] for i in idx),
             odd,
         )
 

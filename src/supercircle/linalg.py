@@ -6,7 +6,10 @@ selects the first usable row or column (lowest index), never by magnitude.
 Representation matrices are weight-block-sparse, so products and elimination
 walk only nonzero entries.  A matrix lists its nonzero entries row by row the
 first time a product or a zero test needs them and keeps that list, so each
-entry is tested for zero at most once in the matrix's life.
+entry is tested for zero at most once in the matrix's life.  An entry that
+no product term reaches is the shared ``ZERO``, so the hot zero tests
+compare with it by identity first and call ``is_zero()`` for any other
+entry, which still finds a zero that is another object.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class Matrix(Frozen):
         """The nonzero pattern; the first call computes it."""
         nz = self._nz
         if nz is None:
-            nz = [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+            nz = [[(j, x) for j, x in enumerate(row)
+                   if x is not ZERO and not x.is_zero()]
                   for row in self._rows]
             object.__setattr__(self, "_nz", nz)
         return nz
@@ -201,7 +205,8 @@ class Matrix(Frozen):
         for col in range(ncols):
             pivot_row = None
             for r in range(piv_r, nrows):
-                if not rows[r][col].is_zero():
+                x = rows[r][col]
+                if x is not ZERO and not x.is_zero():
                     pivot_row = r
                     break
             if pivot_row is None:
@@ -215,7 +220,7 @@ class Matrix(Frozen):
             for r in range(nrows):
                 row = rows[r]
                 f = row[col]
-                if r == piv_r or f.is_zero():
+                if r == piv_r or f is ZERO or f.is_zero():
                     continue
                 for j, y in nz:
                     row[j] = _fma(row[j], f, y, negate=True)

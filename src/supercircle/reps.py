@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ._values import Frozen, _brief, _fits
 from .liealg import Representation, _odd_generators, require_valid
-from .linalg import Matrix, block_diagonal, from_columns, matrix_to_json
+from .linalg import Matrix, block_diagonal, matrix_to_json
 from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
 
 
@@ -41,7 +41,7 @@ def make_V_m(m: int) -> Representation:
         raise ValueError("weight must be nonzero")
     s = sqrt_neg_im(m)
     z = Matrix._of([[ZERO, s], [s, ZERO]], 2)
-    return Representation("s11", (0, 1), (m, m), {"Z": z})
+    return Representation._of("s11", (0, 1), (m, m), {"Z": z})
 
 
 def make_weight_zero_s11(variant: str) -> Representation:
@@ -53,9 +53,9 @@ def make_weight_zero_s11(variant: str) -> Representation:
     """
     if variant not in ("W", "PiW"):
         raise ValueError("variant must be one of W, PiW")
-    z = Matrix([[ZERO, ONE], [ZERO, ZERO]])
+    z = Matrix._of([[ZERO, ONE], [ZERO, ZERO]], 2)
     parities = (0, 1) if variant == "W" else (1, 0)
-    return Representation("s11", parities, (0, 0), {"Z": z})
+    return Representation._of("s11", parities, (0, 0), {"Z": z})
 
 
 def make_pi_m(m: int, sign: str) -> Representation:
@@ -73,15 +73,15 @@ def make_pi_m(m: int, sign: str) -> Representation:
     i_s = (I if sign == "+" else -I) * s
     u = Matrix._of([[ZERO, s], [s, ZERO]], 2)
     smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
-    return Representation("su11", (0, 1), (m, m), {"U": u, "S": smat})
+    return Representation._of("su11", (0, 1), (m, m), {"U": u, "S": smat})
 
 
 def make_adjoint_su11() -> Representation:
     """The 1|2-dimensional weight-zero representation where each odd
     generator maps itself onto the even direction and kills everything else."""
-    u = Matrix([[ZERO, ONE, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-    s = Matrix([[ZERO, ZERO, ONE], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-    return Representation("su11", (0, 1, 1), (0, 0, 0), {"U": u, "S": s})
+    u = Matrix._of([[ZERO, ONE, ZERO], [ZERO] * 3, [ZERO] * 3], 3)
+    s = Matrix._of([[ZERO, ZERO, ONE], [ZERO] * 3, [ZERO] * 3], 3)
+    return Representation._of("su11", (0, 1, 1), (0, 0, 0), {"U": u, "S": s})
 
 
 def direct_sum(*reps: Representation) -> Representation:
@@ -99,7 +99,7 @@ def direct_sum(*reps: Representation) -> Representation:
         name: block_diagonal([r.odd[name] for r in reps])
         for name in reps[0].generator_names
     }
-    return Representation(algebra, parities, weights, odd)
+    return Representation._of(algebra, tuple(parities), tuple(weights), odd)
 
 
 def conjugate(rep: Representation, g: Matrix) -> Representation:
@@ -110,7 +110,7 @@ def conjugate(rep: Representation, g: Matrix) -> Representation:
     """
     gi = g.inverse()
     odd = {name: gi * mat * g for name, mat in rep.odd.items()}
-    return Representation(rep.algebra, rep.parities, rep.weights, odd)
+    return Representation._of(rep.algebra, rep.parities, rep.weights, odd)
 
 
 def permute(rep: Representation, perm: Sequence[int]) -> Representation:
@@ -274,8 +274,10 @@ def _extend_independent(existing: Sequence[Sequence[Scalar]],
     span and of the candidates before them: the pivot columns past the
     existing ones, so the choice is deterministic.
     """
+    columns = list(existing) + list(candidates)
     k = len(existing)
-    _, pivots = from_columns(list(existing) + list(candidates)).rref()
+    _, pivots = Matrix._of([list(r) for r in zip(*columns)],
+                           len(columns)).rref()
     return [p - k for p in pivots if p >= k]
 
 
@@ -339,7 +341,8 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     columns.extend(_embed(v, zero_idx, n) for v in trivial[0] + trivial[1])
     te, to_ = len(trivial[0]), len(trivial[1])
     blocks.append((("trivial", te, to_), make_trivial("s11", te, to_)))
-    return DecompositionReport("s11", blocks, from_columns(columns))
+    return DecompositionReport("s11", blocks, Matrix._of(
+        [list(r) for r in zip(*columns)], len(columns)))
 
 
 def decompose_su11(rep: Representation) -> DecompositionReport:
@@ -363,13 +366,14 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
             block = make_pi_m(m, sign) if eig else None
             for vec in eig:
                 f = _embed(vec, evens, n)
-                uf = (u * Matrix.column(f)).col(0)
-                columns.extend(
-                    [f, [ZERO if x.is_zero() else x * s_inv for x in uf]])
+                uf = (u * Matrix._of([[x] for x in f], 1)).col(0)
+                columns.extend([f, [ZERO if x is ZERO or x.is_zero()
+                                    else x * s_inv for x in uf]])
                 blocks.append((("pi", m, sign), block))
 
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]
     if zero_idx:
         columns.extend(_embed([ONE], [idx], n) for idx in zero_idx)
         blocks.append((("weight_zero", len(zero_idx)), rep.restrict(zero_idx)))
-    return DecompositionReport("su11", blocks, from_columns(columns))
+    return DecompositionReport("su11", blocks, Matrix._of(
+        [list(r) for r in zip(*columns)], len(columns)))

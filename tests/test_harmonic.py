@@ -143,6 +143,31 @@ def test_section_product_matches_the_grassmann_ring(pair):
     assert lift(f * g) == lift(f) * lift(g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(section_pairs(), GAUSSIAN | st.just(0))
+def test_section_operators_agree_with_the_constructor(pair, c):
+    # each operator builds its result unchecked; the checked constructor,
+    # given the same terms, sums equal keys and drops zeros
+    group, f, g = pair
+    fs, gs = list(f.terms.items()), list(g.terms.items())
+    assert f + g == Section(group, fs + gs)
+    assert f - g == Section(group, fs + [(k, -x) for k, x in gs])
+    assert f - f == f + -f == Section(group, {})
+    assert -f == Section(group, [(k, -x) for k, x in fs])
+    for scalar in (c, 0) + tuple(x for _, x in gs[:1]):
+        expected = Section(group, [(k, x * scalar) for k, x in fs])
+        assert f * scalar == scalar * f == expected
+    ring = GeneratorSet(ODD_COORDS[group], even=("t",))
+
+    def lift(h):
+        return ring.element({((m,), mask): x
+                             for (m, mask), x in h.terms.items()})
+
+    product = (lift(f) * lift(g)).terms.items()
+    assert f * g == Section(group, [((exps[0], mask), x)
+                                    for (exps, mask), x in product])
+
+
 def test_section_json_round_trip():
     f = Section("su11", {
         (2, 0b11): GR(1, 1),

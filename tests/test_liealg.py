@@ -28,7 +28,12 @@ from supercircle.reps import (
     random_direct_sum,
     scramble,
 )
-from supercircle.scalars import ExtendedScalar, GaussianRational, sqrt_neg_im
+from supercircle.scalars import (
+    ZERO,
+    ExtendedScalar,
+    GaussianRational,
+    sqrt_neg_im,
+)
 from supercircle.supergroup import defining_matrices
 from supercircle.supermatrix import supercommutator
 
@@ -400,6 +405,27 @@ def _odd_row_corruptions(rep, rng):
             rows[i] = [x * GR(factor) for x in rows[i]]
             yield Representation(rep.algebra, rep.parities, rep.weights,
                                  {**rep.odd, name: Matrix(rows)})
+
+
+def _with_zeros(rep, zero):
+    """rep with each zero entry of its generators replaced by zero()."""
+    return Representation(rep.algebra, rep.parities, rep.weights, {
+        name: Matrix([[zero() if x.is_zero() else x for x in row]
+                      for row in mat.rows])
+        for name, mat in rep.odd.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2 ** 32 - 1))
+def test_foreign_zeros_validate_as_the_shared_zero(algebra, seed):
+    # zeros that are not the shared ZERO object: Gaussian zeros built by the
+    # constructor and cancelled differences
+    rng = random.Random(seed)
+    makers = [lambda: GR(0), lambda: GR(0, 0), lambda: GR(2, 1) - GR(2, 1)]
+    for rep in _corruptions(_random_rep(algebra, rng), rng):
+        problems = validate_representation(_with_zeros(rep, lambda: ZERO))
+        foreign = _with_zeros(rep, lambda: rng.choice(makers)())
+        assert validate_representation(foreign) == problems
 
 
 def test_validation_matches_the_reference_on_odd_rows_of_balanced_blocks():

@@ -279,3 +279,64 @@ def test_factors_keep_their_nonzero_pattern(monkeypatch):
     assert first == again == Matrix(_naive_product(a.rows, b.rows))
     assert swapped == Matrix(_naive_product(b.rows, a.rows))
     assert zero is False
+
+
+def test_product_tests_only_entries_other_than_the_shared_zero(monkeypatch):
+    # the inputs of test_product_tests_each_entry_at_most_once: outside its
+    # blocks a block-diagonal matrix holds the shared ZERO, which the
+    # nonzero patterns skip by identity, so only the 2 * 3 * 8^2 block
+    # entries are tested
+    rng = random.Random(24)
+
+    def block():
+        return Matrix([[GR(rng.randint(1, 5), rng.randint(-5, 5))
+                        for _ in range(8)] for _ in range(8)])
+
+    a = block_diagonal([block() for _ in range(3)])
+    b = block_diagonal([block() for _ in range(3)])
+    expected = Matrix(_naive_product(a.rows, b.rows))
+    tests = []
+    is_zero = GaussianRational.is_zero
+
+    def counting_is_zero(self):
+        tests.append(1)
+        return is_zero(self)
+
+    monkeypatch.setattr(GaussianRational, "is_zero", counting_is_zero)
+    product = a * b
+    monkeypatch.undo()
+    assert len(tests) <= 2 * 3 * 8 ** 2
+    assert product == expected
+
+
+# zeros that are not the shared ZERO object, which every zero test must
+# still drop
+FOREIGN_ZEROS = [lambda: GR(0), lambda: GR(0, 0),
+                 lambda: GR(2, -1) - GR(2, -1),
+                 lambda: ExtendedScalar(GR(1), GR(1), 3)
+                 - ExtendedScalar(GR(1), GR(1), 3)]
+
+
+def _shared_and_foreign(draw, nrows, ncols):
+    """One grid twice: with the shared ZERO, and with each of its zeros
+    replaced by a foreign zero."""
+    shared = [[linalg.ZERO if x.is_zero() else x for x in row]
+              for row in draw(_grid(nrows, ncols))]
+    foreign = [[draw(st.sampled_from(FOREIGN_ZEROS))() if x is linalg.ZERO
+                else x for x in row] for row in shared]
+    assert all(x is not linalg.ZERO for row in foreign for x in row)
+    return Matrix(shared), Matrix(foreign)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_foreign_zeros_act_as_the_shared_zero(data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, a_foreign = _shared_and_foreign(data.draw, n, k)
+    b, b_foreign = _shared_and_foreign(data.draw, k, m)
+    assert a_foreign._nonzeros() == a._nonzeros()
+    assert a_foreign.rref() == a.rref()
+    assert a_foreign.kernel_basis() == a.kernel_basis()
+    product = a * b
+    assert a_foreign * b_foreign == a_foreign * b == a * b_foreign == product
+    assert (a_foreign * b_foreign)._nonzeros() == product._nonzeros()

@@ -10,6 +10,7 @@ from supercircle.liealg import Representation, validate_representation
 from supercircle.linalg import Matrix
 from supercircle.reps import (
     decompose_s11,
+    conjugate,
     decompose_su11,
     direct_sum,
     make_adjoint_su11,
@@ -18,6 +19,7 @@ from supercircle.reps import (
     make_V_m,
     make_weight_zero_s11,
     permute,
+    random_class_preserving,
     random_direct_sum,
     scramble,
 )
@@ -298,6 +300,28 @@ def test_certificate_holds_on_random_scrambles(algebra, structure, seed):
     report = decompose(rep)
     assert report.labels() == decompose(model).labels()
     assert report.verify(rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-40, 40).filter(bool), st.sampled_from("+-"),
+       st.integers(0, 2 ** 32 - 1))
+def test_unchecked_builds_pass_the_constructor_and_validate(m, sign, seed):
+    # every representation built with Representation._of, as the checked
+    # constructor would build it from the same fields
+    rng = random.Random(seed)
+    s11 = [make_V_m(m), make_weight_zero_s11("W"), make_weight_zero_s11("PiW")]
+    su11 = [make_pi_m(m, sign), make_adjoint_su11()]
+    built = s11 + su11
+    for blocks in (s11, su11):
+        total = direct_sum(*blocks)
+        weight = rng.choice(sorted(set(total.weights)))
+        block = [i for i, w in enumerate(total.weights) if w == weight]
+        g = random_class_preserving(total, rng)
+        built += [total, total.restrict(block), conjugate(total, g)]
+    for rep in built:
+        assert Representation(rep.algebra, rep.parities, rep.weights,
+                              rep.odd) == rep
+        assert validate_representation(rep) == []
 
 
 def test_decompose_s11_matches_the_two_block_reference():

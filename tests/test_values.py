@@ -115,7 +115,7 @@ SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 BUILDERS = {"linalg.Matrix._of", "grassmann.GrassmannElement._of",
             "grassmann.GeneratorSet.with_star_images", "scalars._gr",
             "scalars._ext", "supermatrix.SuperMatrix._of",
-            "harmonic.Section._of"}
+            "harmonic.Section._of", "liealg.Representation._of"}
 
 
 def _is_object_new(node) -> bool:
