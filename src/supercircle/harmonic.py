@@ -33,7 +33,7 @@ from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
-from .grassmann import _add_into, _nonzero, _product
+from .grassmann import _add_into, _mul_into, _nonzero
 from .liealg import Representation, require_valid
 from .linalg import Matrix
 from .reps import (
@@ -173,8 +173,10 @@ class Section(Record):
             if other.group != self.group:
                 raise ValueError("sections live on different groups")
             # t^m is the Laurent monomial of one even generator t, so the
-            # Grassmann term kernel multiplies the terms lifted to ((m,), mask)
-            product = _product(*({((m,), mask): c for (m, mask), c
+            # Grassmann term kernel multiplies the terms lifted to ((m,), mask);
+            # Section._of drops the zero sums, each tested once
+            product: Dict = {}
+            _mul_into(product, *({((m,), mask): c for (m, mask), c
                                   in f.terms.items()} for f in (self, other)))
             return Section._of(self.group, {
                 (exps[0], mask): c for (exps, mask), c in product.items()})

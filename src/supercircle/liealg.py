@@ -219,12 +219,28 @@ class Representation(Record):
         return ODD_GENERATORS[self.algebra]
 
     def restrict(self, indices: Sequence[int]) -> "Representation":
-        """The subrepresentation spanned by the listed basis indices.
+        """The subrepresentation spanned by the listed basis indices, in the
+        listed order.
 
-        Only meaningful when the span is actually invariant; the caller is
-        expected to pass a union of weight blocks.
+        The indices must be distinct, in range, and a union of weight blocks
+        (every index of a weight, or none), since the odd generators keep
+        weights; anything else raises ValueError.  The check is O(dim).
         """
         idx = tuple(indices)
+        n = self.dim
+        taken = [False] * n
+        for i in idx:
+            if not (_fits(i, int) and 0 <= i < n):
+                raise ValueError("basis index %s out of range for dimension %d"
+                                 % (_brief(i), n))
+            if taken[i]:
+                raise ValueError("basis index %d repeats" % i)
+            taken[i] = True
+        block_taken: Dict[int, bool] = {}
+        for i, m in enumerate(self.weights):
+            if block_taken.setdefault(m, taken[i]) != taken[i]:
+                raise ValueError("the indices split the weight block m=%d; "
+                                 "restrict takes a union of weight blocks" % m)
         odd = {name: m._submatrix(idx, idx) for name, m in self.odd.items()}
         return Representation._of(
             self.algebra,

@@ -268,17 +268,21 @@ def _embed(vec: Sequence[Scalar], indices: Sequence[int], n: int) -> List[Scalar
     return full
 
 
-def _extend_independent(existing: Sequence[Sequence[Scalar]],
-                        candidates: Sequence[Sequence[Scalar]]) -> List[int]:
-    """The indices of the candidates that are independent of the existing
-    span and of the candidates before them: the pivot columns past the
-    existing ones, so the choice is deterministic.
+def _completing_free_columns(images: Sequence[Sequence[Scalar]],
+                            free: Sequence[int]) -> List[int]:
+    """The positions t in free whose unit vectors e_t complete the span of
+    the images, read at the free columns, to all len(free) coordinates.
+
+    Taken greedily in ascending t, e_t joins when it is outside the span of
+    the images and of e_0, ..., e_{t-1}.  With f = len(free) that happens
+    exactly when f-1-t is not a pivot of the images as rows with their
+    coordinates reversed, so one elimination of that k x f matrix decides
+    every t.
     """
-    columns = list(existing) + list(candidates)
-    k = len(existing)
-    _, pivots = Matrix._of([list(r) for r in zip(*columns)],
-                           len(columns)).rref()
-    return [p - k for p in pivots if p >= k]
+    f = len(free)
+    rows = [[img[c] for c in reversed(free)] for img in images]
+    _, pivots = Matrix._of(rows, f).rref()
+    return [t for t in range(f) if f - 1 - t not in pivots]
 
 
 def _nonzero_weight_blocks(rep: Representation):
@@ -335,8 +339,7 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
                                 _embed([ONE], [zero_idx[c]], n)])
                 blocks.append((label, block))
     trivial: Tuple[List, List] = ([], [])
-    coords = [[img[c] for c in free] for img in images]
-    for t in _extend_independent(coords, Matrix.identity(len(free)).rows):
+    for t in _completing_free_columns(images, free):
         trivial[parity[free[t]]].append(kernel[t])
     columns.extend(_embed(v, zero_idx, n) for v in trivial[0] + trivial[1])
     te, to_ = len(trivial[0]), len(trivial[1])
@@ -351,15 +354,15 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     """
     _require_algebra(rep, "su11")
     require_valid(rep)
-    u = rep.odd["U"]
-    us = u * rep.odd["S"]
+    u, s = rep.odd["U"], rep.odd["S"]
     n = rep.dim
     columns: List[Sequence[Scalar]] = []
     blocks: List[Tuple[Label, Representation]] = []
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
-        t_blk = us._submatrix(evens, evens)
+        # U*S only on the even rows of this block, the rows it reads
+        t_blk = (u._row_subset(evens) * s)._submatrix(range(len(evens)), evens)
         for lam, sign in ((m, "+"), (-m, "-")):
             shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
             eig = shifted.kernel_basis()

@@ -17,7 +17,10 @@ and skip the checks: ``_gr(a, b, d)`` takes ints with d > 0, and
 an operand already carries (or its negation), so m is a nonzero integer for
 which -i*m has no root in Q(i).  ``_ext`` demotes a zero s-part to ``_gr``.
 The product kernels of ``grassmann`` and ``linalg`` use the one fused
-multiply-add :func:`_fma`, which builds one ``_gr`` per term.
+multiply-add :func:`_fma`, which builds one ``_gr`` per term.  It skips a
+factor that is the shared ``ONE`` by identity, as the kernels skip the
+shared ``ZERO``: the term is then the other factor, with no multiply.  A one
+that is another object takes the ordinary path and gives the same value.
 """
 
 from __future__ import annotations
@@ -210,12 +213,18 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
 def _fma(acc, x, y, negate: bool = False):
     """acc + x*y, or acc - x*y with negate; acc None stands for 0.
 
-    The one multiply-add of the product kernels.  For two GaussianRationals
-    it works on their ints and builds one result with :func:`_gr` (an acc
-    that is not Gaussian takes that result through its own ``+``); any other
-    factor goes through the operators.
+    The one multiply-add of the product kernels.  A factor that is the
+    shared ``ONE`` is skipped by identity: the product is the other factor,
+    which is returned itself (negated with negate) when there is no acc.
+    For two GaussianRationals it works on their ints and builds one result
+    with :func:`_gr` (an acc that is not Gaussian takes that result through
+    its own ``+``); any other factor goes through the operators.
     """
-    if type(x) is GaussianRational and type(y) is GaussianRational:
+    if x is ONE:
+        p = y
+    elif y is ONE:
+        p = x
+    elif type(x) is GaussianRational and type(y) is GaussianRational:
         a1, b1, a2, b2 = x._a, x._b, y._a, y._b
         a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, x._d * y._d
         if negate:
@@ -228,7 +237,8 @@ def _fma(acc, x, y, negate: bool = False):
         if d0 == d:
             return _gr(acc._a + a, acc._b + b, d)
         return _gr(acc._a * d + a * d0, acc._b * d + b * d0, d0 * d)
-    p = x * y
+    else:
+        p = x * y
     if acc is None:
         return -p if negate else p
     return acc - p if negate else acc + p

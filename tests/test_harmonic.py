@@ -624,3 +624,34 @@ def test_reconstruct_reads_weight_blocks_without_matrix_products(monkeypatch):
     f = Section("su11", {(0, 0b01): GR(2), (0, 0b00): GR(1)})
     assert reconstruct(expand(f).coefficients, "su11") == f
     assert sorted(products) == [((1, 1), (1, 1)), ((3, 3), (3, 3))]
+
+
+def test_section_product_tests_each_term_once(monkeypatch):
+    # the product's sums are dropped to its nonzero terms once: at most one
+    # is_zero() per key that a pair of terms reaches
+    rng = random.Random(34)
+    root = sqrt_neg_im(3)
+    pairs = []
+    for group in ("s11", "su11"):
+        masks = range(1 << len(ODD_COORDS[group]))
+        f, g = (Section(group, {
+            (rng.randint(-2, 2), rng.choice(masks)):
+                GR(rng.randint(-3, 3), rng.randint(1, 3)) + rng.randint(0, 1) * root
+            for _ in range(8)}) for _ in range(2))
+        pairs += [(f, g), (f, -f), (f, f)]
+    for f, g in pairs:
+        keys = {(m1 + m2, k1 | k2) for m1, k1 in f.terms for m2, k2 in g.terms
+                if not k1 & k2}
+        tests = []
+        for cls in (GR, ExtendedScalar):
+            is_zero = cls.is_zero
+            monkeypatch.setattr(cls, "is_zero", lambda self, is_zero=is_zero:
+                                tests.append(1) or is_zero(self))
+        product = f * g
+        monkeypatch.undo()
+        assert 0 < len(tests) <= len(keys)
+        ring = GeneratorSet(ODD_COORDS[f.group], even=("t",))
+        lf, lg = (ring.element({((m,), mask): c for (m, mask), c
+                                in h.terms.items()}) for h in (f, g))
+        assert product == Section(f.group, [((exps[0], mask), c) for (exps, mask), c
+                                            in (lf * lg).terms.items()])

@@ -340,3 +340,40 @@ def test_foreign_zeros_act_as_the_shared_zero(data):
     product = a * b
     assert a_foreign * b_foreign == a_foreign * b == a * b_foreign == product
     assert (a_foreign * b_foreign)._nonzeros() == product._nonzeros()
+
+
+# ones that are not the shared ONE, which the product kernels skip by
+# identity; these take the ordinary multiply
+FOREIGN_ONES = [lambda: GR(1), lambda: GR(1, 0),
+                lambda: GR(2, -1) / GR(2, -1),
+                lambda: ExtendedScalar(GR(1), GR(1), 3)
+                / ExtendedScalar(GR(1), GR(1), 3)]
+
+
+def _with_shared_and_foreign_ones(draw, nrows, ncols):
+    """One grid twice, rich in ones: with the shared ONE, and with each of
+    its ONEs replaced by a foreign one."""
+    entry = st.one_of(st.just(linalg.ONE), st.just(linalg.ONE), _exact_entries())
+    shared = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    foreign = [[draw(st.sampled_from(FOREIGN_ONES))() if x is linalg.ONE
+                else x for x in row] for row in shared]
+    assert all(x is not linalg.ONE for row in foreign for x in row)
+    return Matrix(shared), Matrix(foreign)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_foreign_ones_act_as_the_shared_one(data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, a_foreign = _with_shared_and_foreign_ones(data.draw, n, k)
+    b, b_foreign = _with_shared_and_foreign_ones(data.draw, k, m)
+    assert a_foreign.rref() == a.rref()
+    assert a_foreign.kernel_basis() == a.kernel_basis()
+    product = a * b
+    assert a_foreign * b_foreign == a_foreign * b == a * b_foreign == product
+    assert product == Matrix(_naive_product(a.rows, b.rows))
+    if n == k:
+        assert a_foreign.rank() == a.rank()
+        if a.rank() == n:
+            assert a_foreign.inverse() == a.inverse()

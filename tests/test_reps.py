@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reps_reference
+from supercircle import reps
 from supercircle.liealg import Representation, validate_representation
 from supercircle.linalg import Matrix
 from supercircle.reps import (
+    _completing_free_columns,
     decompose_s11,
     conjugate,
     decompose_su11,
@@ -23,7 +25,13 @@ from supercircle.reps import (
     random_direct_sum,
     scramble,
 )
-from supercircle.scalars import ZERO, ExtendedScalar, GaussianRational, sqrt_neg_im
+from supercircle.scalars import (
+    ONE,
+    ZERO,
+    ExtendedScalar,
+    GaussianRational,
+    sqrt_neg_im,
+)
 
 GR = GaussianRational
 
@@ -336,7 +344,8 @@ def test_decompose_s11_matches_the_two_block_reference():
 
 def test_weight_zero_s11_takes_two_eliminations(monkeypatch):
     # one of Z0 for its pivots and kernel, one for the trivial complement in
-    # kernel coordinates, with one row per free column of Z0
+    # kernel coordinates, with one row per image and one column per free
+    # column of Z0
     rep = scramble(direct_sum(make_weight_zero_s11("W"),
                               make_weight_zero_s11("PiW"),
                               make_weight_zero_s11("W"),
@@ -350,5 +359,118 @@ def test_weight_zero_s11_takes_two_eliminations(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting_rref)
     report = decompose_s11(rep)
-    assert len(calls) == 2 and calls[1][0] < calls[0][0]
+    assert calls == [(9, 9), (3, 6)]
     assert report.labels() == (("Ad",), ("Ad",), ("PiAd",), ("trivial", 2, 1))
+
+
+def _greedy_completion(vectors, n):
+    """The unit vectors e_j that a greedy pass keeps after the vectors: the
+    pivot columns past them of rref([vectors | identity])."""
+    k = len(vectors)
+    columns = [list(v) for v in vectors] + [
+        [ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    _, pivots = Matrix([list(r) for r in zip(*columns)]).rref()
+    return [p - k for p in pivots if p >= k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trivial_choice_matches_the_greedy_extension(data):
+    # images read at a subset of free columns, some rank-deficient: zero
+    # vectors, repeats and combinations of earlier ones
+    width = data.draw(st.integers(0, 7))
+    free = sorted(data.draw(st.sets(st.integers(0, width - 1)))) if width else []
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), st.builds(
+        GR, st.integers(-2, 2), st.integers(-2, 2)))
+    images = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        if images and data.draw(st.booleans()):
+            a, b = (data.draw(st.sampled_from(images)) for _ in range(2))
+            c = data.draw(st.builds(GR, st.integers(-2, 2), st.integers(-2, 2)))
+            images.append([x + c * y for x, y in zip(a, b)])
+        else:
+            images.append(data.draw(st.lists(entry, min_size=width,
+                                             max_size=width)))
+    coords = [[img[c] for c in free] for img in images]
+    assert _completing_free_columns(images, free) == _greedy_completion(
+        coords, len(free))
+
+
+def test_su11_forms_us_only_on_even_rows_of_nonzero_weight(monkeypatch):
+    rep = scramble(direct_sum(make_pi_m(2, "+"), make_pi_m(2, "-"),
+                              make_pi_m(-1, "+"), make_adjoint_su11(),
+                              make_trivial("su11", 2, 1)), random.Random(31))
+    u, s = rep.odd["U"], rep.odd["S"]
+    # validation forms its own products on its own rows; only the products
+    # after it are the decomposition's
+    validated, subsets, left_rows = [], [], []
+    require_valid, row_subset, mul = (reps.require_valid, Matrix._row_subset,
+                                      Matrix.__mul__)
+
+    def recording_require_valid(rep):
+        require_valid(rep)
+        validated.append(True)
+
+    def recording_row_subset(self, rows):
+        out = row_subset(self, rows)
+        if self is u and validated:
+            subsets.append((out, list(rows)))
+        return out
+
+    def recording_mul(self, other):
+        if other is s and validated:
+            # the rows of U that the left factor holds, or all of them
+            left_rows.extend(next((rows for m, rows in subsets if m is self),
+                                  range(self.nrows) if self is u else [-1]))
+        return mul(self, other)
+
+    monkeypatch.setattr(reps, "require_valid", recording_require_valid)
+    monkeypatch.setattr(Matrix, "_row_subset", recording_row_subset)
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    report = decompose_su11(rep)
+    monkeypatch.undo()
+    read = [i for i in range(rep.dim)
+            if rep.weights[i] != 0 and rep.parities[i] == 0]
+    assert sorted(left_rows) == read and len(read) == 3
+    assert report.verify(rep)
+    assert report.labels() == (("pi", -1, "+"), ("pi", 2, "+"), ("pi", 2, "-"),
+                               ("weight_zero", 6))
+
+
+def _with_foreign_ones(rep, draw):
+    """rep with each shared ONE in its generators replaced by another one."""
+    foreign = (lambda: GR(1), lambda: GR(1, 0), lambda: GR(2, 1) / GR(2, 1))
+    odd = {name: Matrix([[draw(st.sampled_from(foreign))() if x is ONE else x
+                          for x in row] for row in mat.rows])
+           for name, mat in rep.odd.items()}
+    return Representation(rep.algebra, rep.parities, rep.weights, odd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.data())
+def test_foreign_ones_decompose_as_the_shared_one(algebra, seed, scrambled,
+                                                  data):
+    rng = random.Random(seed)
+    rep = random_direct_sum(algebra, rng)
+    if scrambled:
+        rep = scramble(rep, rng)
+    other = _with_foreign_ones(rep, data.draw)
+    assert other == rep
+    decompose = decompose_s11 if algebra == "s11" else decompose_su11
+    report, other_report = decompose(rep), decompose(other)
+    assert other_report.to_json() == report.to_json()
+    assert other_report.verify(other) and report.verify(other)
+
+
+def test_restrict_takes_only_distinct_indices_that_are_a_union_of_blocks():
+    rep = direct_sum(make_V_m(2), make_weight_zero_s11("W"), make_V_m(3))
+    assert rep.restrict([5, 4, 2, 3]).weights == (3, 3, 0, 0)
+    assert rep.restrict([]).dim == 0
+    for bad, message in (([-1], "out of range"), ([6], "out of range"),
+                         ([True, 0], "out of range"), ([2.0, 3], "out of range"),
+                         ([0, 0], "repeats"), ([2, 3, 2], "repeats"),
+                         ([0], "weight block m=2"), ([2], "weight block m=0"),
+                         ([0, 1, 5], "weight block m=3")):
+        with pytest.raises(ValueError, match=message):
+            rep.restrict(bad)

@@ -595,3 +595,22 @@ def test_fma_matches_the_operators(acc, x, y, negate):
     for cancelled in (scalars._fma(-p, x, y), scalars._fma(p, x, y, True)):
         assert type(cancelled) is GR and (cancelled._a, cancelled._b,
                                           cancelled._d) == (0, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), gaussians(), st.builds(
+           ExtendedScalar, gaussians(), gaussians(), st.just(5))),
+       st.one_of(gaussians(), st.builds(
+           ExtendedScalar, gaussians(), gaussians(), st.just(5))),
+       st.booleans(), st.booleans())
+def test_fma_skips_the_shared_one_and_agrees_with_other_ones(acc, y, negate,
+                                                              one_left):
+    # a factor that is the shared ONE is skipped by identity; a one built as
+    # another object takes the ordinary multiply and gives the same value
+    ones = (scalars.ONE, GR(1), GR(3, 0) / GR(3, 0))
+    results = [scalars._fma(acc, one, y, negate) if one_left
+               else scalars._fma(acc, y, one, negate) for one in ones]
+    expected = (acc if acc is not None else GR(0)) + (-y if negate else y)
+    assert all(r == expected and type(r) is type(expected) for r in results)
+    if acc is None and not negate:
+        assert results[0] is y
