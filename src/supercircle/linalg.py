@@ -9,7 +9,10 @@ first time a product or a zero test needs them and keeps that list, so each
 entry is tested for zero at most once in the matrix's life.  An entry that
 no product term reaches is the shared ``ZERO``, so the hot zero tests
 compare with it by identity first and call ``is_zero()`` for any other
-entry, which still finds a zero that is another object.
+entry, which still finds a zero that is another object.  In the same way
+the multiply-add :func:`~supercircle.scalars._fma` takes a term with a
+factor that is the shared ``ONE`` as the other factor, with no multiply;
+identity matrices and unit basis vectors hold that object.
 """
 
 from __future__ import annotations

@@ -643,10 +643,15 @@ def test_section_product_tests_each_term_once(monkeypatch):
         keys = {(m1 + m2, k1 | k2) for m1, k1 in f.terms for m2, k2 in g.terms
                 if not k1 & k2}
         tests = []
+
+        def counting(is_zero):
+            def counted(self):
+                tests.append(1)
+                return is_zero(self)
+            return counted
+
         for cls in (GR, ExtendedScalar):
-            is_zero = cls.is_zero
-            monkeypatch.setattr(cls, "is_zero", lambda self, is_zero=is_zero:
-                                tests.append(1) or is_zero(self))
+            monkeypatch.setattr(cls, "is_zero", counting(cls.is_zero))
         product = f * g
         monkeypatch.undo()
         assert 0 < len(tests) <= len(keys)
