@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
-from .linalg import Matrix, matrix_from_json, matrix_to_json
+from .linalg import Matrix, _product_rows, matrix_from_json, matrix_to_json
 from .scalars import ZERO, ExtendedScalar, GaussianRational, Scalar
 
 ODD_GENERATORS = {"s11": ("Z",), "su11": ("U", "S")}
@@ -278,20 +278,16 @@ def representation_from_json(obj: object) -> Representation:
                           [e.get("weight") for e in basis], odd)
 
 
-def _first_violation(products: Sequence[Matrix], rows: Sequence[int],
-                     diagonal: Sequence[Scalar], weights,
+def _first_violation(pairs: Sequence[Tuple[Matrix, Matrix]],
+                     rows: Sequence[int], diagonal: Sequence[Scalar], weights,
                      relation: str) -> Optional[str]:
-    """The first row-major entry where the sum of the products differs from
-    diag(diagonal), where row r of each product is row rows[r] of the
-    relation; only the nonzero patterns of the products are read."""
-    patterns = [p._nonzeros() for p in products]
-    for r, i in enumerate(rows):
-        row: Dict[int, Scalar] = {}
-        for nz in patterns:
-            for j, x in nz[r]:
-                row[j] = row[j] + x if j in row else x
+    """The first row-major entry, on the listed rows, where the sum of the
+    products left * right over the pairs differs from diag(diagonal); each
+    row is accumulated from the factors' nonzero patterns and then tested."""
+    for i, row in zip(rows, _product_rows(pairs, rows)):
         wrong = [j for j, x in row.items() if j != i and not x.is_zero()]
-        if row.get(i, ZERO) != diagonal[i]:
+        x, d = row.get(i, ZERO), diagonal[i]
+        if x is not d and x != d:
             wrong.append(i)
         if wrong:
             return "%s at weight block m=%d (entry (%d,%d))" % (
@@ -320,29 +316,31 @@ def _unimplied_rows(rep: Representation) -> List[int]:
 
 def _relation_problems(rep: Representation,
                        rows: Sequence[int]) -> List[str]:
-    """The violated bracket relations, read on the listed rows of their
-    products.  The su11 square (U*S)^2 is checked only on all rows and only
-    when another relation failed: U^2 = S^2 = D and US + SU = 0 give
-    (US)^2 = -U^2 S^2 = -D^2, which is diag(m^2) for D = diag(-i*m)."""
+    """The violated bracket relations, read on the listed rows.  The su11
+    square (U*S)^2 is checked only on all rows and only when another
+    relation failed, and only then is U*S formed as a matrix: U^2 = S^2 = D
+    and US + SU = 0 give (US)^2 = -U^2 S^2 = -D^2, which is diag(m^2) for
+    D = diag(-i*m)."""
     problems: List[str] = []
 
-    def check(products, diagonal, relation):
-        msg = _first_violation(products, rows, diagonal, rep.weights, relation)
+    def check(pairs, diagonal, relation):
+        msg = _first_violation(pairs, rows, diagonal, rep.weights, relation)
         if msg:
             problems.append(msg)
 
-    minus_ic = [GaussianRational(0, -m) for m in rep.weights]
+    # a zero diagonal entry is the shared ZERO, which an empty row meets by
+    # identity in _first_violation
+    minus_ic = [GaussianRational(0, -m) if m else ZERO for m in rep.weights]
     for name in rep.generator_names:
         mat = rep.odd[name]
-        check([mat._row_subset(rows) * mat], minus_ic, "%s^2 != -i*m" % name)
+        check([(mat, mat)], minus_ic, "%s^2 != -i*m" % name)
     if rep.algebra == "su11":
         u = rep.odd["U"]
         s = rep.odd["S"]
-        us = u._row_subset(rows) * s
-        check([us, s._row_subset(rows) * u], [ZERO] * rep.dim,
-              "U*S + S*U != 0")
+        check([(u, s), (s, u)], [ZERO] * rep.dim, "U*S + S*U != 0")
         if problems and len(rows) == rep.dim:
-            check([us * us], [GaussianRational(m * m) for m in rep.weights],
+            us = u * s
+            check([(us, us)], [GaussianRational(m * m) for m in rep.weights],
                   "(U*S)^2 != m^2")
     return problems
 
@@ -359,7 +357,8 @@ def validate_representation(rep: Representation) -> List[str]:
     Two basis vectors are linked when some generator has a nonzero entry
     between them; the relations multiply and add only entries of one linked
     set, so a direct sum may write equal weights over different extensions.
-    Only the last step does arithmetic.  It forms the relation products only
+    Only the last step does arithmetic.  It accumulates each relation row
+    from the generators' nonzero patterns, with no product matrix, and only
     on the rows the other rows do not imply: even rows, weight-zero rows, and
     the rows of nonzero-weight blocks whose even and odd parts differ in
     size.  If one of those fails, it checks every row, and the su11 square

@@ -4,7 +4,8 @@ Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
 Representation matrices are weight-block-sparse, so products and elimination
-walk only nonzero entries.  A matrix lists its nonzero entries row by row the
+walk only nonzero entries; :func:`_product_rows` gives single rows of a sum
+of products from the same walk, forming no product matrix.  A matrix lists its nonzero entries row by row the
 first time a product or a zero test needs them and keeps that list, so each
 entry is tested for zero at most once in the matrix's life.  An entry that
 no product term reaches is the shared ``ZERO``, so the hot zero tests
@@ -18,7 +19,7 @@ identity matrices and unit basis vectors hold that object.
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._values import Frozen, expect
 from .scalars import (
@@ -43,8 +44,9 @@ class Matrix(Frozen):
 
     The nonzero pattern, per row the ``(column, entry)`` pairs of its nonzero
     entries in column order, is computed on first use and kept: products walk
-    the patterns of both factors, and representation validation walks the
-    patterns of the generators and of their products.
+    the patterns of both factors, and so does :func:`_product_rows`, which
+    validation and the su11 decomposition use for single rows of a sum of
+    products.
     """
 
     __slots__ = ("_rows", "_ncols", "_nz")
@@ -120,14 +122,6 @@ class Matrix(Frozen):
 
     def col(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(r[j] for r in self._rows)
-
-    def _row_subset(self, rows: Sequence[int]) -> "Matrix":
-        """The listed rows, in the listed order.  The row lists, and the
-        nonzero pattern when it is known, are shared with this matrix."""
-        m = Matrix._of([self._rows[i] for i in rows], self._ncols)
-        if self._nz is not None:
-            object.__setattr__(m, "_nz", [self._nz[i] for i in rows])
-        return m
 
     def _submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the listed rows and columns, in the listed order."""
@@ -290,6 +284,23 @@ class Matrix(Frozen):
         if tuple(pivots) != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix._of([r[n:] for r in red._rows], n)
+
+
+def _product_rows(pairs: Sequence[Tuple[Matrix, Matrix]],
+                  rows: Sequence[int]) -> Iterator[Dict[int, Scalar]]:
+    """Each listed row, in order, of the sum of left * right over the
+    (left, right) pairs, read off the factors' nonzero patterns with no
+    product matrix: a dict from each column that some term reaches to its
+    entry, which may be zero.  An entry sums its terms pair by pair in
+    ascending k, one _fma per term.  Rows are made only as they are taken."""
+    patterns = [(left._nonzeros(), right._nonzeros()) for left, right in pairs]
+    for i in rows:
+        row: Dict[int, Scalar] = {}
+        for left, right in patterns:
+            for k, a in left[i]:
+                for j, b in right[k]:
+                    row[j] = _fma(row.get(j), a, b)
+        yield row
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ._values import Frozen, _brief, _fits
 from .liealg import Representation, _odd_generators, require_valid
-from .linalg import Matrix, block_diagonal, matrix_to_json
+from .linalg import Matrix, _product_rows, block_diagonal, matrix_to_json
 from .scalars import I, ONE, ZERO, GaussianRational, Scalar, sqrt_neg_im
 
 
@@ -361,17 +361,25 @@ def decompose_su11(rep: Representation) -> DecompositionReport:
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
         evens = [i for i in indices if rep.parities[i] == 0]
-        # U*S only on the even rows of this block, the rows it reads
-        t_blk = (u._row_subset(evens) * s)._submatrix(range(len(evens)), evens)
+        odds = [i for i in indices if rep.parities[i] == 1]
+        # U*S on the even rows of this block, which U and S (valid: odd and
+        # weight-preserving) keep on its even columns
+        t_blk = Matrix._of([[row.get(j, ZERO) for j in evens] for row
+                            in _product_rows([(u, s)], evens)], len(evens))
         for lam, sign in ((m, "+"), (-m, "-")):
             shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
             eig = shifted.kernel_basis()
             block = make_pi_m(m, sign) if eig else None
             for vec in eig:
                 f = _embed(vec, evens, n)
-                uf = (u * Matrix._of([[x] for x in f], 1)).col(0)
-                columns.extend([f, [ZERO if x is ZERO or x.is_zero()
-                                    else x * s_inv for x in uf]])
+                # U*f is zero outside the odd rows of this block
+                uf = _product_rows([(u, Matrix._of([[x] for x in f], 1))], odds)
+                partner = [ZERO] * n
+                for i, row in zip(odds, uf):
+                    x = row.get(0, ZERO)
+                    if x is not ZERO and not x.is_zero():
+                        partner[i] = x * s_inv
+                columns.extend([f, partner])
                 blocks.append((("pi", m, sign), block))
 
     zero_idx = [i for i in range(n) if rep.weights[i] == 0]

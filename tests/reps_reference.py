@@ -1,7 +1,12 @@
-"""A two-block reference for the s11 decomposition.
+"""References for the s11 and su11 decompositions.
 
-The weight-zero part follows the older construction: restrict the
-representation to weight zero, split Z into the block A from even into odd
+The su11 reference forms the products as matrices: U*S on every row, its
+even rows and columns of each nonzero weight, and each partner U*f as a
+product with the column f.  The library reads the same entries off the
+generators' nonzero patterns, with no product matrix.
+
+At weight zero the s11 reference follows the older construction: restrict
+the representation to weight zero, split Z into the block A from even into odd
 coordinates and the block B from odd into even ones, eliminate each block
 separately for its pivot columns, its kernel and its trivial complement, and
 embed every vector back into the full coordinates.  The library does one
@@ -9,10 +14,11 @@ elimination of the whole weight-zero block of Z instead; tests compare the
 two reports byte for byte, on the models ``weight_zero_heavy_s11`` draws.
 """
 
-from supercircle.linalg import from_columns
+from supercircle.linalg import Matrix, from_columns
 from supercircle.reps import (
     DecompositionReport,
     direct_sum,
+    make_pi_m,
     make_trivial,
     make_V_m,
     make_weight_zero_s11,
@@ -96,6 +102,31 @@ def decompose_s11(rep):
     te, to_ = len(triv_even), len(triv_odd)
     blocks.append((("trivial", te, to_), make_trivial("s11", te, to_)))
     return DecompositionReport("s11", blocks, from_columns(columns))
+
+
+def decompose_su11(rep):
+    u, s = rep.odd["U"], rep.odd["S"]
+    n = rep.dim
+    us = u * s
+    columns = []
+    blocks = []
+    for m in sorted({m for m in rep.weights if m != 0}):
+        s_inv = sqrt_neg_im(m).inverse()
+        evens = [i for i in range(n)
+                 if rep.weights[i] == m and rep.parities[i] == 0]
+        t_blk = us._submatrix(evens, evens)
+        for lam, sign in ((m, "+"), (-m, "-")):
+            shifted = t_blk - Matrix.diagonal([GaussianRational(lam)] * len(evens))
+            for vec in shifted.kernel_basis():
+                f = embed(vec, evens, n)
+                uf = (u * Matrix.column(f)).col(0)
+                columns.extend([f, [x * s_inv for x in uf]])
+                blocks.append((("pi", m, sign), make_pi_m(m, sign)))
+    zero_idx = [i for i in range(n) if rep.weights[i] == 0]
+    if zero_idx:
+        columns.extend(embed([ONE], [idx], n) for idx in zero_idx)
+        blocks.append((("weight_zero", len(zero_idx)), rep.restrict(zero_idx)))
+    return DecompositionReport("su11", blocks, from_columns(columns))
 
 
 def weight_zero_heavy_s11(rng):

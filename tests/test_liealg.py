@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import liealg_reference
 import reps_reference
+from supercircle import liealg, linalg
 from supercircle.liealg import (
     ODD_GENERATORS,
     LieSuperAlgebra,
@@ -479,25 +480,86 @@ def test_validation_reads_the_odd_rows_at_weight_zero():
         assert problems and problems == liealg_reference.validate(rep)
 
 
+def _recording_reads(monkeypatch, names):
+    """Record each row that validation accumulates, as the names of its
+    (left, right) factor pairs and the row index, and each Matrix product
+    it forms, as its factors' names; a factor not in names is '?'."""
+    reads, products = [], []
+    product_rows, mul = liealg._product_rows, Matrix.__mul__
+
+    def name(m):
+        return next((k for k, v in names.items() if v is m), "?")
+
+    def recording_product_rows(pairs, rows):
+        key = tuple((name(a), name(b)) for a, b in pairs)
+        for i, row in zip(rows, product_rows(pairs, rows)):
+            reads.append((key, i))
+            yield row
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        products.append((name(self), name(other)))
+        names.setdefault("%s*%s" % products[-1], out)
+        return out
+
+    monkeypatch.setattr(liealg, "_product_rows", recording_product_rows)
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    return reads, products
+
+
 def test_validation_forms_product_rows_only_for_even_vectors(monkeypatch):
     # every nonzero-weight block of a sum of pi_m^+- is 1|1, so the odd rows
-    # of U^2, S^2 and U*S + S*U follow from the even ones
+    # of U^2, S^2 and U*S + S*U follow from the even ones; each even row is
+    # accumulated from the generators' patterns, with no product matrix
     blocks = [make_pi_m(m, sign) for m in (-3, -2, -1, 1, 2, 3)
               for sign in "+-"]
     rep = scramble(direct_sum(*blocks), random.Random(37))
     evens = [i for i, p in enumerate(rep.parities) if p == 0]
-    even_rows = {tuple(rep.odd[name].rows[i] for i in evens)
-                 for name in ("U", "S")}
-    left_factors = []
-    mul = Matrix.__mul__
-
-    def recording_mul(self, other):
-        left_factors.append(self.rows)
-        return mul(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    reads, products = _recording_reads(monkeypatch, dict(rep.odd))
     assert validate_representation(rep) == []
-    assert len(left_factors) == 4 and set(left_factors) <= even_rows
+    assert products == []
+    assert reads == [(pairs, i)
+                     for pairs in ((("U", "U"),), (("S", "S"),),
+                                   (("U", "S"), ("S", "U")))
+                     for i in evens]
+
+
+def test_relation_check_tests_each_entry_at_most_once(monkeypatch):
+    # pi blocks, whose odd rows are implied, and weight-zero pieces, whose
+    # rows are all checked; patterns are made first, as validation's first
+    # pass over the generators makes them
+    rep = scramble(direct_sum(make_pi_m(2, "+"), make_pi_m(2, "-"),
+                              make_pi_m(-3, "+"), make_adjoint_su11(),
+                              make_trivial("su11", 1, 1)), random.Random(43))
+    nz = {name: rep.odd[name]._nonzeros() for name in ("U", "S")}
+    checked = liealg._unimplied_rows(rep)
+    assert len(checked) < rep.dim
+    terms = entries = 0
+    for pairs in ((("U", "U"),), (("S", "S"),), (("U", "S"), ("S", "U"))):
+        for i in checked:
+            reached = [j for left, right in pairs for k, _ in nz[left][i]
+                       for j, _ in nz[right][k]]
+            terms += len(reached)
+            entries += len(set(reached) - {i})
+    tests, products = [], []
+    fma = linalg._fma
+
+    def counting_fma(acc, x, y, negate=False):
+        products.append(1)
+        return fma(acc, x, y, negate)
+
+    for cls in (GaussianRational, ExtendedScalar):
+        def counting_is_zero(self, is_zero=cls.is_zero):
+            tests.append(1)
+            return is_zero(self)
+        monkeypatch.setattr(cls, "is_zero", counting_is_zero)
+    monkeypatch.setattr(linalg, "_fma", counting_fma)
+    assert validate_representation(rep) == []
+    monkeypatch.undo()
+    # one multiply-add per term of a checked row, and one zero test at most
+    # per accumulated entry off the diagonal, which is compared instead
+    assert len(products) == terms and terms > 0
+    assert 0 < len(tests) <= entries
 
 
 def _swap_columns(rep, name, a, b):
@@ -528,23 +590,31 @@ def test_each_su11_relation_can_fail_alone():
 
 
 def test_valid_su11_validation_skips_the_implied_square(monkeypatch):
-    calls = []
-    mul = Matrix.__mul__
-
-    def counting_mul(self, other):
-        calls.append(1)
-        return mul(self, other)
-
     valid = scramble(random_direct_sum("su11", random.Random(5)),
                      random.Random(6))
     broken = Representation("su11", valid.parities, valid.weights,
                             {**valid.odd, "U": valid.odd["U"] * 2})
-    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    checked = liealg._unimplied_rows(valid)
+    assert 0 < len(checked) < valid.dim
+    relations = ((("U", "U"),), (("S", "S"),), (("U", "S"), ("S", "U")))
+    reads, products = _recording_reads(monkeypatch, dict(valid.odd))
     assert validate_representation(valid) == []
-    # U*U, S*S, U*S and S*U; (U*S)^2 follows from the first three relations
-    assert len(calls) == 4
-    del calls[:]
+    # U^2, S^2 and U*S + S*U on the checked rows; (U*S)^2 follows from them
+    assert products == []
+    assert reads == [(pairs, i) for pairs in relations for i in checked]
+
+    monkeypatch.undo()
+    names = dict(broken.odd)
+    reads, products = _recording_reads(monkeypatch, names)
     assert validate_representation(broken)[-1].startswith("(U*S)^2")
-    # the same four on the checked rows, which fail, then on all rows, and
-    # (U*S)^2
-    assert len(calls) == 9
+    monkeypatch.undo()
+    # the checked rows fail, so every row is checked, and (U*S)^2 is read
+    # off the one product U*S, up to its first wrong row: the first of
+    # nonzero weight, since (2U*S)^2 = 4m^2
+    assert products == [("U", "S")]
+    assert names["U*S"] == broken.odd["U"] * broken.odd["S"]
+    first = next(i for i, m in enumerate(broken.weights) if m)
+    assert [i for pairs, i in reads if pairs == (("U*S", "U*S"),)] == list(
+        range(first + 1))
+    assert {pairs for pairs, i in reads} == set(relations) | {
+        (("U*S", "U*S"),)}

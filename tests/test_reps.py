@@ -401,40 +401,63 @@ def test_su11_forms_us_only_on_even_rows_of_nonzero_weight(monkeypatch):
                               make_pi_m(-1, "+"), make_adjoint_su11(),
                               make_trivial("su11", 2, 1)), random.Random(31))
     u, s = rep.odd["U"], rep.odd["S"]
-    # validation forms its own products on its own rows; only the products
-    # after it are the decomposition's
-    validated, subsets, left_rows = [], [], []
-    require_valid, row_subset, mul = (reps.require_valid, Matrix._row_subset,
-                                      Matrix.__mul__)
+    # validation reads its own rows; only the reads after it are the
+    # decomposition's
+    validated, us_rows, uf_rows, products = [], [], [], []
+    require_valid, product_rows, mul = (reps.require_valid, reps._product_rows,
+                                        Matrix.__mul__)
 
     def recording_require_valid(rep):
         require_valid(rep)
         validated.append(True)
 
-    def recording_row_subset(self, rows):
-        out = row_subset(self, rows)
-        if self is u and validated:
-            subsets.append((out, list(rows)))
-        return out
+    def recording_product_rows(pairs, rows):
+        ((left, right),) = pairs
+        assert left is u and validated
+        # U*S, or U times a column: an eigenvector and its partner U*f
+        read = us_rows if right is s else uf_rows
+        assert right is s or right.ncols == 1
+        for i, row in zip(rows, product_rows(pairs, rows)):
+            read.append(i)
+            yield row
 
     def recording_mul(self, other):
-        if other is s and validated:
-            # the rows of U that the left factor holds, or all of them
-            left_rows.extend(next((rows for m, rows in subsets if m is self),
-                                  range(self.nrows) if self is u else [-1]))
+        products.append((self, other))
         return mul(self, other)
 
     monkeypatch.setattr(reps, "require_valid", recording_require_valid)
-    monkeypatch.setattr(Matrix, "_row_subset", recording_row_subset)
+    monkeypatch.setattr(reps, "_product_rows", recording_product_rows)
     monkeypatch.setattr(Matrix, "__mul__", recording_mul)
     report = decompose_su11(rep)
     monkeypatch.undo()
-    read = [i for i in range(rep.dim)
-            if rep.weights[i] != 0 and rep.parities[i] == 0]
-    assert sorted(left_rows) == read and len(read) == 3
+    assert products == []
+
+    def rows(parity, m):
+        return [i for i in range(rep.dim)
+                if rep.weights[i] == m and rep.parities[i] == parity]
+
+    assert sorted(us_rows) == rows(0, -1) + rows(0, 2) and len(us_rows) == 3
+    # one partner per eigenvector, on the odd rows of its block
+    assert sorted(uf_rows) == sorted(rows(1, -1) + 2 * rows(1, 2))
     assert report.verify(rep)
     assert report.labels() == (("pi", -1, "+"), ("pi", 2, "+"), ("pi", 2, "-"),
                                ("weight_zero", 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-4, 4).filter(bool), st.lists(st.sampled_from("+-"),
+                                                 min_size=2, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_decompose_su11_matches_the_product_reference(m, signs, seed):
+    # two or more pi blocks of one weight, so an eigenspace of U*S can have
+    # dimension above 1, beside a random su11 sum
+    rng = random.Random(seed)
+    rep = scramble(direct_sum(random_direct_sum("su11", rng),
+                              *(make_pi_m(m, sign) for sign in signs)), rng)
+    got = json.dumps(decompose_su11(rep).to_json(), sort_keys=True)
+    want = json.dumps(reps_reference.decompose_su11(rep).to_json(),
+                      sort_keys=True)
+    assert got == want
 
 
 def _with_foreign_ones(rep, draw):
