@@ -15,10 +15,23 @@ is another object.  In the same way the multiply-add
 :func:`~supercircle.scalars._fma` takes a term with a factor that is the
 shared ``ONE`` as the other factor, with no multiply; identity matrices and
 unit basis vectors hold that object.
+
+A row of :func:`_product_rows` has a second path, for rows wide enough to
+pay: when the row and the right rows it reaches hold only GaussianRationals,
+not all with denominator 1, each right row is scaled once per call to
+Gaussian integers over the lcm of its denominators, the row's terms are
+summed as integers over one common denominator, and each entry is
+normalised once, so an entry of t terms costs one gcd instead of t.  The
+relation rows of a scrambled weight-zero class of s11 are such rows; Q(i)[s]
+rows, short rows and the su11 rows, which mostly have one or two terms per
+entry, take the ``_fma`` path, and so does every row of ``Matrix.__mul__``,
+where the same test cost more on small products than it saved on large
+ones.  Both paths give the same canonical values.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,8 +39,10 @@ from ._values import Frozen, expect
 from .scalars import (
     ONE,
     ZERO,
+    GaussianRational,
     Scalar,
     _fma,
+    _gr,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -289,19 +304,100 @@ class Matrix(Frozen):
 
 def _product_rows(pairs: Sequence[Tuple[Matrix, Matrix]],
                   rows: Sequence[int]) -> Iterator[Dict[int, Scalar]]:
-    """Each listed row, in order, of the sum of left * right over the
-    (left, right) pairs, read off the factors' nonzero patterns with no
+    """Each listed row, in order, of the sum of left * right over one or
+    more (left, right) pairs, read off the factors' nonzero patterns with no
     product matrix: a dict from each column that some term reaches to its
-    entry, which may be zero.  An entry sums its terms pair by pair in
-    ascending k, one _fma per term.  Rows are made only as they are taken."""
+    entry, which may be zero.  Rows are made only as they are taken.
+
+    A row has two paths, chosen from its own pattern.  A wide row, whose
+    first pair has at least ``_WIDE`` entries in its left row and in the
+    first right row that this reaches, goes to :func:`_integer_row`: one
+    ``_gr`` per entry over a common denominator.  Every other row, and a
+    wide row that the integer path hands back (a Q(i)[s] factor, or no
+    denominator but 1), sums each entry's terms pair by pair in ascending k,
+    one ``_fma`` per term.  Both paths give the same canonical values."""
     patterns = [(left._nonzeros(), right._nonzeros()) for left, right in pairs]
+    left0, right0 = patterns[0]
+    wide = _WIDE
+    scaled: Optional[List[Dict[int, object]]] = None
     for i in rows:
-        row: Dict[int, Scalar] = {}
+        lrow = left0[i]
+        if len(lrow) >= wide and len(right0[lrow[0][0]]) >= wide:
+            if scaled is None:
+                scaled = [{} for _ in patterns]
+            row = _integer_row(i, patterns, scaled)
+            if row is not None:
+                yield row
+                continue
+        row = {}
         for left, right in patterns:
             for k, a in left[i]:
                 for j, b in right[k]:
                     row[j] = _fma(row.get(j), a, b)
         yield row
+
+
+# The width from which a row pays for the integer path.  Over a dense weight
+# class each left entry adds about one term to every entry, so the left
+# row's length is about the terms per entry and the right row's the entries;
+# narrower rows (su11's mostly have one or two terms per entry) gain less
+# than the right rows' scaling costs.
+_WIDE = 3
+
+
+def _scaled_row(row: List[Tuple[int, Scalar]]):
+    """A pattern row as Gaussian integers over the lcm l of its
+    denominators, ``(l, [(j, re, im), ...])``, or False if an entry is not a
+    GaussianRational."""
+    l = 1
+    for _, x in row:
+        if type(x) is not GaussianRational:
+            return False
+        if l % x._d:
+            l = math.lcm(l, x._d)
+    return l, [(j, x._a * (l // x._d), x._b * (l // x._d)) for j, x in row]
+
+
+def _integer_row(i: int, patterns, scaled) -> Optional[Dict[int, Scalar]]:
+    """Row i of the sum of the products whose nonzero patterns are the
+    (left, right) pairs, as :func:`_product_rows` gives it, accumulated in
+    Gaussian integers over one common denominator d with one ``_gr`` per
+    entry; or None, before any term is formed, if a factor is not a
+    GaussianRational or d is 1.  Each right row is scaled to the lcm of its
+    denominators once per call: scaled holds one dict per pair, from k to
+    ``_scaled_row(right[k])``, and the caller keeps it across rows."""
+    terms = []
+    d = 1
+    for (left, right), cache in zip(patterns, scaled):
+        for k, a in left[i]:
+            if type(a) is not GaussianRational:
+                return None
+            s = cache.get(k)
+            if s is None:
+                s = cache[k] = _scaled_row(right[k])
+            if s is False:
+                return None
+            if s[1]:
+                x = a._d * s[0]
+                if d % x:
+                    d = math.lcm(d, x)
+                terms.append((a._a, a._b, x, s[1]))
+    if d == 1:
+        return None
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    for a, b, x, srow in terms:
+        if x != d:
+            f = d // x
+            a, b = a * f, b * f
+        for j, p, q in srow:
+            if j in re:
+                re[j] += a * p - b * q
+                im[j] += a * q + b * p
+            else:
+                re[j] = a * p - b * q
+                im[j] = a * q + b * p
+    return {j: _gr(x, im[j], d) for j, x in re.items()}
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercircle import linalg
+from supercircle import linalg, scalars
 from supercircle.linalg import Matrix, block_diagonal, from_columns
 from supercircle.scalars import ExtendedScalar, GaussianRational
 
@@ -377,3 +377,114 @@ def test_foreign_ones_act_as_the_shared_one(data):
         assert a_foreign.rank() == a.rank()
         if a.rank() == n:
             assert a_foreign.inverse() == a.inverse()
+
+
+def _fma_rows(pairs, rows):
+    """The reference for ``linalg._product_rows``: each listed row of the
+    sum of left * right over the pairs, one ``_fma`` per term of two nonzero
+    entries, as a dict from each column some term reaches to its entry."""
+    out = []
+    for i in rows:
+        row = {}
+        for left, right in pairs:
+            for k, a in enumerate(left.rows[i]):
+                if a.is_zero():
+                    continue
+                for j, b in enumerate(right.rows[k]):
+                    if not b.is_zero():
+                        row[j] = scalars._fma(row.get(j), a, b)
+        out.append(row)
+    return out
+
+
+def _typed(row):
+    return {j: (type(x), x) for j, x in row.items()}
+
+
+def _kernel_entries():
+    """Mostly nonzero entries, so rows are wide enough for the integer path:
+    the shared ZERO and ONE, Gaussian rationals over several denominators,
+    Gaussian integers, and now and then a Q(i)[s] value."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.one_of(
+        st.just(linalg.ZERO), st.just(linalg.ONE),
+        st.builds(GR, part, part), st.builds(GR, part, part),
+        st.builds(GR, st.integers(-3, 3), st.integers(-3, 3)),
+        st.builds(ExtendedScalar, st.builds(GR, part), st.just(GR(1)),
+                  st.just(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_rows_match_an_fma_loop(data):
+    n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+
+    def grid(nrows, ncols):
+        row = st.lists(_kernel_entries(), min_size=ncols, max_size=ncols)
+        return Matrix(data.draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+    a, b = grid(n, k), grid(k, m)
+    pairs = [(a, b)]
+    shape = data.draw(st.sampled_from(["one", "two", "cancelling"]))
+    if shape == "two":
+        pairs.append((grid(n, k), grid(k, m)))
+    elif shape == "cancelling":
+        # a*b + a*(-b): every reached entry sums to zero
+        pairs.append((a, -b))
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    got = list(linalg._product_rows(pairs, rows))
+    want = _fma_rows(pairs, rows)
+    assert [_typed(r) for r in got] == [_typed(r) for r in want]
+    if shape == "cancelling":
+        assert all(x == GR(0) for r in got for x in r.values())
+
+
+def _wide(rng, n, den):
+    return Matrix([[GR(Fraction(rng.randint(1, 9), rng.choice(den)),
+                       Fraction(rng.randint(-9, 9), rng.choice(den)))
+                    for _ in range(n)] for _ in range(n)])
+
+
+def _counting(monkeypatch):
+    """Count the _fma and _gr calls that linalg makes."""
+    counts = {"_fma": 0, "_gr": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(linalg, name), **kw):
+            counts[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
+def test_an_integer_path_row_makes_one_gr_per_entry(monkeypatch):
+    rng = random.Random(36)
+    n = linalg._WIDE + 2
+    a, b, c = (_wide(rng, n, (1, 2, 3, 7)) for _ in range(3))
+    want = _fma_rows([(a, b), (c, a)], range(n))
+    counts = _counting(monkeypatch)
+    got = list(linalg._product_rows([(a, b), (c, a)], range(n)))
+    monkeypatch.undo()
+    assert got == want
+    # n rows of n entries, each from 2n terms, none of which goes to _fma
+    assert counts == {"_fma": 0, "_gr": n * n}
+
+
+def test_narrow_integral_and_extended_rows_take_the_fma_path(monkeypatch):
+    rng = random.Random(37)
+    n = linalg._WIDE + 2
+    narrow = block_diagonal([_wide(rng, linalg._WIDE - 1, (2, 3))] * 3)
+    integral = _wide(rng, n, (1,))
+    extended = [list(r) for r in _wide(rng, n, (2, 3)).rows]
+    extended[n - 1][n - 1] = ExtendedScalar(GR(1), GR(1), 3)
+    extended = Matrix(extended)
+    for left, right, terms in ((narrow, narrow, 3 * (linalg._WIDE - 1) ** 3),
+                               (integral, integral, n ** 3),
+                               # every row reaches right row n-1, which
+                               # holds the Q(i)[s] entry
+                               (extended, extended, n ** 3)):
+        want = _fma_rows([(left, right)], range(left.nrows))
+        counts = _counting(monkeypatch)
+        got = list(linalg._product_rows([(left, right)], range(left.nrows)))
+        monkeypatch.undo()
+        assert got == want
+        assert counts["_fma"] == terms

@@ -126,3 +126,32 @@ def test_solve_matches_sympy():
         _, pivots = dm.rref()
         assert all(sol[j].is_zero() for j in range(a.ncols) if j not in pivots)
     assert solved >= 50 and inconsistent >= 10
+
+
+def test_product_rows_of_a_scrambled_weight_zero_class_match_sympy():
+    # 40-dimensional weight-zero s11 classes, scrambled: their Z has dense
+    # rows over several denominators, so product rows take the integer path
+    # of linalg._product_rows.  Z*Z vanishes at weight zero, so every entry
+    # cancels; the products of two scrambles' Z do not.
+    from supercircle import linalg, reps
+
+    blocks = ([reps.make_weight_zero_s11("W")] * 9
+              + [reps.make_weight_zero_s11("PiW")] * 9
+              + [reps.make_trivial("s11", 2, 2)])
+    z1, z2 = (reps.scramble(reps.direct_sum(*blocks), random.Random(seed))
+              .odd["Z"] for seed in (40, 41))
+    assert z1.shape == (40, 40)
+    nz = z1._nonzeros()
+    assert any(len(row) >= linalg._WIDE and len(nz[row[0][0]]) >= linalg._WIDE
+               for row in nz if row)
+    d1, d2 = _domain(z1.rows), _domain(z2.rows)
+    for pairs, ref in (([(z1, z1)], d1 * d1), ([(z1, z2)], d1 * d2),
+                       ([(z1, z2), (z2, z1)], d1 * d2 + d2 * d1)):
+        ref = ref.to_list()
+        for i, row in enumerate(linalg._product_rows(pairs, range(40))):
+            assert all(type(x) is GR for x in row.values())
+            assert [row.get(j, GR(0)) for j in range(40)] == [
+                _from_sympy(x) for x in ref[i]]
+    assert any(not x.is_zero()
+               for row in linalg._product_rows([(z1, z2)], range(40))
+               for x in row.values())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liealg_reference
 import reps_reference
 from supercircle import reps
 from supercircle.liealg import Representation, validate_representation
@@ -497,3 +498,25 @@ def test_restrict_takes_only_distinct_indices_that_are_a_union_of_blocks():
                          ([0, 1, 5], "weight block m=3")):
         with pytest.raises(ValueError, match=message):
             rep.restrict(bad)
+
+
+def test_a_dimension_65_s11_input_validates_and_decomposes():
+    # the large-representation input of the dimension sweep: 65 dimensions,
+    # a dense scrambled weight-zero class whose relation rows and certificate
+    # products take linalg's integer row path
+    rng = random.Random(3)
+    model = reps.random_direct_sum("s11", rng, max_blocks=64)
+    rep = reps.scramble(model, rng)
+    assert rep.dim == 65
+    assert validate_representation(rep) == liealg_reference.validate(rep) == []
+    report = reps.decompose_s11(rep)
+    assert report.verify(rep)
+    assert report.labels() == reps.decompose_s11(model).labels()
+    # one wrong weight-zero entry: every row is checked, on both paths
+    z = [list(row) for row in rep.odd["Z"].rows]
+    i, j = next((i, j) for i, row in enumerate(z) for j, x in enumerate(row)
+                if rep.weights[i] == 0 and not x.is_zero())
+    z[i][j] = z[i][j] + 1
+    broken = Representation("s11", rep.parities, rep.weights, {"Z": Matrix(z)})
+    problems = validate_representation(broken)
+    assert problems and problems == liealg_reference.validate(broken)

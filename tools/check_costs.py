@@ -2,18 +2,22 @@
 
 Each check runs cold, as the first check in a fresh interpreter that has
 only imported `supercircle.cli` (and with it every layer and the check suite,
-`supercircle._checks`), at --weights 40 and --seed 0; its cost is the min of
-3 such runs.  The script prints one JSON object: the check that
-`_checks._CLAIM_ORDER` keeps first, then the others in descending cost,
-beside `_CLAIM_ORDER`, position by position, with `differs` set where the
-two name different checks.  A new check gets its place in `_CLAIM_ORDER`
-from this list.  Run it from anywhere, with the standard library alone:
+`supercircle._checks`), at --weights 40 and --seed 0.  The runs go in 3
+rounds, each of which runs every check once, and a check's cost is its min
+over the rounds; so a slow stretch of a shared host lands on one run of
+many checks, not on every run of one.  The script prints one JSON object:
+the check that `_checks._CLAIM_ORDER` keeps first, then the others in
+descending cost, beside `_CLAIM_ORDER`, position by position, with
+`differs` set where the two name different checks.  A new check gets its
+place in `_CLAIM_ORDER` from this list.  Run it from anywhere, with the
+standard library alone:
 
     python3 tools/check_costs.py
 """
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,8 +55,10 @@ def main() -> int:
     from supercircle import _checks
 
     names = [name for name, check in _checks._VERIFY_CHECKS]
-    ms = {name: 1000 * min(cold_seconds(name) for _ in range(REPEATS))
-          for name in names}
+    ms = dict.fromkeys(names, math.inf)
+    for _ in range(REPEATS):
+        for name in names:
+            ms[name] = min(ms[name], 1000 * cold_seconds(name))
     lead = _checks._CLAIM_ORDER[0]
     by_cost = [lead] + sorted((name for name in names if name != lead),
                               key=ms.get, reverse=True)
