@@ -16,17 +16,12 @@ is another object.  In the same way the multiply-add
 shared ``ONE`` as the other factor, with no multiply; identity matrices and
 unit basis vectors hold that object.
 
-A row of :func:`_product_rows` has a second path, for rows wide enough to
-pay: when the row and the right rows it reaches hold only GaussianRationals,
-not all with denominator 1, each right row is scaled once per call to
-Gaussian integers over the lcm of its denominators, the row's terms are
-summed as integers over one common denominator, and each entry is
-normalised once, so an entry of t terms costs one gcd instead of t.  The
-relation rows of a scrambled weight-zero class of s11 are such rows; Q(i)[s]
-rows, short rows and the su11 rows, which mostly have one or two terms per
-entry, take the ``_fma`` path, and so does every row of ``Matrix.__mul__``,
-where the same test cost more on small products than it saved on large
-ones.  Both paths give the same canonical values.
+A wide row of :func:`_product_rows` whose factors are all GaussianRationals
+is summed as Gaussian integers over one common denominator, so an entry of
+t terms costs one gcd instead of t; the relation rows of a scrambled s11
+weight-zero class are such rows.  ``Matrix.__mul__`` keeps the ``_fma``
+path, where the same routing cost more on small products than it saved on
+large ones.
 """
 
 from __future__ import annotations

@@ -401,26 +401,29 @@ def _typed(row):
     return {j: (type(x), x) for j, x in row.items()}
 
 
-def _kernel_entries():
+def _kernel_entries(extended):
     """Mostly nonzero entries, so rows are wide enough for the integer path:
     the shared ZERO and ONE, Gaussian rationals over several denominators,
-    Gaussian integers, and now and then a Q(i)[s] value."""
+    Gaussian integers, and, if extended, Q(i)[s] values."""
     part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    return st.one_of(
-        st.just(linalg.ZERO), st.just(linalg.ONE),
-        st.builds(GR, part, part), st.builds(GR, part, part),
-        st.builds(GR, st.integers(-3, 3), st.integers(-3, 3)),
-        st.builds(ExtendedScalar, st.builds(GR, part), st.just(GR(1)),
-                  st.just(3)))
+    kinds = [st.just(linalg.ZERO), st.just(linalg.ONE),
+             st.builds(GR, part, part), st.builds(GR, part, part),
+             st.builds(GR, part, part),
+             st.builds(GR, st.integers(-3, 3), st.integers(-3, 3))]
+    if extended:
+        kinds.append(st.builds(ExtendedScalar, st.builds(GR, part),
+                               st.just(GR(1)), st.just(3)))
+    return st.one_of(kinds)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_product_rows_match_an_fma_loop(data):
     n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    entries = _kernel_entries(data.draw(st.booleans()))
 
     def grid(nrows, ncols):
-        row = st.lists(_kernel_entries(), min_size=ncols, max_size=ncols)
+        row = st.lists(entries, min_size=ncols, max_size=ncols)
         return Matrix(data.draw(st.lists(row, min_size=nrows, max_size=nrows)))
 
     a, b = grid(n, k), grid(k, m)
