@@ -316,7 +316,7 @@ _VERIFY_CHECKS = [
 # leads, so a worker's first claim is the report's first check.
 _CLAIM_ORDER = (
     "structure-constants", "peter-weyl-span-su11", "intertwiner-spaces",
-    "representation-identities", "decomposition-oracle",
+    "decomposition-oracle", "representation-identities",
     "peter-weyl-span-s11", "factorization-round-trip", "berezinian",
     "involution-sigma", "isomer-convention", "involution-rho",
     "peter-weyl-weight-zero-residual",

@@ -4,8 +4,9 @@ Rank, kernel, and solve decisions must be exact to certify emptiness of
 intertwiner spaces and to make decompositions reproducible, so pivoting always
 selects the first usable row or column (lowest index), never by magnitude.
 Representation matrices are weight-block-sparse, so products and elimination
-walk only nonzero entries; :func:`_product_rows` gives single rows of a sum
-of products from the same walk, forming no product matrix.  A matrix lists
+walk only nonzero entries.  Every product is summed in one place,
+:func:`_product_rows`, which gives single rows of a sum of products;
+``Matrix.__mul__`` takes all of its rows from it.  A matrix lists
 its nonzero entries row by row the first time a product or a zero test
 needs them and keeps that list, so each entry is tested for zero at most
 once in the matrix's life.  An entry that no product term reaches is the
@@ -19,9 +20,8 @@ unit basis vectors hold that object.
 A wide row of :func:`_product_rows` whose factors are all GaussianRationals
 is summed as Gaussian integers over one common denominator, so an entry of
 t terms costs one gcd instead of t; the relation rows of a scrambled s11
-weight-zero class are such rows.  ``Matrix.__mul__`` keeps the ``_fma``
-path, where the same routing cost more on small products than it saved on
-large ones.
+weight-zero class and the rows of a large decomposition certificate's
+products are such rows.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ class Matrix(Frozen):
     column count is stored, so a matrix with no rows keeps it.
 
     The nonzero pattern, per row the ``(column, entry)`` pairs of its nonzero
-    entries in column order, is computed on first use and kept: products walk
-    the patterns of both factors, and so does :func:`_product_rows`, which
-    validation and the su11 decomposition use for single rows of a sum of
-    products.
+    entries in column order, is computed on first use and kept: every
+    product runs through :func:`_product_rows`, which walks the patterns of
+    both factors; ``*`` takes every row from it, and validation and the su11
+    decomposition take single rows of a sum of products.
     """
 
     __slots__ = ("_rows", "_ncols", "_nz")
@@ -167,18 +167,14 @@ class Matrix(Frozen):
         if isinstance(other, Matrix):
             if self._ncols != len(other._rows):
                 raise ValueError("shape mismatch")
-            # Gustavson's row-wise product over the two nonzero patterns.
-            # Each entry is a sum in ascending k of its nonzero terms, one
-            # _fma per term, or ZERO if none.
-            right = other._nonzeros()
+            # an entry that no term reaches is ZERO
             ncols = other._ncols
             out = []
-            for row in self._nonzeros():
-                acc = [None] * ncols
-                for k, a in row:
-                    for j, b in right[k]:
-                        acc[j] = _fma(acc[j], a, b)
-                out.append([ZERO if x is None else x for x in acc])
+            for row in _product_rows([(self, other)], range(len(self._rows))):
+                full = [ZERO] * ncols
+                for j, x in row.items():
+                    full[j] = x
+                out.append(full)
             return Matrix._of(out, ncols)
         try:
             s = as_scalar(other)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -459,17 +460,32 @@ def _counting(monkeypatch):
     return counts
 
 
+def _product(via, pairs, nrows):
+    """Rows 0 to nrows - 1 of the sum over the pairs as dicts, from
+    ``_product_rows``, or from ``left * right`` for one pair with the shared
+    ZEROs (entries no term reaches) left out."""
+    if via == "_product_rows":
+        return list(linalg._product_rows(pairs, range(nrows)))
+    (left, right), = pairs
+    return [{j: x for j, x in enumerate(row) if x is not linalg.ZERO}
+            for row in (left * right).rows]
+
+
 def test_an_integer_path_row_makes_one_gr_per_entry(monkeypatch):
     rng = random.Random(36)
     n = linalg._WIDE + 2
     a, b, c = (_wide(rng, n, (1, 2, 3, 7)) for _ in range(3))
-    want = _fma_rows([(a, b), (c, a)], range(n))
-    counts = _counting(monkeypatch)
-    got = list(linalg._product_rows([(a, b), (c, a)], range(n)))
-    monkeypatch.undo()
-    assert got == want
-    # n rows of n entries, each from 2n terms, none of which goes to _fma
-    assert counts == {"_fma": 0, "_gr": n * n}
+    # a product takes one pair
+    for via, pairs in (("_product_rows", [(a, b), (c, a)]),
+                       ("__mul__", [(a, b)])):
+        want = _fma_rows(pairs, range(n))
+        counts = _counting(monkeypatch)
+        got = _product(via, pairs, n)
+        monkeypatch.undo()
+        assert got == want, via
+        # n rows of n entries, each from n terms per pair, none of which
+        # goes to _fma
+        assert counts == {"_fma": 0, "_gr": n * n}, via
 
 
 def test_narrow_integral_and_extended_rows_take_the_fma_path(monkeypatch):
@@ -480,14 +496,16 @@ def test_narrow_integral_and_extended_rows_take_the_fma_path(monkeypatch):
     extended = [list(r) for r in _wide(rng, n, (2, 3)).rows]
     extended[n - 1][n - 1] = ExtendedScalar(GR(1), GR(1), 3)
     extended = Matrix(extended)
-    for left, right, terms in ((narrow, narrow, 3 * (linalg._WIDE - 1) ** 3),
-                               (integral, integral, n ** 3),
-                               # every row reaches right row n-1, which
-                               # holds the Q(i)[s] entry
-                               (extended, extended, n ** 3)):
+    for (left, right, terms), via in itertools.product(
+            ((narrow, narrow, 3 * (linalg._WIDE - 1) ** 3),
+             (integral, integral, n ** 3),
+             # every row reaches right row n-1, which holds the Q(i)[s]
+             # entry
+             (extended, extended, n ** 3)),
+            ("_product_rows", "__mul__")):
         want = _fma_rows([(left, right)], range(left.nrows))
         counts = _counting(monkeypatch)
-        got = list(linalg._product_rows([(left, right)], range(left.nrows)))
+        got = _product(via, [(left, right)], left.nrows)
         monkeypatch.undo()
-        assert got == want
-        assert counts["_fma"] == terms
+        assert got == want, via
+        assert counts["_fma"] == terms, via

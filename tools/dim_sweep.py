@@ -6,7 +6,8 @@ with `rng = random.Random(seed)`, for the first seed from 0 up whose input
 lies within 10% of the target; so the inputs are fixed and the same for
 every checkout.  The script times `liealg.validate_representation` and
 `reps.decompose_s11` or `reps.decompose_su11` (which validates too) on each
-input in process, each as the min of 3 runs, and prints one JSON object.
+input, and `DecompositionReport.verify` on its decomposition, in process,
+each as the min of 3 runs, and prints one JSON object.
 
 It imports the package from the `src` directory it is given, so the same
 script can time two checkouts, run alternately:
@@ -61,12 +62,14 @@ def main(argv=None) -> int:
         decompose = getattr(reps, "decompose_" + algebra)
         for target in TARGETS:
             seed, rep = fixed_input(reps, algebra, target)
+            report = decompose(rep)
             rows.append({
                 "algebra": algebra, "target": target, "seed": seed,
                 "dim": rep.dim, "weight_zero_dim": rep.weights.count(0),
                 "validate_s": round(best_seconds(
                     liealg.validate_representation, rep), 5),
                 "decompose_s": round(best_seconds(decompose, rep), 5),
+                "verify_s": round(best_seconds(report.verify, rep), 5),
             })
     print(json.dumps({"src": os.path.abspath(args.src), "repeats": REPEATS,
                       "inputs": "scramble(random_direct_sum(algebra, rng, "
