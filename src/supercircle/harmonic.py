@@ -7,8 +7,9 @@ coordinates (theta for the circle group, theta and eta for the unitary one).
 Expansion inverts each nonzero weight's block of coefficient sections in
 closed form, from the explicit matrix elements of V_m and pi_m^+, and reports
 whatever falls outside the coefficient span as an exact residual instead of
-forcing it to zero.  Reconstruction is the forward direction: it reads each
-weight-m entry's section off the block's generators, with no matrix product.
+forcing it to zero.  Reconstruction is the forward direction.  It and
+:func:`matrix_coefficients` read each entry's section off the block's
+generators through :func:`_entry_terms`, with no matrix product.
 
 :func:`matrix_coefficients` validates the representation it is given.
 :func:`expand` builds no block.  It computes each weight's constants (the
@@ -19,17 +20,16 @@ are immutable scalars.  :func:`reconstruct` builds its blocks itself
 call, and does not re-validate them; the ``representation-identities`` check
 of ``verify`` and the tests validate those constructors.  It keeps no block
 across calls: per-weight tables were faster, but they wait on a leaner
-benchmark runner, whose memory bound they broke (ROADMAP item 2).  Only the
-weight-zero blocks still form generator products.  It takes exactly the
-labels that :func:`expand` emits: on s11 ``("V", m)``, ``("trivial",)`` and
-``("W",)``; on su11 ``("pi", m)``, ``("trivial",)`` and ``("adjoint",)``; m
-is an int other than 0.  Any other label raises ValueError.
+benchmark runner, whose memory bound they broke (ROADMAP item 2).  It takes
+exactly the labels that :func:`expand` emits: on s11 ``("V", m)``,
+``("trivial",)`` and ``("W",)``; on su11 ``("pi", m)``, ``("trivial",)`` and
+``("adjoint",)``; m is an int other than 0.  Any other label raises
+ValueError.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
-from operator import mul
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._values import Frozen, Record, _brief, _fits, expect
@@ -52,6 +52,7 @@ from .scalars import (
     ExtensionMismatchError,
     GaussianRational,
     Scalar,
+    _fma,
     as_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -232,29 +233,45 @@ def matrix_coefficients(rep: Representation) -> Dict[Tuple[int, int], Section]:
     nilpotent factor per odd generator, in the factorization order, so the
     coefficient of an odd monomial is the product of the generators it
     selects; for the unitary group that expands to
-    t^m * (delta + theta*U + eta*S + theta*eta*(U*S)) entrywise.
+    t^m * (delta + theta*U + eta*S + theta*eta*(U*S)) entrywise.  Each
+    entry is read off the generators by :func:`_entry_terms`.
     """
     require_valid(rep)
-    products = _generator_products(rep)
+    odd = [rep.odd[name] for name in rep.generator_names]
     return {
-        (i, j): Section(rep.algebra, {
-            (rep.weights[i], mask): p[i, j] for mask, p in enumerate(products)
+        (i, j): Section._of(rep.algebra, {
+            (rep.weights[i], mask): x for mask, x in _entry_terms(odd, i, j)
         })
         for i in range(rep.dim)
         for j in range(rep.dim)
     }
 
 
-def _generator_products(rep: Representation) -> List[Matrix]:
-    """For each odd mask, the product of the generators it selects, in the
-    factorization order (the identity for mask 0)."""
-    names = rep.generator_names
-    products = []
-    for mask in range(1 << len(names)):
-        factors = [rep.odd[name] for k, name in enumerate(names) if mask >> k & 1]
-        products.append(reduce(mul, factors) if factors
-                        else Matrix.identity(rep.dim))
-    return products
+def _entry_terms(odd: Sequence[Matrix], i: int,
+                 j: int) -> List[Tuple[int, Scalar]]:
+    """The nonzero (mask, value) pairs of entry (i, j) of the products of
+    the generators odd (in the factorization order) that each odd mask
+    selects, read off the generators with no matrix product.
+
+    Mask 0 is the identity and a one-generator mask is that generator.
+    su11's mask 3 is (U*S)[i, j], summed over the nonzeros of row i of U; on
+    a weight-m block, whose odd generators swap the even and the odd basis
+    vector, that is U[i, 1-i] * S[1-i, i] on the diagonal and nothing off it.
+    """
+    pairs = [(0, ONE)] if i == j else []
+    for k, g in enumerate(odd):
+        x = g[i, j]
+        if x is not ZERO and not x.is_zero():
+            pairs.append((1 << k, x))
+    if len(odd) == 2:
+        u, s = odd
+        x = None
+        for k, a in u._nonzeros()[i]:
+            if s[k, j] is not ZERO:
+                x = _fma(x, a, s[k, j])
+        if x is not None and not x.is_zero():
+            pairs.append((3, x))
+    return pairs
 
 
 class ExpansionResult(Frozen):
@@ -426,13 +443,12 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
     """The linear combination of matrix-coefficient sections; exact.  Any
     label that expand does not emit for group raises ValueError.
 
-    A weight-m entry's section is read off its block's generators by
-    :func:`_weight_entry`; a weight-zero entry's from the block's generator
-    products, as :func:`matrix_coefficients` forms them.
+    Each entry's section is read off its block's generators by
+    :func:`_entry_terms`, as :func:`matrix_coefficients` reads it.
     """
     _odd_coords(group)  # rejects an unknown tag
     terms: Dict[TermKey, Scalar] = {}
-    blocks = {}  # label -> (weights, entry reader)
+    blocks = {}  # label -> (weights, odd generators)
     for key, c in coefficients.items():
         if not (type(key) is tuple and len(key) == 2
                 and type(key[1]) is tuple and len(key[1]) == 2):
@@ -441,13 +457,9 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
         label, entry = key
         if label not in blocks:
             rep = _label_rep(label, group)
-            if len(label) == 2:  # a weight-m block: read off its generators
-                read = partial(_weight_entry,
-                               [rep.odd[name] for name in rep.generator_names])
-            else:
-                read = partial(_product_entry, _generator_products(rep))
-            blocks[label] = (rep.weights, read)
-        weights, read = blocks[label]
+            blocks[label] = (rep.weights,
+                             [rep.odd[name] for name in rep.generator_names])
+        weights, odd = blocks[label]
         i, j = entry
         if not (type(i) is int and type(j) is int
                 and 0 <= i < len(weights) and 0 <= j < len(weights)):
@@ -455,36 +467,10 @@ def reconstruct(coefficients: Mapping[Tuple[Label, Tuple[int, int]], Scalar],
                              % _brief(key))
         m = weights[i]
         try:  # the entry's section, as matrix_coefficients builds it, times c
-            _add_into(terms, {(m, mask): x * c for mask, x in read(i, j)})
+            _add_into(terms, {(m, mask): x * c
+                              for mask, x in _entry_terms(odd, i, j)})
         except ExtensionMismatchError as exc:
             raise ExtensionMismatchError(
                 "the coefficient of entry %r of %r: %s" % (entry, label, exc)
             ) from None
     return Section._of(group, terms)
-
-
-def _weight_entry(odd: Sequence[Matrix], i: int,
-                  j: int) -> List[Tuple[int, Scalar]]:
-    """The nonzero (mask, value) pairs of entry (i, j) of a 1|1 weight-m
-    block's mask products, read off its generators odd (in the factorization
-    order) with no matrix product: the forward twin of :func:`_weight_solution`.
-
-    Mask 0 is the identity and a one-generator mask is that generator.  Odd
-    generators swap the even and the odd basis vector, so su11's U*S is
-    diagonal, with (U*S)_ii = U[i, 1-i] * S[1-i, i].
-    """
-    pairs = [(0, ONE)] if i == j else []
-    for k, g in enumerate(odd):
-        x = g[i, j]
-        if not x.is_zero():
-            pairs.append((1 << k, x))
-    if i == j and len(odd) == 2:
-        u, s = odd
-        pairs.append((3, u[i, 1 - i] * s[1 - i, i]))
-    return pairs
-
-
-def _product_entry(products: Sequence[Matrix], i: int,
-                   j: int) -> List[Tuple[int, Scalar]]:
-    """The (mask, value) pairs of entry (i, j) of the generator products."""
-    return [(mask, p[i, j]) for mask, p in enumerate(products)]

@@ -19,7 +19,8 @@ unit basis vectors hold that object.
 
 A wide row of :func:`_product_rows` whose factors are all GaussianRationals
 is summed as Gaussian integers over one common denominator, so an entry of
-t terms costs one gcd instead of t; the relation rows of a scrambled s11
+t terms costs one gcd instead of t, and none when every factor is a Gaussian
+integer; the relation rows of a scrambled s11
 weight-zero class and the rows of a large decomposition certificate's
 products are such rows.
 """
@@ -304,9 +305,9 @@ def _product_rows(pairs: Sequence[Tuple[Matrix, Matrix]],
     first pair has at least ``_WIDE`` entries in its left row and in the
     first right row that this reaches, goes to :func:`_integer_row`: one
     ``_gr`` per entry over a common denominator.  Every other row, and a
-    wide row that the integer path hands back (a Q(i)[s] factor, or no
-    denominator but 1), sums each entry's terms pair by pair in ascending k,
-    one ``_fma`` per term.  Both paths give the same canonical values."""
+    wide row that the integer path hands back (a Q(i)[s] factor), sums each
+    entry's terms pair by pair in ascending k, one ``_fma`` per term.  Both
+    paths give the same canonical values."""
     patterns = [(left._nonzeros(), right._nonzeros()) for left, right in pairs]
     left0, right0 = patterns[0]
     wide = _WIDE
@@ -354,7 +355,7 @@ def _integer_row(i: int, patterns, scaled) -> Optional[Dict[int, Scalar]]:
     (left, right) pairs, as :func:`_product_rows` gives it, accumulated in
     Gaussian integers over one common denominator d with one ``_gr`` per
     entry; or None, before any term is formed, if a factor is not a
-    GaussianRational or d is 1.  Each right row is scaled to the lcm of its
+    GaussianRational.  Each right row is scaled to the lcm of its
     denominators once per call: scaled holds one dict per pair, from k to
     ``_scaled_row(right[k])``, and the caller keeps it across rows."""
     terms = []
@@ -373,8 +374,6 @@ def _integer_row(i: int, patterns, scaled) -> Optional[Dict[int, Scalar]]:
                 if d % x:
                     d = math.lcm(d, x)
                 terms.append((a._a, a._b, x, s[1]))
-    if d == 1:
-        return None
     re: Dict[int, int] = {}
     im: Dict[int, int] = {}
     for a, b, x, srow in terms:

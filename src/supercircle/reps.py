@@ -307,12 +307,12 @@ def decompose_s11(rep: Representation) -> DecompositionReport:
     for m, indices in _nonzero_weight_blocks(rep):
         s_inv = sqrt_neg_im(m).inverse()
         block = make_V_m(m)
+        odds = [i for i in indices if rep.parities[i] == 1]
         for f_idx in indices:
             if rep.parities[f_idx] == 0:
-                # Z keeps weights (require_valid), so its column is zero
-                # outside this block
-                partner = _embed([z[i, f_idx] * s_inv for i in indices],
-                                 indices, n)
+                # Z is odd and keeps weights (require_valid), so its column
+                # is zero outside the odd rows of this block
+                partner = _embed([z[i, f_idx] * s_inv for i in odds], odds, n)
                 columns.extend([_embed([ONE], [f_idx], n), partner])
                 blocks.append((("V", m), block))
 

@@ -24,6 +24,8 @@ from supercircle.reps import (
     make_pi_m,
     make_trivial,
     make_weight_zero_s11,
+    random_direct_sum,
+    scramble,
 )
 from supercircle.scalars import (
     ExtendedScalar,
@@ -570,7 +572,23 @@ def test_expand_computes_each_weights_constants_once(monkeypatch):
         "but the weight-3 matrix coefficients lie in Q(i)[s] with m=3")
 
 
-# --- reconstruct against the public coefficient sections ---------------------
+# --- reconstruct and matrix_coefficients against generator products ---------
+
+def _product_coefficients(rep):
+    """Each entry (i, j) as a Section, from the product of the generators
+    that each odd mask selects (the identity for mask 0), formed with
+    Matrix.__mul__ in the factorization order."""
+    products = []
+    for mask in range(1 << len(rep.generator_names)):
+        product = Matrix.identity(rep.dim)
+        for k, name in enumerate(rep.generator_names):
+            if mask >> k & 1:
+                product = product * rep.odd[name]
+        products.append(product)
+    return {(i, j): Section(rep.algebra, {(rep.weights[i], mask): p[i, j]
+                                          for mask, p in enumerate(products)})
+            for i in range(rep.dim) for j in range(rep.dim)}
+
 
 def _emitted_blocks(group):
     """Every label that expand emits on group with |m| <= 40, with its block
@@ -590,10 +608,11 @@ def _emitted_blocks(group):
 @pytest.mark.parametrize("group", ["s11", "su11"])
 def test_reconstruct_matches_matrix_coefficients_entry_by_entry(group):
     # one coefficient at a time, over Q(i) and over the weight's Q(i)[s]: the
-    # entry's public section times the coefficient
+    # entry's section from the generator products times the coefficient
     labels = 0
     for label, rep, root in _emitted_blocks(group):
-        sections = matrix_coefficients(rep)
+        sections = _product_coefficients(rep)
+        assert matrix_coefficients(rep) == sections
         for c in (GR(Fraction(2, 3), -5),
                   GR(1, -2) + GR(Fraction(3, 4), 1) * root):
             for entry, section in sections.items():
@@ -602,9 +621,22 @@ def test_reconstruct_matches_matrix_coefficients_entry_by_entry(group):
     assert labels == 82
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2 ** 32 - 1))
+def test_matrix_coefficients_match_generator_products_on_scrambled_sums(
+        algebra, seed):
+    # a scrambled sum's U rows hold several entries, so theta*eta sums U*S
+    # over more than one term, and some of those sums cancel
+    rng = random.Random(seed)
+    rep = scramble(random_direct_sum(algebra, rng), rng)
+    assert matrix_coefficients(rep) == _product_coefficients(rep)
+
+
 def test_reconstruct_reads_weight_blocks_without_matrix_products(monkeypatch):
-    # the weight-m entries are read off the block's generators; only the
-    # weight-zero labels still form generator products
+    # every entry, weight-m or weight-zero, is read off the block's
+    # generators, in reconstruct and in matrix_coefficients alike
+    scrambled = [scramble(random_direct_sum(group, random.Random(38)),
+                          random.Random(38)) for group in ("s11", "su11")]
     products = []
     original = Matrix.__mul__
 
@@ -620,10 +652,18 @@ def test_reconstruct_reads_weight_blocks_without_matrix_products(monkeypatch):
         res = expand(f)
         assert reconstruct(res.coefficients, group) == f
     assert products == []
-    # su11's weight-zero blocks keep U*S as a matrix product
-    f = Section("su11", {(0, 0b01): GR(2), (0, 0b00): GR(1)})
-    assert reconstruct(expand(f).coefficients, "su11") == f
-    assert sorted(products) == [((1, 1), (1, 1)), ((3, 3), (3, 3))]
+    # the weight-zero labels: trivial, W and adjoint
+    for group in ("s11", "su11"):
+        f = Section(group, {(0, mask): GR(mask + 1, 2)
+                            for mask in range(1 << len(ODD_COORDS[group]))})
+        res = expand(f)
+        assert len({label for label, _ in res.coefficients}) == 2
+        assert reconstruct(res.coefficients, group) + res.residual == f
+        for _, rep, _ in _emitted_blocks(group):
+            matrix_coefficients(rep)
+    for rep in scrambled:
+        matrix_coefficients(rep)
+    assert products == []
 
 
 def test_section_product_tests_each_term_once(monkeypatch):

@@ -191,31 +191,26 @@ def test_product_tests_each_entry_at_most_once(monkeypatch):
     a = block_diagonal([block() for _ in range(3)])
     b = block_diagonal([block() for _ in range(3)])
     expected = Matrix(_naive_product(a.rows, b.rows))
-    tests, products, operator_products = [], [], []
-    is_zero, fma = GaussianRational.is_zero, linalg._fma
-    mul = GaussianRational.__mul__
+    tests, operator_products = [], []
+    is_zero, mul = GaussianRational.is_zero, GaussianRational.__mul__
 
     def counting_is_zero(self):
         tests.append(1)
         return is_zero(self)
 
-    def counting_fma(acc, x, y, negate=False):
-        products.append(1)
-        return fma(acc, x, y, negate)
-
     def counting_mul(self, other):
         operator_products.append(1)
         return mul(self, other)
 
+    counts = _counting(monkeypatch)
     monkeypatch.setattr(GaussianRational, "is_zero", counting_is_zero)
-    monkeypatch.setattr(linalg, "_fma", counting_fma)
     monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
     product = a * b
     monkeypatch.undo()
     assert len(tests) <= 24 * 24 + 24 * 24
-    # only products of two nonzero entries: one multiply-add per (i, k, j)
-    # inside a block, and none through the operators
-    assert len(products) == 3 * 8 ** 3 and operator_products == []
+    # every row is wide and integral: one _gr per entry that a term reaches
+    # (the 8x8 blocks), no multiply-add and no product through the operators
+    assert counts == {"_fma": 0, "_gr": 3 * 8 ** 2} and operator_products == []
     assert product == expected
 
 
@@ -475,9 +470,14 @@ def test_an_integer_path_row_makes_one_gr_per_entry(monkeypatch):
     rng = random.Random(36)
     n = linalg._WIDE + 2
     a, b, c = (_wide(rng, n, (1, 2, 3, 7)) for _ in range(3))
+    # Gaussian integers take the integer path too, with no denominator to
+    # clear
+    integral = _wide(rng, n, (1,))
     # a product takes one pair
     for via, pairs in (("_product_rows", [(a, b), (c, a)]),
-                       ("__mul__", [(a, b)])):
+                       ("__mul__", [(a, b)]),
+                       ("_product_rows", [(integral, integral)]),
+                       ("__mul__", [(integral, integral)])):
         want = _fma_rows(pairs, range(n))
         counts = _counting(monkeypatch)
         got = _product(via, pairs, n)
@@ -492,13 +492,14 @@ def test_narrow_integral_and_extended_rows_take_the_fma_path(monkeypatch):
     rng = random.Random(37)
     n = linalg._WIDE + 2
     narrow = block_diagonal([_wide(rng, linalg._WIDE - 1, (2, 3))] * 3)
-    integral = _wide(rng, n, (1,))
     extended = [list(r) for r in _wide(rng, n, (2, 3)).rows]
     extended[n - 1][n - 1] = ExtendedScalar(GR(1), GR(1), 3)
     extended = Matrix(extended)
+    # a narrow row of Gaussian integers is narrow first
+    narrow_integral = block_diagonal([_wide(rng, linalg._WIDE - 1, (1,))] * 3)
     for (left, right, terms), via in itertools.product(
             ((narrow, narrow, 3 * (linalg._WIDE - 1) ** 3),
-             (integral, integral, n ** 3),
+             (narrow_integral, narrow_integral, 3 * (linalg._WIDE - 1) ** 3),
              # every row reaches right row n-1, which holds the Q(i)[s]
              # entry
              (extended, extended, n ** 3)),
