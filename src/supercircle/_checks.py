@@ -2,6 +2,11 @@
 ``_VERIFY_CHECKS``, and ``_run_checks_forked``, which shares them across
 CPUs.  Each check takes a run's configuration (its ``weights`` and ``seed``)
 and returns (status, detail); the checks share no state.
+
+Four checks prove their claims for every weight m != 0 at once, on blocks
+built from the generator s of the Laurent ring Q(i)[s, 1/s] (see _generic);
+for 0 < |m| <= ``weights``, the counts in their reports, each checks that
+those blocks at s = sqrt_neg_im(m) are the ``make_*`` blocks.
 """
 
 import marshal
@@ -12,21 +17,14 @@ import sys
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .grassmann import GeneratorSet
-from .harmonic import ODD_COORDS, Section, expand, reconstruct
-from .liealg import (
-    builtin_algebra,
-    find_even_intertwiners,
-    validate_representation,
-)
-from .reps import (
-    decompose_s11,
-    decompose_su11,
-    make_pi_m,
-    make_V_m,
-    random_direct_sum,
-    scramble,
-)
+from .grassmann import GeneratorSet, GrassmannElement, _add_into, _nonzero
+from .harmonic import (Section, _entry_terms, _weight_constants,
+                       _weight_solution, expand, reconstruct)
+from .liealg import (Representation, _relation_problems, _structure_problems,
+                     builtin_algebra, find_even_intertwiners)
+from .reps import (_pi_odd, _v_odd, decompose_s11, decompose_su11, make_pi_m,
+                   make_V_m, random_direct_sum, scramble)
+from .scalars import I, ONE, ZERO, _fma, sqrt_neg_im
 from .scalars import GaussianRational as GR
 from .supergroup import (
     GROUP_NAMES,
@@ -66,32 +64,91 @@ def _check_structure_constants(config):
                                          "under the supercommutator"}
 
 
+# the generic root s, and harmonic._weight_constants at it: s, 1/s, i/s, 1/m
+_S = GeneratorSet([], even=["s"]).element({((1,), 0): ONE})
+_CONSTANTS = (_S, _S ** -1, I * _S ** -1, -I * _S ** -2)
+# name: algebra, builder from a root and constructor from a weight
+_WEIGHT_BLOCKS = {
+    "V_m": ("s11", lambda s: _v_odd(s), lambda m: make_V_m(m)),
+    "pi_m^+": ("su11", lambda s: _pi_odd(s, "+"), lambda m: make_pi_m(m, "+")),
+    "pi_m^-": ("su11", lambda s: _pi_odd(s, "-"), lambda m: make_pi_m(m, "-")),
+}
+
+
+def _generic(block: str) -> Representation:
+    """The block built from s, of weight m = i*s^2; sending s to sqrt_neg_im(m)
+    is a ring homomorphism onto the weight-m block, so an identity, or an
+    elimination with unit pivots c*s^k only, holds at every m != 0."""
+    algebra, build, _ = _WEIGHT_BLOCKS[block]
+    m = I * _S ** 2
+    return Representation._of(algebra, (0, 1), (m, m), build(_S))
+
+
+def _at(x, root):
+    """x, an entry of a generic block or a generic constant, at s = root."""
+    if not isinstance(x, GrassmannElement):
+        return x  # an entry in Q(i)
+    value = ZERO
+    for ((k,), _), c in x.terms.items():
+        for _ in range(abs(k)):  # _fma skips a factor that is ONE
+            c = _fma(None, c, root if k > 0 else root.inverse())
+        value = c if value is ZERO else value + c
+    return value
+
+
+def _specialisation_mismatch(bound: int, blocks, constants=()):
+    """The failure detail of the first weight 0 < |m| <= bound at which a
+    named generic block or a constant, at s = sqrt_neg_im(m), differs from
+    its constructor's or _weight_constants(m); None if there is none."""
+    generic = [(block, _WEIGHT_BLOCKS[block][2], _generic(block).odd)
+               for block in blocks]
+    for mm in (m * sign for m in range(1, bound + 1) for sign in (1, -1)):
+        root = sqrt_neg_im(mm)
+        for block, build, odd in generic:
+            made = build(mm)
+            if (made.parities, made.weights) != ((0, 1), (mm, mm)):
+                return {"error": "constructor's basis differs from the "
+                        "generic block's", "weight": mm, "block": block}
+            for name, mat in odd.items():
+                for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    if _at(mat[i, j], root) != made.odd[name][i, j]:
+                        return {"error": "generic block differs from its "
+                                "constructor", "weight": mm, "block": block,
+                                "generator": name, "entry": [i, j]}
+        for k, (x, c) in enumerate(zip(constants, _weight_constants(mm))):
+            if _at(x, root) != c:
+                return {"error": "generic constant %d differs from "
+                                 "_weight_constants" % k, "weight": mm}
+    return None
+
+
 def _check_representation_identities(config):
-    count = 0
-    for m in range(1, config.weights + 1):
-        for mm in (m, -m):
-            for rep in (make_V_m(mm), make_pi_m(mm, "+"), make_pi_m(mm, "-")):
-                problems = validate_representation(rep)
-                if problems:
-                    return "fail", {"error": problems[0],
-                                    "weight": mm}
-                count += 1
-    return "pass", {"weight_bound": config.weights, "representations": count}
+    failed = _specialisation_mismatch(config.weights, _WEIGHT_BLOCKS)
+    if failed:
+        return "fail", failed
+    for block in _WEIGHT_BLOCKS:
+        rep = _generic(block)
+        problems = _structure_problems(rep) or _relation_problems(
+            rep, range(2), [_S * _S] * 2)
+        if problems:
+            return "fail", {"error": problems[0], "block": block}
+    return "pass", {"weight_bound": config.weights,
+                    "representations": 6 * config.weights}
 
 
 def _check_intertwiners(config):
-    for m in range(1, config.weights + 1):
-        for mm in (m, -m):
-            plus = make_pi_m(mm, "+")
-            minus = make_pi_m(mm, "-")
-            if find_even_intertwiners(plus, minus):
-                return "fail", {"error": "unexpected intertwiner between "
-                                         "opposite signs", "weight": mm}
-            selfdim = len(find_even_intertwiners(plus, plus))
-            if selfdim != 1:
-                return "fail", {"error": "self-intertwiner space has "
-                                         "dimension %d" % selfdim,
-                                "weight": mm}
+    signs = ("pi_m^+", "pi_m^-")
+    failed = _specialisation_mismatch(config.weights, signs)
+    if failed:
+        return "fail", failed
+    plus, minus = map(_generic, signs)
+    if find_even_intertwiners(plus, minus):
+        return "fail", {"error": "unexpected intertwiner between "
+                                 "opposite signs"}
+    selfdim = len(find_even_intertwiners(plus, plus))
+    if selfdim != 1:
+        return "fail", {"error": "self-intertwiner space has "
+                                 "dimension %d" % selfdim}
     return "pass", {"weight_bound": config.weights,
                     "cross_dimension": 0, "self_dimension": 1,
                     "weights_checked": 2 * config.weights}
@@ -216,30 +273,37 @@ def _check_isomer_convention(config):
     }
 
 
-def _span_monomials(group: str, bound: int):
-    nmask = 1 << len(ODD_COORDS[group])
-    for m in range(-bound, bound + 1):
-        for mask in range(nmask):
-            if group == "su11" and m == 0 and mask == 0b11:
-                continue
-            yield m, mask
-
-
 def _check_pw_span(group: str):
+    # expand's solution at the generic constants, rebuilt by reconstruct's
+    # reader on the generic block, must be each odd monomial
+    block = {"s11": "V_m", "su11": "pi_m^+"}[group]
     def run(config):
-        count = 0
-        for m, mask in _span_monomials(group, config.weights):
-            f = Section(group, {(m, mask): 1})
+        failed = _specialisation_mismatch(config.weights, [block], _CONSTANTS)
+        if failed:
+            return "fail", failed
+        odd = list(_generic(block).odd.values())  # in generator order
+        nmask = 1 << len(odd)
+        for mask in range(nmask):
+            got: Dict[int, object] = {}
+            rhs = [ONE if k == mask else ZERO for k in range(nmask)]
+            for (i, j), c in _weight_solution(group, _CONSTANTS, rhs):
+                _add_into(got, {k: x * c for k, x in _entry_terms(odd, i, j)})
+            if _nonzero(got) != {mask: ONE}:
+                return "fail", {"error": "reconstruction mismatch",
+                                "block": block, "mask": mask}
+        # weight zero, one fixed case: all but su11's documented residual
+        zero = [mask for mask in range(nmask) if group == "s11" or mask < 3]
+        for mask in zero:
+            f = Section(group, {(0, mask): 1})
             res = expand(f)
             if not res.residual.is_zero():
-                return "fail", {"error": "nonzero residual", "m": m,
+                return "fail", {"error": "nonzero residual", "m": 0,
                                 "mask": mask}
             if reconstruct(res.coefficients, group) != f:
-                return "fail", {"error": "reconstruction mismatch", "m": m,
+                return "fail", {"error": "reconstruction mismatch", "m": 0,
                                 "mask": mask}
-            count += 1
         return "pass", {"group": group, "weight_bound": config.weights,
-                        "monomials": count}
+                        "monomials": 2 * config.weights * nmask + len(zero)}
     return run
 
 
@@ -315,11 +379,10 @@ _VERIFY_CHECKS = [
 # tools/check_costs.py, except that the 1 ms structure-constants check
 # leads, so a worker's first claim is the report's first check.
 _CLAIM_ORDER = (
-    "structure-constants", "peter-weyl-span-su11", "intertwiner-spaces",
-    "decomposition-oracle", "representation-identities",
-    "peter-weyl-span-s11", "factorization-round-trip", "berezinian",
-    "involution-sigma", "isomer-convention", "involution-rho",
-    "peter-weyl-weight-zero-residual",
+    "structure-constants", "decomposition-oracle", "representation-identities",
+    "peter-weyl-span-su11", "intertwiner-spaces", "peter-weyl-span-s11",
+    "factorization-round-trip", "berezinian", "involution-sigma",
+    "isomer-convention", "involution-rho", "peter-weyl-weight-zero-residual",
 )
 
 

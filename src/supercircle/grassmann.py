@@ -409,6 +409,8 @@ class GrassmannElement(Frozen):
         return GrassmannElement._of(self.gens,
                                     _inverse_terms(self.terms, len(self.gens.odd)))
 
+    inverse = invert  # so rref runs over the ring, raising on a non-unit
+
     def star(self) -> "GrassmannElement":
         """Antilinear algebra automorphism.
 

@@ -17,8 +17,8 @@ root s = sqrt_neg_im(m), 1/s, i/s and 1/m) once per process, in
 :func:`_weight_constants`, since the same weights recur across calls; they
 are immutable scalars.  :func:`reconstruct` builds its blocks itself
 (``make_V_m``, ``make_pi_m`` and the weight-zero blocks), once per label and
-call, and does not re-validate them; the ``representation-identities`` check
-of ``verify`` and the tests validate those constructors.  It keeps no block
+call, and does not re-validate them: ``verify`` proves the weight-m blocks'
+relations for every m != 0, and the tests validate all.  It keeps no block
 across calls: per-weight tables were faster, but they wait on a leaner
 benchmark runner, whose memory bound they broke (ROADMAP item 2).  It takes
 exactly the labels that :func:`expand` emits: on s11 ``("V", m)``,

@@ -290,7 +290,7 @@ def _first_violation(pairs: Sequence[Tuple[Matrix, Matrix]],
         if x is not d and x != d:
             wrong.append(i)
         if wrong:
-            return "%s at weight block m=%d (entry (%d,%d))" % (
+            return "%s at weight block m=%s (entry (%d,%d))" % (
                 relation, weights[i], i, min(wrong))
     return None
 
@@ -314,13 +314,13 @@ def _unimplied_rows(rep: Representation) -> List[int]:
             if p == 0 or m == 0 or balance[m]]
 
 
-def _relation_problems(rep: Representation,
-                       rows: Sequence[int]) -> List[str]:
-    """The violated bracket relations, read on the listed rows.  The su11
-    square (U*S)^2 is checked only on all rows and only when another
-    relation failed, and only then is U*S formed as a matrix: U^2 = S^2 = D
-    and US + SU = 0 give (US)^2 = -U^2 S^2 = -D^2, which is diag(m^2) for
-    D = diag(-i*m)."""
+def _relation_problems(rep: Representation, rows: Sequence[int],
+                       minus_ic: Sequence[Scalar]) -> List[str]:
+    """The violated bracket relations, read on the listed rows, for the
+    diagonal D = minus_ic of -i*m (s^2 on verify's generic blocks).  The su11
+    square (U*S)^2 is checked only on all rows and only when another relation
+    failed, and only then is U*S formed as a matrix: U^2 = S^2 = D and
+    US + SU = 0 give (US)^2 = -U^2 S^2 = -D^2, which is diag(m^2)."""
     problems: List[str] = []
 
     def check(pairs, diagonal, relation):
@@ -328,9 +328,6 @@ def _relation_problems(rep: Representation,
         if msg:
             problems.append(msg)
 
-    # a zero diagonal entry is the shared ZERO, which an empty row meets by
-    # identity in _first_violation
-    minus_ic = [GaussianRational(0, -m) if m else ZERO for m in rep.weights]
     for name in rep.generator_names:
         mat = rep.odd[name]
         check([(mat, mat)], minus_ic, "%s^2 != -i*m" % name)
@@ -340,8 +337,7 @@ def _relation_problems(rep: Representation,
         check([(u, s), (s, u)], [ZERO] * rep.dim, "U*S + S*U != 0")
         if problems and len(rows) == rep.dim:
             us = u * s
-            check([(us, us)], [GaussianRational(m * m) for m in rep.weights],
-                  "(U*S)^2 != m^2")
+            check([(us, us)], [-d * d for d in minus_ic], "(U*S)^2 != m^2")
     return problems
 
 
@@ -365,6 +361,23 @@ def validate_representation(rep: Representation) -> List[str]:
     (U*S)^2, which the other relations imply; so the problem list is the one
     a check of every row of every relation gives.
     """
+    problems = _structure_problems(rep)
+    if problems:
+        return problems
+    # a zero diagonal entry is the shared ZERO, which an empty row meets by
+    # identity in _first_violation
+    minus_ic = [GaussianRational(0, -m) if m else ZERO for m in rep.weights]
+    checked = _unimplied_rows(rep)
+    problems = _relation_problems(rep, checked, minus_ic)
+    if problems and len(checked) < rep.dim:
+        # the other rows are implied only when all checked rows hold
+        problems = _relation_problems(rep, range(rep.dim), minus_ic)
+    return problems
+
+
+def _structure_problems(rep: Representation) -> List[str]:
+    """The problems of validate_representation found before any arithmetic:
+    odd parity, weight preservation and one extension per linked set."""
     problems: List[str] = []
     n = rep.dim
     link = list(range(n))  # union-find over basis vectors
@@ -405,14 +418,6 @@ def validate_representation(rep: Representation) -> List[str]:
                 "m=%d, has m=%d"
                 % (name, i, j, m, *seen[:3], rep.weights[i], seen[3])
             )
-    if problems:
-        return problems
-
-    checked = _unimplied_rows(rep)
-    problems = _relation_problems(rep, checked)
-    if problems and len(checked) < n:
-        # the other rows are implied only when all checked rows hold
-        problems = _relation_problems(rep, range(n))
     return problems
 
 

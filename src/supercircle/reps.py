@@ -39,9 +39,12 @@ def make_V_m(m: int) -> Representation:
     scaled by sqrt_neg_im(m)."""
     if m == 0:
         raise ValueError("weight must be nonzero")
-    s = sqrt_neg_im(m)
-    z = Matrix._of([[ZERO, s], [s, ZERO]], 2)
-    return Representation._of("s11", (0, 1), (m, m), {"Z": z})
+    return Representation._of("s11", (0, 1), (m, m), _v_odd(sqrt_neg_im(m)))
+
+
+def _v_odd(s) -> Dict[str, Matrix]:
+    """V_m's Z from a root s (s*s = -i*m in any ring): s times the swap."""
+    return {"Z": Matrix._of([[ZERO, s], [s, ZERO]], 2)}
 
 
 def make_weight_zero_s11(variant: str) -> Representation:
@@ -69,11 +72,15 @@ def make_pi_m(m: int, sign: str) -> Representation:
         raise ValueError("weight must be nonzero")
     if sign not in ("+", "-"):
         raise ValueError("sign must be + or -")
-    s = sqrt_neg_im(m)
+    return Representation._of("su11", (0, 1), (m, m),
+                              _pi_odd(sqrt_neg_im(m), sign))
+
+
+def _pi_odd(s, sign: str) -> Dict[str, Matrix]:
+    """pi_m^sign's U and S from a root s (s*s = -i*m in any ring)."""
     i_s = (I if sign == "+" else -I) * s
-    u = Matrix._of([[ZERO, s], [s, ZERO]], 2)
-    smat = Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)
-    return Representation._of("su11", (0, 1), (m, m), {"U": u, "S": smat})
+    return {"U": Matrix._of([[ZERO, s], [s, ZERO]], 2),
+            "S": Matrix._of([[ZERO, -i_s], [i_s, ZERO]], 2)}
 
 
 def make_adjoint_su11() -> Representation:
@@ -106,9 +113,18 @@ def conjugate(rep: Representation, g: Matrix) -> Representation:
     """Rewrite rep in the basis whose vectors are the columns of g.
 
     g must be even and weight-preserving (block structure over the parity
-    and weight classes), so the parity and weight vectors are unchanged.
+    and weight classes), so the parity and weight vectors are unchanged; any
+    other g raises ValueError.  g is inverted one class block at a time.
     """
-    gi = g.inverse()
+    n, key = rep.dim, list(zip(rep.parities, rep.weights))
+    if g.shape != (n, n):
+        raise ValueError("g must be %d x %d" % (n, n))
+    for i, row in enumerate(g._nonzeros()):
+        for j, _ in row:
+            if key[i] != key[j]:
+                raise ValueError("g entry (%d,%d) joins two (parity, weight) "
+                                 "classes" % (i, j))
+    gi = _by_class(rep, lambda c: g._submatrix(c, c).inverse())
     odd = {name: gi * mat * g for name, mat in rep.odd.items()}
     return Representation._of(rep.algebra, rep.parities, rep.weights, odd)
 
@@ -120,28 +136,32 @@ def permute(rep: Representation, perm: Sequence[int]) -> Representation:
     return rep.restrict(perm)
 
 
+def _by_class(rep: Representation, block_of) -> Matrix:
+    """The matrix that is block_of(indices) on each (parity, weight) class
+    of rep, taken in order of first index, and zero elsewhere."""
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for idx, key in enumerate(zip(rep.parities, rep.weights)):
+        classes.setdefault(key, []).append(idx)
+    order = [i for indices in classes.values() for i in indices]
+    where = sorted(range(rep.dim), key=order.__getitem__)
+    return block_diagonal([block_of(indices) for indices in classes.values()
+                           ])._submatrix(where, where)
+
+
 def random_class_preserving(rep: Representation, rng: random.Random) -> Matrix:
     """A random invertible even matrix supported on the (parity, weight)
     classes of rep, with small Gaussian-rational entries."""
-    n = rep.dim
-    grid = [[ZERO] * n for _ in range(n)]
-    classes: Dict[Tuple[int, int], List[int]] = {}
-    for idx in range(n):
-        classes.setdefault((rep.parities[idx], rep.weights[idx]), []).append(idx)
-    for indices in classes.values():
+    def block(indices):
         k = len(indices)
         while True:
-            block = Matrix([
+            b = Matrix([
                 [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                  for _ in range(k)]
                 for _ in range(k)
             ])
-            if block.rank() == k:
-                break
-        for bi, i in enumerate(indices):
-            for bj, j in enumerate(indices):
-                grid[i][j] = block[bi, bj]
-    return Matrix(grid)
+            if b.rank() == k:
+                return b
+    return _by_class(rep, block)
 
 
 def scramble(rep: Representation, rng: random.Random) -> Representation:

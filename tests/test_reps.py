@@ -333,6 +333,34 @@ def test_unchecked_builds_pass_the_constructor_and_validate(m, sign, seed):
         assert validate_representation(rep) == []
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["s11", "su11"]), st.integers(0, 2 ** 32 - 1))
+def test_conjugate_matches_the_dense_inverse(algebra, seed):
+    # conjugate inverts g one class block at a time; the dense inverse of
+    # the whole of g is the reference
+    rng = random.Random(seed)
+    rep = random_direct_sum(algebra, rng, 6)
+    g = random_class_preserving(rep, rng)
+    gi = g.inverse()
+    assert conjugate(rep, g) == Representation(
+        algebra, rep.parities, rep.weights,
+        {name: gi * mat * g for name, mat in rep.odd.items()})
+
+
+def test_conjugate_rejects_a_g_that_joins_two_classes():
+    rep = direct_sum(make_V_m(2), make_V_m(3))  # four classes of one vector
+    g = Matrix.identity(4)
+    with pytest.raises(ValueError, match=r"g entry \(2,0\) joins two"):
+        conjugate(rep, g + Matrix([[0] * 4, [0] * 4, [1, 0, 0, 0], [0] * 4]))
+    with pytest.raises(ValueError, match="g must be 4 x 4"):
+        conjugate(rep, Matrix.identity(3))
+    # an invertible g across two weights used to give a representation with
+    # the old parities and weights, which are wrong for it
+    swap = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="joins two"):
+        conjugate(rep, swap)
+
+
 def test_decompose_s11_matches_the_two_block_reference():
     rng = random.Random(17)
     for _ in range(150):
