@@ -400,11 +400,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pin(cpus) -> None:
+    """Let this process run only on cpus; an OSError leaves it as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _run_checks_forked(config) -> list:
     """(name, status, detail) of every verify check, in report order, from
     this process and one forked worker per extra usable CPU.  With one CPU,
     without os.fork or while a second thread is alive it runs them one after
     another; the results are the same either way.
+
+    Where os.sched_setaffinity exists and the process may run on at least
+    one CPU per process, each process runs on its own CPU of that set: this
+    one on the first for the duration of the call (its mask is restored on
+    the way out), worker k on the (k+1)-th.  Left alone, the kernel keeps a
+    new process on its parent's CPU for longer than the checks take, so the
+    two would share one CPU.
 
     Each process claims its next check index, in the fixed, measured order
     of _CLAIM_ORDER (largest first), with a 1-byte read from one shared
@@ -419,6 +434,9 @@ def _run_checks_forked(config) -> list:
     if not hasattr(os, "fork") or (threading is not None
                                    and threading.active_count() > 1):
         workers = 1  # forking beside a running thread is unsafe
+    pinnable = workers > 1 and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if pinnable else set()
+    cpus = sorted(mask) if len(mask) >= workers else []
     index = {name: i for i, (name, fn) in enumerate(_VERIFY_CHECKS)}
     claims, feed = os.pipe()
     os.write(feed, bytes(index[name] for name in _CLAIM_ORDER))
@@ -435,7 +453,9 @@ def _run_checks_forked(config) -> list:
             done.append((i, *_run_check(_VERIFY_CHECKS[i][1], config)))
 
     try:
-        for _ in range(workers - 1):
+        if cpus:
+            _pin({cpus[0]})
+        for k in range(1, workers):
             inbox, outbox = os.pipe()
             try:
                 pid = os.fork()
@@ -445,6 +465,8 @@ def _run_checks_forked(config) -> list:
                 break
             if pid == 0:
                 try:  # the pipe stays open until the process has exited
+                    if cpus:
+                        _pin({cpus[k]})
                     sent = memoryview(marshal.dumps(claim_and_run()))
                     while sent:
                         sent = sent[os.write(outbox, sent):]
@@ -466,6 +488,8 @@ def _run_checks_forked(config) -> list:
             os.close(inbox)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if cpus:
+            _pin(mask)
     results = {i: (status, detail) for i, status, detail in done}
     return [(name, *(results.get(i) or _run_check(fn, config)))
             for i, (name, fn) in enumerate(_VERIFY_CHECKS)]

@@ -457,12 +457,9 @@ class GrassmannElement(Frozen):
     def __hash__(self):
         raise TypeError("GrassmannElement is unhashable; compare with ==")
 
-    def __repr__(self):
-        if not self.terms:
-            return "<0>"
-        bits = []
+    def _named_terms(self):
+        """(coefficient, monomial name) of each term, odd degree first."""
         for (exps, mask) in sorted(self.terms, key=lambda k: (k[1].bit_count(), k)):
-            c = self.terms[(exps, mask)]
             factors = []
             for idx, e in enumerate(exps):
                 if e:
@@ -472,9 +469,19 @@ class GrassmannElement(Frozen):
                 low = m & -m
                 factors.append(self.gens.odd[low.bit_length() - 1])
                 m ^= low
-            mono = "*".join(factors) if factors else "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
+            yield self.terms[(exps, mask)], "*".join(factors) if factors else "1"
+
+    def __repr__(self):
+        return " + ".join(f"({c})*{mono}" for c, mono in self._named_terms()) or "<0>"
+
+    def __str__(self):
+        """As repr, but a coefficient 1, -1, i or -i of a monomial is written
+        as its sign: i*s^2 where repr gives (1*i)*s^2."""
+        bits = []
+        for c, mono in self._named_terms():
+            unit = _UNITS.get(str(c)) if mono != "1" else None
+            bits.append(f"({c})*{mono}" if unit is None else unit + mono)
+        return " + ".join(bits) or "<0>"
 
     # --- serialization ------------------------------------------------------
 
@@ -497,6 +504,10 @@ class GrassmannElement(Frozen):
             terms.append(entry)
         obj["terms"] = terms
         return obj
+
+
+# the prefixes GrassmannElement.__str__ writes for the unit coefficients
+_UNITS = {"1": "", "-1": "-", "1*i": "i*", "-1*i": "-i*"}
 
 
 def _require_parity(name: str, x: GrassmannElement, parity: str) -> None:

@@ -88,7 +88,7 @@ def test_a_wrong_shared_builder_fails_the_proof_and_names_the_entry(
     monkeypatch.setattr(reps, "_pi_odd", bad)
     monkeypatch.setattr(_checks, "_pi_odd", bad)
     assert run("representation-identities") == ("fail", {
-        "error": "S^2 != -i*m at weight block m=(1*i)*s^2 (entry (0,0))",
+        "error": "S^2 != -i*m at weight block m=i*s^2 (entry (0,0))",
         "block": "pi_m^+"})
 
 
