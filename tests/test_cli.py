@@ -282,6 +282,97 @@ def test_verify_leaves_no_worker_when_the_parent_raises(monkeypatch,
     assert time.monotonic() - start < 30  # the sleeping worker was killed
 
 
+def cpu_mask():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(cpu_mask()) < 2,
+    reason="fewer than 2 usable CPUs")
+
+
+@needs_two_cpus
+def test_each_process_of_verify_runs_on_its_own_cpu(monkeypatch, tmp_path):
+    serial = serial_verify(monkeypatch)
+    mask = cpu_mask()
+    seen = tmp_path / "worker_cpus"
+    in_parent = []
+
+    def record_worker():
+        seen.write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+
+    report = worker_claims_first(
+        monkeypatch, tmp_path, in_worker=record_worker,
+        in_parent=lambda: in_parent.append(os.sched_getaffinity(0)))
+    assert report == serial
+    worker = set(json.loads(seen.read_text()))
+    assert len(worker) == 1 and worker <= mask
+    assert in_parent and all(len(cpus) == 1 and cpus != worker
+                             for cpus in in_parent)
+    assert cpu_mask() == mask
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_verify_gives_back_the_cpu_mask_it_was_called_with(monkeypatch,
+                                                           tmp_path):
+    mask = cpu_mask()
+    with monkeypatch.context() as m:
+        m.setattr(_checks, "_usable_cpus", lambda: 2)
+        assert cli.cmd_verify(cli.RunConfig(weights=1))[1] == 0
+    assert cpu_mask() == mask
+
+    def interrupt():
+        raise ParentInterrupted
+
+    with pytest.raises(ParentInterrupted):
+        worker_claims_first(monkeypatch, tmp_path,
+                            in_worker=lambda: time.sleep(60),
+                            in_parent=interrupt)
+    assert cpu_mask() == mask
+    assert_no_child_left()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("case", ["no sched_setaffinity", "too few CPUs"])
+def test_verify_places_no_process_where_it_cannot(monkeypatch, case):
+    serial = serial_verify(monkeypatch)
+    mask = cpu_mask()
+    cpus = 2
+    if case == "no sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        cpus = len(mask) + 1
+        if cpus > len(_checks._VERIFY_CHECKS):
+            pytest.skip("a worker per check still leaves a CPU each")
+
+        def placed(pid, cpus):
+            raise AssertionError("placed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", placed)
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: cpus)
+    assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
+    assert cpu_mask() == mask
+
+
+@needs_two_cpus
+def test_verify_runs_unplaced_when_the_kernel_refuses(monkeypatch):
+    serial = serial_verify(monkeypatch)
+    mask = cpu_mask()
+    asked = []
+
+    def refuse(pid, cpus):
+        asked.append(set(cpus))
+        raise OSError(errno.EINVAL, "refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(_checks, "_usable_cpus", lambda: 2)
+    assert cli.cmd_verify(cli.RunConfig(weights=1)) == serial
+    assert asked[0] == {min(mask)}
+    assert cpu_mask() == mask
+    assert_no_child_left()
+
+
 def test_claim_order_names_every_check_once():
     names = [name for name, fn in _checks._VERIFY_CHECKS]
     assert sorted(_checks._CLAIM_ORDER) == sorted(names)

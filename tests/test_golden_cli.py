@@ -16,6 +16,7 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,13 +80,21 @@ def test_cli_output_is_unchanged(name):
     assert out == (GOLDEN / ("%s.out" % name)).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+UNPLACED = "2-without-sched_setaffinity"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, UNPLACED])
 @pytest.mark.parametrize("name", sorted(n for n in CASES
                                         if n.startswith("verify_")))
 def test_verify_output_does_not_depend_on_the_cpu_count(name, cpus,
                                                         monkeypatch):
     # one CPU runs the checks serially; two or three run them in this process
-    # and one or two workers
+    # and one or two workers, each on its own CPU where there are enough;
+    # without os.sched_setaffinity two processes run wherever the kernel
+    # puts them
+    if cpus == UNPLACED:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        cpus = 2
     monkeypatch.setattr(_checks, "_usable_cpus", lambda: cpus)
     test_cli_output_is_unchanged(name)
 
