@@ -457,9 +457,12 @@ class GrassmannElement(Frozen):
     def __hash__(self):
         raise TypeError("GrassmannElement is unhashable; compare with ==")
 
-    def _named_terms(self):
-        """(coefficient, monomial name) of each term, odd degree first."""
+    def __repr__(self):
+        if not self.terms:
+            return "<0>"
+        bits = []
         for (exps, mask) in sorted(self.terms, key=lambda k: (k[1].bit_count(), k)):
+            c = self.terms[(exps, mask)]
             factors = []
             for idx, e in enumerate(exps):
                 if e:
@@ -469,19 +472,10 @@ class GrassmannElement(Frozen):
                 low = m & -m
                 factors.append(self.gens.odd[low.bit_length() - 1])
                 m ^= low
-            yield self.terms[(exps, mask)], "*".join(factors) if factors else "1"
-
-    def __repr__(self):
-        return " + ".join(f"({c})*{mono}" for c, mono in self._named_terms()) or "<0>"
-
-    def __str__(self):
-        """As repr, but a coefficient 1, -1, i or -i of a monomial is written
-        as its sign: i*s^2 where repr gives (1*i)*s^2."""
-        bits = []
-        for c, mono in self._named_terms():
-            unit = _UNITS.get(str(c)) if mono != "1" else None
+            mono = "*".join(factors) if factors else "1"
+            unit = _UNITS.get(str(c)) if factors else None  # i*s^2, not (1*i)*s^2
             bits.append(f"({c})*{mono}" if unit is None else unit + mono)
-        return " + ".join(bits) or "<0>"
+        return " + ".join(bits)
 
     # --- serialization ------------------------------------------------------
 
@@ -506,7 +500,7 @@ class GrassmannElement(Frozen):
         return obj
 
 
-# the prefixes GrassmannElement.__str__ writes for the unit coefficients
+# how __repr__ writes a unit coefficient of a monomial
 _UNITS = {"1": "", "-1": "-", "1*i": "i*", "-1*i": "-i*"}
 
 

@@ -561,3 +561,15 @@ def test_kernel_matches_reference_over_rationals_and_extensions(data):
     ut = {(exps, 0): data.draw(coefs),
           **{k: c for k, c in nilpotent.items() if k[1]}}
     assert gens.element(ut).invert().terms == ref.invert(gens, ut)
+
+
+def test_repr_writes_a_unit_coefficient_as_a_sign():
+    gens = GeneratorSet(["t"], even=["s"])
+    s, t = gens.even_gen("s"), gens.odd_gen("t")
+    i = gens.scalar(GR(0, 1))
+    assert repr(i * s ** 2) == "i*s^2"
+    assert repr(s - i * t - s * t) == "s + -i*t + -s*t"
+    assert repr(gens.scalar(GR(3, 0)) + gens.scalar(GR(2, 1)) * s) == (
+        "(3)*1 + (2 + 1*i)*s")
+    assert repr(i) == "(1*i)*1"
+    assert repr(gens.zero()) == "<0>"
